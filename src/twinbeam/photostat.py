@@ -2,8 +2,10 @@
 
 The joint photon-number distribution is the two-fold convolution of three
 Mandel-Rice (negative-binomial with real shape) components: one shared pair
-count feeding both arms plus an independent noise count per arm.  Detection
-is a binary-pixel response applied independently per arm.
+count feeding both arms plus an independent noise count per arm.  It is
+computed as one matrix product ``(T_s diag(pair)) T_i^T``, where ``T_s`` and
+``T_i`` are the lower-triangular Toeplitz matrices of the two noise pmfs.
+Detection is a binary-pixel response applied independently per arm.
 
 The closed-form pixel response is an alternating sum that cancels
 catastrophically for more than a few counts, so it is evaluated with
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sp
 
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
@@ -44,6 +47,21 @@ CUTOFF_TAIL_MASS = 1e-10
 ESCALATION_DIGITS = 6.0
 
 
+def _log_mandel_rice(n_max: int, m_modes: float, b_mean: float) -> np.ndarray:
+    """Log Mandel-Rice probabilities for n = 0..n_max (m_modes, b_mean > 0).
+
+    The combinatorial factor Gamma(n + M) / (Gamma(M) n!) is taken as
+    ``-log(n) - betaln(M, n)`` (and 1 at n = 0) rather than as a difference
+    of log-gammas, which cancels to nothing when M >> n: a variance that is
+    a round-off residue gives M ~ 1e17 and B ~ 1e-16, a component that must
+    stay the Poisson(M B) it is.
+    """
+    n = np.arange(n_max + 1, dtype=float)
+    log_comb = np.zeros(n_max + 1)
+    log_comb[1:] = -np.log(n[1:]) - sp.betaln(m_modes, n[1:])
+    return log_comb + n * np.log(b_mean) - (n + m_modes) * np.log1p(b_mean)
+
+
 def mandel_rice(n: int, m_modes: float, b_mean: float) -> float:
     """Mandel-Rice probability of n photons in m_modes modes with b_mean
     photons per mode, evaluated in log space."""
@@ -53,10 +71,7 @@ def mandel_rice(n: int, m_modes: float, b_mean: float) -> float:
         raise DomainError(
             "mandel_rice: requires m_modes > 0 and b_mean > 0; a vanishing "
             "component is a point mass handled by the caller")
-    n = int(n)
-    ln = (sp.gammaln(n + m_modes) - sp.gammaln(n + 1) - sp.gammaln(m_modes)
-          + n * math.log(b_mean) - (n + m_modes) * math.log1p(b_mean))
-    return float(math.exp(ln))
+    return float(np.exp(_log_mandel_rice(int(n), m_modes, b_mean)[-1]))
 
 
 def mandel_rice_pmf(n_max: int, m_modes: float, b_mean: float) -> np.ndarray:
@@ -66,14 +81,11 @@ def mandel_rice_pmf(n_max: int, m_modes: float, b_mean: float) -> np.ndarray:
     """
     if n_max < 0:
         raise DomainError("mandel_rice_pmf: n_max must be >= 0")
-    out = np.zeros(n_max + 1)
     if m_modes == 0 or b_mean == 0:
+        out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    n = np.arange(n_max + 1, dtype=float)
-    ln = (sp.gammaln(n + m_modes) - sp.gammaln(n + 1) - sp.gammaln(m_modes)
-          + n * np.log(b_mean) - (n + m_modes) * np.log1p(b_mean))
-    return np.exp(ln)
+    return np.exp(_log_mandel_rice(n_max, m_modes, b_mean))
 
 
 def _component_cutoff(m_modes: float, b_mean: float,
@@ -107,13 +119,24 @@ def default_cutoffs(params: TwinBeamParams, *,
     return (min(cap, c_pair + c_s), min(cap, c_pair + c_i))
 
 
+def _toeplitz(pmf: np.ndarray, columns: int) -> np.ndarray:
+    """Lower-triangular Toeplitz matrix ``T[n, k] = pmf[n - k]`` (0 for
+    ``n < k``) with ``pmf.size`` rows and ``columns`` columns, as a read-only
+    strided view of the zero-padded pmf."""
+    padded = np.concatenate((np.zeros(columns - 1), pmf))
+    return sliding_window_view(padded, columns)[:, ::-1]
+
+
 def joint_photon_distribution(params: TwinBeamParams,
                               cutoffs: tuple[int, int]) -> JointDistribution:
     """Joint signal-idler photon-number table on [0, n_s_max] x [0, n_i_max].
 
     The shared pair count couples the arms; the noise components convolve in
-    independently.  The probability outside the table is reported as
-    ``truncation_mass`` (never renormalized away).
+    independently, so the table is one matrix product
+    ``(T_s diag(pair)) T_i^T`` with ``T_a[n, k] = noise_a[n - k]`` the
+    lower-triangular Toeplitz matrix of each arm's noise pmf.  The
+    probability outside the table is reported as ``truncation_mass`` (never
+    renormalized away).
     """
     n_s_max, n_i_max = int(cutoffs[0]), int(cutoffs[1])
     if n_s_max < 0 or n_i_max < 0:
@@ -122,13 +145,9 @@ def joint_photon_distribution(params: TwinBeamParams,
     pair = mandel_rice_pmf(n_pair_max, params.m_pairs, params.b_pairs)
     noise_s = mandel_rice_pmf(n_s_max, params.m_noise_s, params.b_noise_s)
     noise_i = mandel_rice_pmf(n_i_max, params.m_noise_i, params.b_noise_i)
-    probs = np.zeros((n_s_max + 1, n_i_max + 1))
-    for n in range(n_pair_max + 1):
-        w = pair[n]
-        if w < 1e-300:
-            continue
-        probs[n:, n:] += w * np.outer(noise_s[:n_s_max + 1 - n],
-                                      noise_i[:n_i_max + 1 - n])
+    t_s = _toeplitz(noise_s, n_pair_max + 1)
+    t_i = _toeplitz(noise_i, n_pair_max + 1)
+    probs = (t_s * pair) @ t_i.T
     truncation = 1.0 - float(probs.sum())
     if truncation > 0.5:
         raise GridResolutionError(

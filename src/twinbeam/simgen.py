@@ -49,18 +49,29 @@ def _component_counts(rng: np.random.Generator, m_modes: float, b_mean: float,
 def _detect_counts(rng: np.random.Generator, photons: np.ndarray,
                    d: DetectorModel) -> np.ndarray:
     """Fired-pixel counts for a batch of frames under one detector."""
-    detected = rng.binomial(photons, d.efficiency)
+    todo = rng.binomial(photons, d.efficiency)  # detected photons
     lit = np.zeros(photons.size, dtype=np.int64)
-    # throw detected photons one at a time; a photon lands on a fresh pixel
-    # with probability 1 - lit/pixels
-    remaining = detected.copy()
-    while True:
-        active = remaining > 0
-        if not active.any():
-            break
-        fresh = rng.random(int(active.sum())) >= lit[active] / d.pixels
-        lit[active] += fresh
-        remaining[active] -= 1
+    # Throw detected photons one at a time: a photon lands on a fresh pixel
+    # with probability 1 - lit/pixels.  Only the frames that still hold
+    # photons are kept, compacted in frame order, so pass k draws one uniform
+    # per frame with at least k detected photons, in frame order, and compares
+    # it with the same lit/pixels as a masked pass over all frames would: the
+    # random stream and the counts do not depend on the compaction.
+    # Dropping the full-length count array and holding the rest as int32 keep
+    # the loop's peak memory below that of the masked pass.
+    frames = np.flatnonzero(todo)
+    todo = todo[frames].astype(np.int32)
+    lit_now = np.zeros(frames.size)  # integers, exact in float64
+    finishing = np.bincount(todo)
+    for thrown in range(1, finishing.size):
+        lit_now += rng.random(frames.size) >= lit_now / d.pixels
+        if finishing[thrown]:
+            # frames done now keep this value; the others are overwritten later
+            lit[frames] = lit_now
+            keep = np.flatnonzero(todo != thrown)
+            frames = frames[keep]
+            todo = todo[keep]
+            lit_now = lit_now[keep]
     if d.dark_rate > 0:
         lit += rng.binomial(d.pixels - lit, d.dark_rate)
     return lit

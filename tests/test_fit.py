@@ -147,6 +147,20 @@ class TestReconstruct:
                 errors[frames].append(abs(r.var_p_opt - truth) / truth)
         assert np.median(errors[60_000]) <= np.median(errors[30_000]) * 1.2
 
+    @pytest.mark.parametrize("seed", [44, 50])
+    def test_round_off_noise_variance_at_upper_endpoint(self, seed):
+        # at var_p_max one noise variance is a round-off residue (M ~ 1e17,
+        # B ~ 1e-16); its component must come out Poisson, not overflow the
+        # table, and the declination curve must stay continuous up to there
+        params = TwinBeamParams(20.0, 0.5, 2.0, 2.0, 2.0, 2.0)
+        d_s = DetectorModel(0.3, 1000, 1e-4)
+        d_i = DetectorModel(0.28, 1000, 1e-4)
+        f, dark = simulate_histogram(SimConfig(params, d_s, d_i, frames=20_000, seed=seed))
+        result = reconstruct(f, dark, d_s, d_i, scan_points=20)
+        (_, before), (_, last) = result.scan[-2:]
+        assert math.isfinite(last) and before < last < 2 * before
+        assert 0 < result.var_p_opt < result.scan[-1][0]
+
     def test_scan_is_sorted_and_contains_grid(self):
         f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)
         result = reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=25)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from twinbeam import (
@@ -218,6 +218,32 @@ class TestModeParameters:
         assert p.b_noise_i == pytest.approx(0.125, rel=1e-12)
 
 
+EPS = np.finfo(float).eps
+
+
+def inversion_conditions(det, eta_s, eta_i, var_p):
+    """Condition number of each component's moments in ``invert_at``.
+
+    Every inverted moment is a sum of terms (``var_s = det.var_s/eta_s**2 -
+    var_p``, ``mean_s = det.mean_s/eta_s - c + var_p``, ``mean_p = c -
+    var_p`` with ``c = cov/(eta_s eta_i)``), so its condition number is the
+    sum of the terms' magnitudes over the result.  A component's number is
+    the larger of its mean's and its variance's.
+    """
+    c = det.cov / (eta_s * eta_i)
+    mean_s, mean_i = det.mean_s / eta_s, det.mean_i / eta_i
+    var_s, var_i = det.var_s / eta_s**2, det.var_i / eta_i**2
+    return {
+        "pairs": (c + var_p) / (c - var_p),
+        "noise_s": max((mean_s + c + var_p) / (mean_s - c + var_p),
+                       (var_s + var_p) / (var_s - var_p)),
+        "noise_i": max((mean_i + c + var_p) / (mean_i - c + var_p),
+                       (var_i + var_p) / (var_i - var_p)),
+    }
+
+
+@example(m_pairs=8.0, b_pairs=2.0, m_s=1.0, b_s=1.0, m_i=0.015625,
+         b_i=0.010000000000000002, eta_s=0.5, eta_i=0.5)
 @given(
     m_pairs=st.floats(0.5, 300.0),
     b_pairs=st.floats(0.01, 2.0),
@@ -230,16 +256,33 @@ class TestModeParameters:
 )
 def test_round_trip_recovers_parameters(m_pairs, b_pairs, m_s, b_s, m_i, b_i,
                                         eta_s, eta_i):
+    """Exact moments invert back to the state within their conditioning.
+
+    The bound is ``max(1e-9, 20 eps cond)``.  Each inverted moment passes
+    through about six roundings (the forward map's product and sum, the
+    division by the efficiency, the subtraction), so its absolute error is
+    at most ``6 eps`` times the sum of its terms' magnitudes and its
+    relative error at most ``6 eps cond``.  ``M = mean**2/var`` and ``B =
+    var/mean`` add the relative errors of one variance and up to two means
+    plus two roundings: ``18 eps cond + 2 eps <= 20 eps cond``.  The pinned
+    example has an idler-noise variance of 1.6e-6 next to ``var_p = 32``;
+    its ``cond`` is 4.1e7, and no algorithm recovers it to 1e-9 from inputs
+    rounded to ``eps``.
+    """
     truth = TwinBeamParams(m_pairs, b_pairs, m_s, b_s, m_i, b_i)
     fm_true = field_moments_from_params(truth)
     det = detected_from_field(fm_true, eta_s, eta_i)
     assert feasibility(det, eta_s, eta_i) >= -1e-12
     fam = inversion_family(det, eta_s, eta_i)
     recovered = mode_parameters(invert_at(fam, fm_true.var_p))
-    for name in ("m_pairs", "b_pairs", "m_noise_s", "b_noise_s",
-                 "m_noise_i", "b_noise_i"):
-        assert getattr(recovered, name) == pytest.approx(
-            getattr(truth, name), rel=1e-9)
+    cond = inversion_conditions(det, eta_s, eta_i, fm_true.var_p)
+    for component, names in (("pairs", ("m_pairs", "b_pairs")),
+                             ("noise_s", ("m_noise_s", "b_noise_s")),
+                             ("noise_i", ("m_noise_i", "b_noise_i"))):
+        rel = max(1e-9, 20 * EPS * cond[component])
+        for name in names:
+            assert getattr(recovered, name) == pytest.approx(
+                getattr(truth, name), rel=rel)
 
 
 @given(

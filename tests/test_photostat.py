@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from twinbeam import (
     DetectorModel,
@@ -62,6 +64,22 @@ class TestMandelRice:
     def test_pmf_point_mass_components(self):
         v = mandel_rice_pmf(4, 0.0, 3.0)
         assert v[0] == 1.0 and v[1:].sum() == 0.0
+
+    def test_round_off_variance_component_is_poisson(self):
+        # a noise variance left as a round-off residue by the moment
+        # inversion gives M ~ 1e17 and B ~ 1e-16, a component that is
+        # Poisson(M B) to double precision; log Gamma(n + M) - log Gamma(M)
+        # cancels completely there.  Each log term is about n |log B| <= 730
+        # in size and carries eps of it.
+        m_modes, b_mean, n_max = 8e16, 1.5e-16, 20
+        lam = m_modes * b_mean
+        n = np.arange(n_max + 1)
+        poisson = np.array([math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+                            for k in n])
+        rtol = 8 * n_max * abs(math.log(b_mean)) * np.finfo(float).eps
+        pmf = mandel_rice_pmf(n_max, m_modes, b_mean)
+        np.testing.assert_allclose(pmf, poisson, rtol=rtol, atol=0)
+        assert mandel_rice(7, m_modes, b_mean) == pytest.approx(poisson[7], rel=rtol)
 
 
 class TestJointPhotonDistribution:
@@ -128,6 +146,59 @@ class TestJointPhotonDistribution:
     def test_truncation_mass_accounting(self, paper_params):
         jd = joint_photon_distribution(paper_params, (40, 40))
         assert jd.total + jd.truncation_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def outer_loop_oracle(params, cutoffs):
+    """The joint table as the definition reads: one shifted outer product of
+    the noise pmfs per pair number."""
+    n_s_max, n_i_max = cutoffs
+    n_pair_max = min(cutoffs)
+    pair = mandel_rice_pmf(n_pair_max, params.m_pairs, params.b_pairs)
+    noise_s = mandel_rice_pmf(n_s_max, params.m_noise_s, params.b_noise_s)
+    noise_i = mandel_rice_pmf(n_i_max, params.m_noise_i, params.b_noise_i)
+    probs = np.zeros((n_s_max + 1, n_i_max + 1))
+    for n in range(n_pair_max + 1):
+        probs[n:, n:] += pair[n] * np.outer(noise_s[:n_s_max + 1 - n],
+                                            noise_i[:n_i_max + 1 - n])
+    return probs
+
+
+COMPONENT = st.one_of(
+    st.just((0.0, 0.0)),  # absent: a point mass at zero photons
+    st.tuples(st.floats(1e-3, 200.0), st.floats(1e-3, 5.0)),
+)
+
+
+@given(pair=COMPONENT, noise_s=COMPONENT, noise_i=COMPONENT,
+       cutoffs=st.tuples(st.integers(0, 60), st.integers(0, 60)))
+def test_joint_distribution_matches_outer_product_loop(pair, noise_s, noise_i, cutoffs):
+    """The Toeplitz product equals the sum of shifted outer products.
+
+    Each cell is a sum of at most ``K = min(cutoffs) + 1`` non-negative
+    products of three pmf values.  Both ways of evaluating it round each
+    product at most twice and the sum ``K - 1`` times, in any order, so each
+    is within ``(K + 1) eps`` of the exact cell (no cancellation: all terms
+    are non-negative) and the two are within ``2 (K + 1) eps`` relative of
+    each other.  Products that underflow add at most one subnormal spacing
+    each, hence the ``atol``.  The totals then differ by at most
+    ``2 (K + 1) eps`` plus the rounding of two sums over the table.
+    """
+    params = TwinBeamParams(*pair, *noise_s, *noise_i)
+    want = outer_loop_oracle(params, cutoffs)
+    truncation = 1.0 - float(want.sum())
+    assume(abs(truncation - 0.5) > 1e-9)  # where round-off decides the raise
+    k = min(cutoffs) + 1
+    if truncation > 0.5:
+        with pytest.raises(GridResolutionError):
+            joint_photon_distribution(params, cutoffs)
+        return
+    jd = joint_photon_distribution(params, cutoffs)
+    eps = np.finfo(float).eps
+    tiny = np.finfo(float).smallest_subnormal
+    np.testing.assert_allclose(jd.probs, want, rtol=2 * (k + 1) * eps,
+                               atol=2 * (k + 1) * tiny)
+    assert jd.truncation_mass == pytest.approx(
+        truncation, abs=(2 * (k + 1) + 2 * want.size) * eps)
 
 
 class TestDetectorResponse:

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twinbeam import (
     DetectorModel,
@@ -40,6 +44,57 @@ class TestDeterminism:
         h, dark = simulate_histogram(small_config(frames=1))
         assert h.counts.sum() == 1.0
         assert h.total_frames == 1.0
+
+
+def masked_detect_counts(rng, photons, d):
+    """Pixel throwing as a masked pass over every frame per photon: the
+    reference for the random stream that ``_detect_counts`` consumes."""
+    detected = rng.binomial(photons, d.efficiency)
+    lit = np.zeros(photons.size, dtype=np.int64)
+    remaining = detected.copy()
+    while True:
+        active = remaining > 0
+        if not active.any():
+            break
+        fresh = rng.random(int(active.sum())) >= lit[active] / d.pixels
+        lit[active] += fresh
+        remaining[active] -= 1
+    if d.dark_rate > 0:
+        lit += rng.binomial(d.pixels - lit, d.dark_rate)
+    return lit
+
+
+class TestRandomStream:
+    @given(photons=st.lists(st.integers(0, 300), min_size=1, max_size=200),
+           pixels=st.integers(1, 400),
+           dark_rate=st.sampled_from([0.0, 1e-3, 0.2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_detection_matches_masked_loop_bit_for_bit(self, photons, pixels,
+                                                       dark_rate, seed):
+        from twinbeam.simgen import _detect_counts
+        d = DetectorModel(efficiency=0.4, pixels=pixels, dark_rate=dark_rate)
+        photons = np.array(photons, dtype=np.int64)
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _detect_counts(rng_new, photons, d)
+        want = masked_detect_counts(rng_ref, photons, d)
+        assert np.array_equal(got, want)
+        # both consumed the same stream
+        assert rng_new.random() == rng_ref.random()
+
+    def test_histograms_are_pinned(self):
+        # any change in the number or order of random draws changes these
+        # digests; noise bursts saturate the 200-pixel signal arm
+        cfg = SimConfig(TwinBeamParams(10.0, 0.3, 0.01, 50.0, 0.02, 20.0),
+                        DetectorModel(0.3, 200, 0.01), DetectorModel(0.25, 150, 0.005),
+                        frames=5000, seed=2024)
+        h, dark = simulate_histogram(cfg)
+        assert h.counts.shape == (33, 20)
+        digests = [hashlib.sha256(np.ascontiguousarray(x.counts, dtype="<f8").tobytes())
+                   .hexdigest() for x in (h, dark)]
+        assert digests == [
+            "05514673fc9c795bd6f895636c3b221e5ee535aa8d88fb74200a9271191e87ad",
+            "23ee27d722f22c76810b3252c4338d52f2f48de3298694ac6deeabc62a55e5f7",
+        ]
 
 
 class TestDegenerateConfigs:
