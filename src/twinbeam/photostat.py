@@ -20,10 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special as sp
 
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
 from .model import DetectorModel, FieldMoments, JointDistribution, TwinBeamParams
@@ -56,6 +54,8 @@ def _log_mandel_rice(n_max: int, m_modes: float, b_mean: float) -> np.ndarray:
     a round-off residue gives M ~ 1e17 and B ~ 1e-16, a component that must
     stay the Poisson(M B) it is.
     """
+    from scipy import special as sp
+
     n = np.arange(n_max + 1, dtype=float)
     log_comb = np.zeros(n_max + 1)
     log_comb[1:] = -np.log(n[1:]) - sp.betaln(m_modes, n[1:])
@@ -163,6 +163,8 @@ def joint_photon_distribution(params: TwinBeamParams,
 def _eq9_terms(d: DetectorModel, m: int, n: int) -> list[SignedLog]:
     """Signed log-scale terms of the alternating pixel-response sum,
     including the constant prefactor; the l-th term carries sign (-1)^(m+l)."""
+    from scipy import special as sp
+
     eta, npix, dark = d.efficiency, d.pixels, d.dark_rate
     theta = eta / (npix * (1.0 - eta))
     prefactor = (sp.gammaln(npix + 1) - sp.gammaln(m + 1) - sp.gammaln(npix - m + 1)
@@ -182,6 +184,8 @@ def _eq9_extended(d: DetectorModel, m: int, n: int) -> float:
     Doubles the working precision until two successive evaluations agree to
     ~1e-14 relative (or both vanish).
     """
+    import mpmath as mp
+
     def evaluate(dps: int) -> mp.mpf:
         with mp.workdps(dps):
             eta = mp.mpf(d.efficiency)
@@ -297,6 +301,8 @@ def _occupancy_matrix(eta: float, npix: int, m_max: int, n_max: int) -> np.ndarr
 
 def _dark_kernel(dark: float, npix: int, m_max: int) -> np.ndarray:
     """K[m, j]: probability that dark events raise j lit pixels to m fired."""
+    from scipy import special as sp
+
     out = np.zeros((m_max + 1, m_max + 1))
     if dark == 0.0:
         np.fill_diagonal(out, 1.0)

@@ -9,7 +9,8 @@ interference expression, not an exact Fourier inversion; as printed it is
 not normalized, so by default it is rescaled by its numerically computed
 total mass (``normalized=False`` gives the raw expression).  The full-field
 QDII is the convolution of the paired density with one multi-thermal noise
-density per arm, evaluated by direct quadrature over the noise variables.
+density per arm.  It needs uniform axes: each noise measure is binned onto
+the grid lattice and the two-dimensional convolution runs as an FFT.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
 from .model import FieldMoments, QdiiGrid, TwinBeamParams
@@ -37,7 +37,6 @@ __all__ = [
     "joint_qdii_grid",
 ]
 
-NOISE_TAIL_MASS = 1e-9
 NORMALIZATION_TOL = 0.05
 
 
@@ -167,6 +166,8 @@ def nonclassicality(fm: FieldMoments) -> NonclassicalityVerdict:
 def _log_ive_array(order: float, x: np.ndarray) -> np.ndarray:
     """log I_order(x) for x >= 0, with a series fallback where the scaled
     library routine underflows (large order, small argument)."""
+    from scipy import special as sp
+
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
     pos = x > 0
@@ -185,6 +186,8 @@ def _log_ive_array(order: float, x: np.ndarray) -> np.ndarray:
 
 def _bessel_branch(ctx: OrderingContext, m: float,
                    ws: np.ndarray, wi: np.ndarray) -> np.ndarray:
+    from scipy import special as sp
+
     k, b, d = ctx.k_p_s, ctx.b_p_s, ctx.d_p
     log_prod = np.log(np.maximum(ws, 1e-300)) + np.log(np.maximum(wi, 1e-300))
     if d == 0.0:
@@ -200,6 +203,8 @@ def _bessel_branch(ctx: OrderingContext, m: float,
 
 def _sinc_branch_raw(ctx: OrderingContext, m: float,
                      ws: np.ndarray, wi: np.ndarray) -> np.ndarray:
+    from scipy import special as sp
+
     kt = -ctx.k_p_s
     b = ctx.b_p_s
     a = math.sqrt(kt)
@@ -242,6 +247,8 @@ def _sinc_normalization(m: float, b: float, kt: float) -> float:
     In rotated coordinates u = (Ws+Wi)/2, v = Ws-Wi the double integral
     factors into a radial u-integral against the sinc kernel moments.
     """
+    from scipy import special as sp
+
     a = math.sqrt(kt)
     shape = m + 1.0  # radial integrand carries u^m
     u_lo = max(0.0, b * float(sp.gammaincinv(shape, 1e-14)) - 5.0 * a)
@@ -335,6 +342,8 @@ def thermal_qdii(m_modes: float, b_mean: float, s: float, w: float) -> float:
         if m_modes == 1:
             return 1.0 / b_s
         raise DomainError("thermal_qdii: density diverges at w = 0 for m_modes < 1")
+    from scipy import special as sp
+
     ln = ((m_modes - 1.0) * math.log(w) - w / b_s
           - sp.gammaln(m_modes) - m_modes * math.log(b_s))
     return float(math.exp(ln))
@@ -352,6 +361,8 @@ def _binned_thermal_kernel(m_modes: float, b_scaled: float, h: float,
     absorbs everything the grid resolution cannot distinguish from zero
     shift, which includes the near-1 atom of nearly-zero-shape components.
     """
+    from scipy import special as sp
+
     edges = (np.arange(n_bins) + 0.5) * h
     cdf = sp.gammainc(m_modes, edges / b_scaled)
     kernel = np.empty(n_bins)
@@ -360,39 +371,9 @@ def _binned_thermal_kernel(m_modes: float, b_scaled: float, h: float,
     return kernel
 
 
-def _thermal_measure(m_modes: float, b_scaled: float, eps: float,
-                     w_cap: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Discretize a gamma noise density as (atom at 0, nodes, weights).
-
-    The mass below ``eps`` (the grid cannot resolve it anyway) becomes a
-    point mass at zero; the rest is integrated on log-spaced Gauss-Legendre
-    panels up to the smaller of the upper quantile and ``w_cap``.
-    """
-    if m_modes == 0:
-        return 1.0, np.empty(0), np.empty(0)
-    atom = float(sp.gammainc(m_modes, eps / b_scaled))
-    hi = float(b_scaled * sp.gammainccinv(m_modes, NOISE_TAIL_MASS))
-    hi = min(hi, w_cap)
-    if hi <= eps:
-        return atom, np.empty(0), np.empty(0)
-    panels = 10
-    edges = np.exp(np.linspace(math.log(eps), math.log(hi), panels + 1))
-    xg, wg = np.polynomial.legendre.leggauss(8)
-    lo = edges[:-1]
-    up = edges[1:]
-    ylo = np.log(lo)
-    yup = np.log(up)
-    y = ((ylo[:, None] + yup[:, None]) / 2.0
-         + (yup[:, None] - ylo[:, None]) / 2.0 * xg[None, :]).ravel()
-    wq = ((yup[:, None] - ylo[:, None]) / 2.0 * wg[None, :]).ravel()
-    x = np.exp(y)
-    ln = (m_modes * np.log(x) - x / b_scaled
-          - sp.gammaln(m_modes) - m_modes * math.log(b_scaled))
-    weights = wq * np.exp(ln)  # extra power of x is the log-substitution jacobian
-    return atom, x, weights
-
-
 def _thermal_values(m_modes: float, b_scaled: float, w: np.ndarray) -> np.ndarray:
+    from scipy import special as sp
+
     out = np.zeros(w.shape)
     pos = w > 0
     out[pos] = np.exp((m_modes - 1.0) * np.log(w[pos]) - w[pos] / b_scaled
@@ -430,7 +411,25 @@ def _noise_only_grid(params: TwinBeamParams, s: float,
 
 def _is_uniform(axis: np.ndarray) -> bool:
     d = np.diff(axis)
-    return bool(d.max() - d.min() <= 1e-9 * d.mean())
+    return bool(d.size and d.max() - d.min() <= 1e-9 * d.mean())
+
+
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays of the same rank.
+
+    Same FFT sizes and transformed axes as ``scipy.signal.fftconvolve``, so
+    the result is bit-identical to it, without importing ``scipy.signal``.
+    An axis on which either operand has length 1 is not transformed but
+    broadcast; that is the case of a noise-free arm's kernel.
+    """
+    from scipy import fft
+
+    axes = [k for k in range(a.ndim) if a.shape[k] > 1 and b.shape[k] > 1]
+    shape = [a.shape[k] + b.shape[k] - 1 if k in axes else max(a.shape[k], b.shape[k])
+             for k in range(a.ndim)]
+    sizes = [fft.next_fast_len(shape[k], True) for k in axes]
+    spectrum = fft.rfftn(a, sizes, axes=axes) * fft.rfftn(b, sizes, axes=axes)
+    return fft.irfftn(spectrum, sizes, axes=axes)[tuple(slice(n) for n in shape)]
 
 
 def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
@@ -442,8 +441,6 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     that noise shifts can move mass into the requested window, then convolved
     with the exact per-bin noise masses and cropped.
     """
-    from scipy.signal import fftconvolve
-
     sigma = (1.0 - ctx.s) / 2.0
     h_s = float(ws[1] - ws[0])
     h_i = float(wi[1] - wi[0])
@@ -461,47 +458,8 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     k_i = (_binned_thermal_kernel(params.m_noise_i, params.b_noise_i + sigma,
                                   h_i, lat_i.size)
            if params.m_noise_i > 0 else np.array([1.0]))
-    full = fftconvolve(paired, np.outer(k_s, k_i))
+    full = _fft_convolve(paired, np.outer(k_s, k_i))
     return full[lo_s:lo_s + len(ws), lo_i:lo_i + len(wi)]
-
-
-def _convolve_nodes(params: TwinBeamParams, ctx: OrderingContext,
-                    gx: np.ndarray, gy: np.ndarray,
-                    ws: np.ndarray, wi: np.ndarray,
-                    normalized: bool) -> np.ndarray:
-    """Direct quadrature over the noise variables for non-uniform grids.
-
-    Shift pairs with negligible combined weight are skipped; the dropped
-    mass is far below the grid normalization tolerance.
-    """
-    sigma = (1.0 - ctx.s) / 2.0
-    eps = 0.5 * min(float(np.min(np.diff(ws))), float(np.min(np.diff(wi))))
-    atom_s, xs, wxs = _thermal_measure(
-        params.m_noise_s, params.b_noise_s + sigma, eps, float(ws[-1]))
-    atom_i, xi, wxi = _thermal_measure(
-        params.m_noise_i, params.b_noise_i + sigma, eps, float(wi[-1]))
-    shifts_s = np.concatenate(([0.0], xs))
-    weights_s = np.concatenate(([atom_s], wxs))
-    shifts_i = np.concatenate(([0.0], xi))
-    weights_i = np.concatenate(([atom_i], wxi))
-    values = np.zeros(gx.shape)
-    for x0, wa in zip(shifts_s, weights_s):
-        sx = gx - x0
-        if np.all(sx < 0):
-            continue
-        for y0, wb in zip(shifts_i, weights_i):
-            if wa * wb < 1e-9:
-                continue
-            sy = gy - y0
-            if np.all(sy < 0):
-                continue
-            mask = (sx >= 0) & (sy >= 0)
-            contrib = np.zeros(gx.shape)
-            contrib[mask] = _paired_values(
-                ctx, params.m_pairs,
-                np.maximum(sx, 0.0), np.maximum(sy, 0.0), normalized)[mask]
-            values += (wa * wb) * contrib
-    return values
 
 
 def joint_qdii_grid(params: TwinBeamParams, s: float,
@@ -510,13 +468,14 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
                     normalized: bool = True) -> QdiiGrid:
     """Full-field QDII on a rectangular intensity grid.
 
-    Convolves the paired density with the per-arm noise densities: on
-    uniform axes the noise measures are binned onto the grid lattice (their
-    sub-resolution mass lands in the zero-shift bin) and the convolution runs
-    via FFT; on non-uniform axes a direct quadrature over the noise variables
-    is used.  Either way the unresolvably-small noise shifts of
-    reconstructed states collapse onto a point mass at zero, which keeps the
-    nearly-empty noise arms well-behaved.
+    Convolves the paired density with the per-arm noise densities: the noise
+    measures are binned onto the grid lattice (their sub-resolution mass
+    lands in the zero-shift bin) and the convolution runs via FFT.  The
+    unresolvably-small noise shifts of reconstructed states thus collapse
+    onto a point mass at zero, which keeps the nearly-empty noise arms
+    well-behaved.  The convolution needs uniform axes and raises
+    ``DomainError`` otherwise; paired-only and noise-free grids accept any
+    increasing axes.
     """
     _check_ordering(s)
     ws = np.asarray(w_s_axis, dtype=float)
@@ -528,14 +487,16 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
     ctx = OrderingContext.for_params(params.b_pairs, s)
     if ctx.k_p_s == 0.0:
         raise DomainError("joint_qdii_grid: s equals the paired branch boundary")
-    gx, gy = np.meshgrid(ws, wi, indexing="ij")
 
     if paired_only or (params.m_noise_s == 0 and params.m_noise_i == 0):
+        gx, gy = np.meshgrid(ws, wi, indexing="ij")
         values = _paired_values(ctx, params.m_pairs, gx, gy, normalized)
     elif _is_uniform(ws) and _is_uniform(wi):
         values = _convolve_uniform(params, ctx, ws, wi, normalized)
     else:
-        values = _convolve_nodes(params, ctx, gx, gy, ws, wi, normalized)
+        raise DomainError(
+            "joint_qdii_grid: the noise convolution needs uniformly spaced "
+            "axes; use np.linspace axes or paired_only=True")
 
     grid = QdiiGrid(ws, wi, values, s,
                     normalization=float(np.trapezoid(

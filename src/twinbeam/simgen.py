@@ -95,9 +95,9 @@ def _sample_batch(cfg: SimConfig, rng: np.random.Generator,
 
 
 def _tally(m_s: np.ndarray, m_i: np.ndarray, frames: int) -> Histogram2D:
-    counts = np.zeros((int(m_s.max()) + 1, int(m_i.max()) + 1))
-    np.add.at(counts, (m_s, m_i), 1.0)
-    return Histogram2D(counts, float(frames))
+    rows, cols = int(m_s.max()) + 1, int(m_i.max()) + 1
+    counts = np.bincount(m_s.astype(np.intp) * cols + m_i, minlength=rows * cols)
+    return Histogram2D(counts.reshape(rows, cols), float(frames))
 
 
 def simulate_histogram(cfg: SimConfig) -> tuple[Histogram2D, Histogram2D]:

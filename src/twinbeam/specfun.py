@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError
 
@@ -74,11 +73,15 @@ def log_gamma(x: float) -> float:
         raise DomainError(f"log_gamma: argument must be a finite real, got {x!r}")
     if x <= 0:
         raise DomainError(f"log_gamma: argument must be > 0, got {x}")
+    from scipy import special as sp
+
     return float(sp.gammaln(x))
 
 
 def _log_bessel_series(order: float, x: float) -> float:
     # ascending series, leading term factored out; all terms positive
+    from scipy import special as sp
+
     lead = order * math.log(x / 2.0) - sp.gammaln(order + 1.0)
     q = x * x / 4.0
     term = 1.0
@@ -115,6 +118,8 @@ def log_bessel_i(order: float, x: float) -> SignedLog:
         if order > 0:
             return SignedLog.zero()
         return SignedLog(math.inf, 1)  # order in (-1, 0): diverges at 0
+    from scipy import special as sp
+
     scaled = float(sp.ive(order, x))
     if scaled > 1e-290:
         return SignedLog(math.log(scaled) + x, 1)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinbeam
 from twinbeam.cli import load_histogram, main, save_histogram
 from twinbeam.model import Histogram2D
 
@@ -237,6 +243,13 @@ class TestQdiiCommand:
                      "--out-dir", str(tmp_path / "bad")])
         assert code == 4
 
+    def test_single_cell_grid_parse_exit_code(self, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(PAPER_PARAMS_DICT))
+        code = main(["qdii", str(params), "--grid-cells", "1",
+                     "--out-dir", str(tmp_path / "one")])
+        assert code == 2
+
 
 class TestDiagnoseCommand:
     def test_reference_diagnostics(self, tmp_path, capsys):
@@ -249,3 +262,54 @@ class TestDiagnoseCommand:
         assert report["s_th"] < 1.0
         psum = report["p_sum_head"]
         assert psum[2] > psum[1] and psum[2] > psum[3]
+
+
+class TestImportContract:
+    """Each command loads only the third-party modules it calls.  SciPy and
+    mpmath cost more to import than ``simulate`` and ``moments`` take to run,
+    and ``scipy.signal`` alone costs more than a ``qdii`` grid; the package
+    itself must still import every layer module eagerly."""
+
+    LAYERS = ("simgen", "moments", "photostat", "fit", "qdii", "specfun")
+    HEAVY = ("scipy", "scipy.special", "scipy.signal", "mpmath")
+
+    SCRIPT = textwrap.dedent("""
+        import json, sys
+        from pathlib import Path
+
+        import twinbeam.cli
+
+        def heavy():
+            return [m for m in HEAVY if m in sys.modules]
+
+        out = Path(sys.argv[1])
+        report = {"import": heavy(),
+                  "layers": [l for l in LAYERS if "twinbeam." + l in sys.modules]}
+        main = twinbeam.cli.main
+        assert main(["simulate", str(out / "sim.json"), "--out-dir", str(out / "run")]) == 0
+        assert main(["moments", str(out / "run" / "histogram.txt"),
+                     str(out / "run" / "dark.txt"), "--eta-s", "0.3", "--eta-i", "0.28",
+                     "--out", str(out / "moments.json")]) == 0
+        report["moments"] = heavy()
+        assert main(["qdii", str(out / "params.json"), "--ordering", "1.0",
+                     "--grid-max", "25", "--grid-cells", "120",
+                     "--out-dir", str(out / "grids")]) == 0
+        report["qdii"] = heavy()
+        print(json.dumps(report))
+    """)
+
+    def test_commands_load_only_what_they_call(self, tmp_path):
+        (tmp_path / "sim.json").write_text(json.dumps(dict(SIM_CONFIG, frames=2000)))
+        (tmp_path / "params.json").write_text(json.dumps(PAPER_PARAMS_DICT))
+        src = str(Path(twinbeam.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        script = f"HEAVY = {self.HEAVY!r}\nLAYERS = {self.LAYERS!r}\n" + self.SCRIPT
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["import"] == []
+        assert report["layers"] == list(self.LAYERS)
+        assert report["moments"] == []
+        assert "scipy.signal" not in report["qdii"]

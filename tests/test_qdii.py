@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 from scipy.stats import gamma as gamma_dist
 
 from twinbeam import (
@@ -17,6 +19,7 @@ from twinbeam import (
     paired_qdii,
     thermal_qdii,
 )
+from twinbeam import qdii
 from twinbeam.specfun import log_bessel_i
 
 
@@ -304,6 +307,53 @@ class TestJointGrid:
         g = np.linspace(0.0, 20.0, 50)
         with pytest.raises(DomainError):
             joint_qdii_grid(paper_params, ctx.s_th_paired, g, g)
+
+    def test_noise_convolution_needs_uniform_axes(self, paper_params):
+        # pitch 0.1 up to 10, then 0.075: increasing but not uniform
+        g = np.concatenate((np.linspace(0.0, 10.0, 100, endpoint=False),
+                            np.linspace(10.0, 25.0, 201)))
+        with pytest.raises(DomainError, match="uniformly spaced"):
+            joint_qdii_grid(paper_params, 1.0, g, g)
+        # paired-only and noise-free grids evaluate pointwise on any axes
+        paired = joint_qdii_grid(paper_params, 1.0, g, g, paired_only=True)
+        noise_free = replace(paper_params, m_noise_s=0.0, m_noise_i=0.0)
+        assert np.array_equal(joint_qdii_grid(noise_free, 1.0, g, g).values,
+                              paired.values)
+
+
+class TestFftConvolution:
+    """The noise convolution calls ``scipy.fft`` directly; it must reproduce
+    ``scipy.signal.fftconvolve`` bit for bit, so that the grids do not
+    change."""
+
+    @staticmethod
+    def both(params, s, axis, monkeypatch):
+        ctx = OrderingContext.for_params(params.b_pairs, s)
+        got = qdii._convolve_uniform(params, ctx, axis, axis, True)
+        with monkeypatch.context() as m:
+            m.setattr(qdii, "_fft_convolve", fftconvolve)
+            want = qdii._convolve_uniform(params, ctx, axis, axis, True)
+        assert got.shape == want.shape == (axis.size, axis.size)
+        return got, want
+
+    @pytest.mark.parametrize("cells, grid_max", [(200, 25.0), (400, 30.0)])
+    def test_reference_state(self, paper_params, cells, grid_max, monkeypatch):
+        got, want = self.both(paper_params, 1.0, np.linspace(0.0, grid_max, cells),
+                              monkeypatch)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("arm", ["m_noise_s", "m_noise_i"])
+    def test_noise_free_arm(self, paper_params, arm, monkeypatch):
+        # the kernel then has an axis of length 1, which is broadcast
+        params = replace(paper_params, **{arm: 0.0})
+        got, want = self.both(params, 1.0, np.linspace(0.0, 25.0, 200), monkeypatch)
+        assert np.array_equal(got, want)
+
+    def test_window_off_zero(self, monkeypatch):
+        # an axis that starts above 0 extends the lattice below the window
+        params = TwinBeamParams(20.0, 0.5, 1.5, 0.8, 2.0, 0.6)
+        got, want = self.both(params, 0.0, np.linspace(4.0, 40.0, 150), monkeypatch)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.xfail(
