@@ -336,7 +336,8 @@ def photocount_distribution(p: JointDistribution,
     """Push the photon-number table through both detector responses.
 
     The output truncation mass combines the photon-level truncation with the
-    count mass lost above the tables' m_max rows.
+    count mass lost above the tables' m_max rows.  The three-factor product
+    is taken in whichever order needs fewer multiplications.
     """
     n_s = p.probs.shape[0] - 1
     n_i = p.probs.shape[1] - 1
@@ -346,7 +347,11 @@ def photocount_distribution(p: JointDistribution,
             f"({d_s.n_max}, {d_i.n_max}) but the distribution needs ({n_s}, {n_i})")
     ts = d_s.table[:, :n_s + 1]
     ti = d_i.table[:, :n_i + 1]
-    counts = ts @ p.probs @ ti.T
+    rows_s, rows_i = ts.shape[0], ti.shape[0]
+    if rows_s * (n_s + 1 + rows_i) * (n_i + 1) <= rows_i * (n_i + 1 + rows_s) * (n_s + 1):
+        counts = (ts @ p.probs) @ ti.T
+    else:
+        counts = ts @ (p.probs @ ti.T)
     return JointDistribution(counts, 1.0 - float(counts.sum()))
 
 

@@ -6,24 +6,25 @@ The paired-field density has two regimes separated by a threshold ordering
 oscillatory sinc-kernel form whose negative strips parallel to the diagonal
 are the signature of pairwise emission.  The sinc form is a closed-form
 interference expression, not an exact Fourier inversion; as printed it is
-not normalized, so by default it is rescaled by its numerically computed
-total mass (``normalized=False`` gives the raw expression).  The full-field
+not normalized, so by default it is divided by its total mass, itself a
+closed form (``normalized=False`` gives the raw expression).  The full-field
 QDII is the convolution of the paired density with one multi-thermal noise
 density per arm.  It needs uniform axes: each noise measure is binned onto
-the grid lattice and the two-dimensional convolution runs as an FFT.
+the grid lattice, and the convolution is one product of lower-triangular
+Toeplitz matrices per arm, ``T_s @ paired @ T_i^T``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
 from .model import FieldMoments, QdiiGrid, TwinBeamParams
-from .specfun import sinc
+from .photostat import _toeplitz
+from .specfun import log_bessel_i_array, sinc
 
 __all__ = [
     "OrderingContext",
@@ -163,27 +164,6 @@ def nonclassicality(fm: FieldMoments) -> NonclassicalityVerdict:
 # paired-field density
 # ---------------------------------------------------------------------------
 
-def _log_ive_array(order: float, x: np.ndarray) -> np.ndarray:
-    """log I_order(x) for x >= 0, with a series fallback where the scaled
-    library routine underflows (large order, small argument)."""
-    from scipy import special as sp
-
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    pos = x > 0
-    scaled = np.zeros_like(x)
-    scaled[pos] = sp.ive(order, x[pos])
-    ok = pos & (scaled > 1e-290)
-    out[ok] = np.log(scaled[ok]) + x[ok]
-    hard = pos & ~ok
-    if hard.any():
-        from .specfun import log_bessel_i
-        out[hard] = [log_bessel_i(order, float(v)).log_magnitude for v in x[hard]]
-    if (~pos).any():
-        out[~pos] = 0.0 if order == 0 else -math.inf
-    return out
-
-
 def _bessel_branch(ctx: OrderingContext, m: float,
                    ws: np.ndarray, wi: np.ndarray) -> np.ndarray:
     from scipy import special as sp
@@ -196,8 +176,12 @@ def _bessel_branch(ctx: OrderingContext, m: float,
               - 2.0 * m * math.log(b) - (ws + wi) / b)
         return np.exp(ln)
     arg = 2.0 * d * np.exp(log_prod / 2.0) / k
+    # the argument depends on ws * wi only, so a grid repeats most values;
+    # the Bessel function of high order is evaluated once per distinct one
+    distinct, where = np.unique(arg.ravel(), return_inverse=True)
+    log_i = log_bessel_i_array(m - 1.0, distinct)[where].reshape(arg.shape)
     ln = ((m - 1.0) / 2.0 * log_prod - sp.gammaln(m) - math.log(k)
-          - (m - 1.0) * math.log(d) - b * (ws + wi) / k + _log_ive_array(m - 1.0, arg))
+          - (m - 1.0) * math.log(d) - b * (ws + wi) / k + log_i)
     return np.exp(ln)
 
 
@@ -214,61 +198,31 @@ def _sinc_branch_raw(ctx: OrderingContext, m: float,
     return np.exp(ln) * a * sinc((ws - wi) / a) / math.pi
 
 
-def _sinc_kernel_moments(c: np.ndarray, m: float) -> np.ndarray:
-    """g(c) = integral_{-1}^{1} (1 - x^2)^{(m-1)/2} sinc(c x) dx.
-
-    Evaluated through x = sin(phi) so the endpoint weight stays smooth for
-    m < 1; composite Gauss-Legendre panels resolve the oscillation and the
-    node matrix is chunked to bound memory for very large c.
-    """
-    cmax = float(np.max(np.abs(c))) if c.size else 1.0
-    panels = max(8, int(math.ceil(cmax / 3.0)))
-    edges = np.linspace(0.0, math.pi / 2.0, panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(8)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    phi = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wq = (half[:, None] * wg[None, :]).ravel()
-    weight = wq * np.cos(phi) ** m
-    snode = np.sin(phi)
-    out = np.empty(c.size)
-    chunk = max(1, int(4_000_000 / max(snode.size, 1)))
-    flat = np.asarray(c, dtype=float).ravel()
-    for i in range(0, flat.size, chunk):
-        sl = slice(i, min(i + chunk, flat.size))
-        out[sl] = 2.0 * (sinc(np.outer(flat[sl], snode)) @ weight)
-    return out.reshape(np.shape(c))
-
-
-@lru_cache(maxsize=128)
 def _sinc_normalization(m: float, b: float, kt: float) -> float:
-    """Total mass of the raw sinc-branch expression.
+    """Total mass of the raw sinc-branch expression, in closed form.
 
-    In rotated coordinates u = (Ws+Wi)/2, v = Ws-Wi the double integral
-    factors into a radial u-integral against the sinc kernel moments.
+    Writing ``a sinc(v/a)/pi`` as ``(a^2/2pi) int_{-1/a}^{1/a} e^{itv} dt``
+    turns both intensity integrals into gamma-type Fourier integrals; the
+    substitution ``t = tan(theta)/(2b)`` and Legendre's duplication formula
+    leave ``kt * I_x(1/2, m/2)`` with ``x = 4b^2 / (4b^2 + kt)``, the
+    regularized incomplete beta function.  It tends to ``kt = |K|`` as m
+    grows.
     """
     from scipy import special as sp
 
-    a = math.sqrt(kt)
-    shape = m + 1.0  # radial integrand carries u^m
-    u_lo = max(0.0, b * float(sp.gammaincinv(shape, 1e-14)) - 5.0 * a)
-    u_hi = b * float(sp.gammainccinv(shape, 1e-14)) + 5.0 * a
-    n_u = 3000
-    u = np.linspace(max(u_lo, u_hi / n_u**2), u_hi, n_u)
-    g = _sinc_kernel_moments(2.0 * u / a, m)
-    ln = m * np.log(u) - u / b - sp.gammaln(m) - m * math.log(b)
-    rho = 2.0 * a * g * np.exp(ln) / math.pi
-    total = float(np.trapezoid(rho, u))
-    if not (total > 0 and math.isfinite(total)):
+    total = kt * float(sp.betainc(0.5, m / 2.0, 4.0 * b * b / (4.0 * b * b + kt)))
+    if not total > 0:
         raise NumericsError(
-            f"sinc-branch normalization failed for m={m}, b={b}, kt={kt}")
+            f"sinc-branch normalization is not positive for m={m}, b={b}, kt={kt}")
     return total
 
 
 def _paired_values(ctx: OrderingContext, m_pairs: float,
                    ws: np.ndarray, wi: np.ndarray,
                    normalized: bool = True) -> np.ndarray:
-    """Paired density on arrays; entries with a negative coordinate are 0."""
+    """Paired density on arrays; entries with a negative coordinate are 0.
+    The sinc branch is divided by its closed-form total mass unless
+    ``normalized`` is false."""
     ws = np.asarray(ws, dtype=float)
     wi = np.asarray(wi, dtype=float)
     shape = np.broadcast_shapes(ws.shape, wi.shape)
@@ -307,8 +261,8 @@ def paired_qdii(ctx: OrderingContext, m_pairs: float,
     below the threshold ordering, the signed sinc form above it.  The branch
     boundary itself is excluded (both closed forms are singular there).
     With ``normalized=True`` (default) the sinc branch is divided by its
-    numerically computed total mass; the raw printed expression is available
-    with ``normalized=False``.
+    total mass, ``|K| I_x(1/2, m/2)`` in closed form; the raw printed
+    expression is available with ``normalized=False``.
     """
     if m_pairs <= 0:
         raise DomainError(f"paired_qdii: m_pairs must be > 0, got {m_pairs}")
@@ -414,22 +368,17 @@ def _is_uniform(axis: np.ndarray) -> bool:
     return bool(d.size and d.max() - d.min() <= 1e-9 * d.mean())
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real arrays of the same rank.
-
-    Same FFT sizes and transformed axes as ``scipy.signal.fftconvolve``, so
-    the result is bit-identical to it, without importing ``scipy.signal``.
-    An axis on which either operand has length 1 is not transformed but
-    broadcast; that is the case of a noise-free arm's kernel.
-    """
-    from scipy import fft
-
-    axes = [k for k in range(a.ndim) if a.shape[k] > 1 and b.shape[k] > 1]
-    shape = [a.shape[k] + b.shape[k] - 1 if k in axes else max(a.shape[k], b.shape[k])
-             for k in range(a.ndim)]
-    sizes = [fft.next_fast_len(shape[k], True) for k in axes]
-    spectrum = fft.rfftn(a, sizes, axes=axes) * fft.rfftn(b, sizes, axes=axes)
-    return fft.irfftn(spectrum, sizes, axes=axes)[tuple(slice(n) for n in shape)]
+def _noise_toeplitz(m_modes: float, b_scaled: float, h: float,
+                    n_bins: int) -> np.ndarray:
+    """Lower-triangular Toeplitz matrix of one arm's binned noise measure:
+    ``T @ x`` convolves ``x`` with it along the lattice.  A noise-free arm
+    gives the identity."""
+    if m_modes > 0:
+        kernel = _binned_thermal_kernel(m_modes, b_scaled, h, n_bins)
+    else:
+        kernel = np.zeros(n_bins)
+        kernel[0] = 1.0
+    return _toeplitz(kernel, n_bins)
 
 
 def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
@@ -438,8 +387,10 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     """Convolution with the noise measures binned onto the grid lattice.
 
     The paired density is sampled on a lattice extended down toward zero so
-    that noise shifts can move mass into the requested window, then convolved
-    with the exact per-bin noise masses and cropped.
+    that noise shifts can move mass into the requested window.  The noise
+    kernel is the outer product of the two arms' per-bin masses, so the
+    convolution separates into ``T_s @ paired @ T_i^T``; only the rows of
+    each Toeplitz matrix that fall in the window are formed.
     """
     sigma = (1.0 - ctx.s) / 2.0
     h_s = float(ws[1] - ws[0])
@@ -452,14 +403,9 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     lat_i = np.maximum(lat_i, 0.0)
     gx, gy = np.meshgrid(lat_s, lat_i, indexing="ij")
     paired = _paired_values(ctx, params.m_pairs, gx, gy, normalized)
-    k_s = (_binned_thermal_kernel(params.m_noise_s, params.b_noise_s + sigma,
-                                  h_s, lat_s.size)
-           if params.m_noise_s > 0 else np.array([1.0]))
-    k_i = (_binned_thermal_kernel(params.m_noise_i, params.b_noise_i + sigma,
-                                  h_i, lat_i.size)
-           if params.m_noise_i > 0 else np.array([1.0]))
-    full = _fft_convolve(paired, np.outer(k_s, k_i))
-    return full[lo_s:lo_s + len(ws), lo_i:lo_i + len(wi)]
+    t_s = _noise_toeplitz(params.m_noise_s, params.b_noise_s + sigma, h_s, lat_s.size)
+    t_i = _noise_toeplitz(params.m_noise_i, params.b_noise_i + sigma, h_i, lat_i.size)
+    return t_s[lo_s:] @ paired @ t_i[lo_i:].T
 
 
 def joint_qdii_grid(params: TwinBeamParams, s: float,
@@ -470,12 +416,12 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
 
     Convolves the paired density with the per-arm noise densities: the noise
     measures are binned onto the grid lattice (their sub-resolution mass
-    lands in the zero-shift bin) and the convolution runs via FFT.  The
-    unresolvably-small noise shifts of reconstructed states thus collapse
-    onto a point mass at zero, which keeps the nearly-empty noise arms
-    well-behaved.  The convolution needs uniform axes and raises
-    ``DomainError`` otherwise; paired-only and noise-free grids accept any
-    increasing axes.
+    lands in the zero-shift bin) and the convolution is a product with one
+    lower-triangular Toeplitz matrix per arm.  The unresolvably-small noise
+    shifts of reconstructed states thus collapse onto a point mass at zero,
+    which keeps the nearly-empty noise arms well-behaved.  The convolution
+    needs uniform axes and raises ``DomainError`` otherwise; paired-only and
+    noise-free grids accept any increasing axes.
     """
     _check_ordering(s)
     ws = np.asarray(w_s_axis, dtype=float)

@@ -20,6 +20,7 @@ __all__ = [
     "AlternatingSumResult",
     "log_gamma",
     "log_bessel_i",
+    "log_bessel_i_array",
     "sinc",
     "alternating_sum",
 ]
@@ -78,31 +79,57 @@ def log_gamma(x: float) -> float:
     return float(sp.gammaln(x))
 
 
-def _log_bessel_series(order: float, x: float) -> float:
-    # ascending series, leading term factored out; all terms positive
+def _log_bessel_series(order: float, x: np.ndarray) -> np.ndarray:
+    # ascending series, leading term factored out; all terms positive.  Each
+    # point stops adding terms once its own series has converged.
     from scipy import special as sp
 
-    lead = order * math.log(x / 2.0) - sp.gammaln(order + 1.0)
+    lead = order * np.log(x / 2.0) - sp.gammaln(order + 1.0)
     q = x * x / 4.0
-    term = 1.0
-    total = 1.0
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    live = np.arange(x.size)
     k = 0
-    while True:
+    while live.size and k <= 100000:
         k += 1
-        term *= q / (k * (order + k))
-        total += term
-        if term <= 1e-18 * total or k > 100000:
-            break
-    return lead + math.log(total)
+        term[live] *= q[live] / (k * (order + k))
+        total[live] += term[live]
+        live = live[term[live] > 1e-18 * total[live]]
+    return lead + np.log(total)
+
+
+def log_bessel_i_array(order: float, x: np.ndarray) -> np.ndarray:
+    """log I_order(x) elementwise for an array of arguments x >= 0.
+
+    Uses the exponentially scaled library routine where it stays in range
+    and the ascending series (in log space) on all points where the scaled
+    value underflows, which happens for large order and small argument.
+    Orders must be >= -1; I_{-1} = I_1.
+    """
+    from scipy import special as sp
+
+    if order == -1:
+        order = 1.0
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    pos = x > 0
+    scaled = np.zeros(x.shape)
+    scaled[pos] = sp.ive(order, x[pos])
+    ok = pos & (scaled > 1e-290)
+    out[ok] = np.log(scaled[ok]) + x[ok]
+    hard = pos & ~ok
+    if hard.any():
+        out[hard] = _log_bessel_series(order, x[hard])
+    # at x = 0: I_0 = 1, I_order = 0 for order > 0, divergent for order < 0
+    out[~pos] = 0.0 if order == 0 else (-math.inf if order > 0 else math.inf)
+    return out
 
 
 def log_bessel_i(order: float, x: float) -> SignedLog:
     """Log of the modified Bessel function I_order(x) with sign.
 
-    Supports real orders >= -1 and x >= 0.  Uses the exponentially scaled
-    library routine where it stays in range and falls back to the ascending
-    series (in log space) when the scaled value underflows, which happens for
-    large order and small argument.
+    Supports real orders >= -1 and x >= 0; the scalar form of
+    ``log_bessel_i_array``.
     """
     if not math.isfinite(order) or not math.isfinite(x):
         raise DomainError("log_bessel_i: arguments must be finite")
@@ -110,20 +137,10 @@ def log_bessel_i(order: float, x: float) -> SignedLog:
         raise DomainError(f"log_bessel_i: order must be >= -1, got {order}")
     if x < 0:
         raise DomainError(f"log_bessel_i: argument must be >= 0, got {x}")
-    if order == -1:
-        order = 1.0  # I_{-1} = I_1
-    if x == 0.0:
-        if order == 0:
-            return SignedLog(0.0, 1)
-        if order > 0:
-            return SignedLog.zero()
-        return SignedLog(math.inf, 1)  # order in (-1, 0): diverges at 0
-    from scipy import special as sp
-
-    scaled = float(sp.ive(order, x))
-    if scaled > 1e-290:
-        return SignedLog(math.log(scaled) + x, 1)
-    return SignedLog(_log_bessel_series(order, x), 1)
+    log_magnitude = float(log_bessel_i_array(order, np.array([x]))[0])
+    if log_magnitude == -math.inf:
+        return SignedLog.zero()
+    return SignedLog(log_magnitude, 1)
 
 
 _SINC_SWITCH = 1e-4
@@ -133,12 +150,15 @@ def sinc(x):
     """sin(x)/x with the removable singularity handled by a short Taylor
     series for |x| < 1e-4.  Accepts scalars or arrays."""
     arr = np.asarray(x, dtype=float)
+    scalar = np.isscalar(x) or arr.ndim == 0
+    arr = arr.reshape(-1) if scalar else arr
     small = np.abs(arr) < _SINC_SWITCH
     safe = np.where(small, 1.0, arr)
-    out = np.where(small, 1.0 - arr * arr / 6.0 + arr**4 / 120.0, np.sin(safe) / safe)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    out = np.sin(safe) / safe
+    if small.any():
+        near = arr[small]
+        out[small] = 1.0 - near * near / 6.0 + near**4 / 120.0
+    return float(out[0]) if scalar else out
 
 
 def alternating_sum(terms: Sequence[SignedLog] | Iterable[SignedLog]) -> AlternatingSumResult:

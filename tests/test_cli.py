@@ -216,7 +216,7 @@ class TestQdiiCommand:
         body = (out / "qdii.csv").read_text().splitlines()
         values = np.array([[float(c) for c in row.split(",")]
                            for row in body if not row.startswith("#")])
-        assert values.min() >= -1e-9
+        assert values.min() >= 0.0
 
     def test_factorized_grid_when_pairs_absent(self, tmp_path):
         params = tmp_path / "params.json"
@@ -267,11 +267,12 @@ class TestDiagnoseCommand:
 class TestImportContract:
     """Each command loads only the third-party modules it calls.  SciPy and
     mpmath cost more to import than ``simulate`` and ``moments`` take to run,
-    and ``scipy.signal`` alone costs more than a ``qdii`` grid; the package
-    itself must still import every layer module eagerly."""
+    and ``scipy.signal`` alone costs more than a ``qdii`` grid, whose noise
+    convolution needs neither it nor ``scipy.fft``; the package itself must
+    still import every layer module eagerly."""
 
     LAYERS = ("simgen", "moments", "photostat", "fit", "qdii", "specfun")
-    HEAVY = ("scipy", "scipy.special", "scipy.signal", "mpmath")
+    HEAVY = ("scipy", "scipy.special", "scipy.signal", "scipy.fft", "mpmath")
 
     SCRIPT = textwrap.dedent("""
         import json, sys
@@ -313,3 +314,4 @@ class TestImportContract:
         assert report["layers"] == list(self.LAYERS)
         assert report["moments"] == []
         assert "scipy.signal" not in report["qdii"]
+        assert "scipy.fft" not in report["qdii"]

@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.signal import fftconvolve
+from hypothesis import given, strategies as st
+from scipy import integrate, linalg
 from scipy.stats import gamma as gamma_dist
 
 from twinbeam import (
@@ -196,6 +198,89 @@ class TestPairedQdii:
             paired_qdii(ctx, 1.0, -1.0, 1.0)
 
 
+class TestSincNormalization:
+    """The closed-form mass ``kt I_x(1/2, m/2)`` of the raw sinc branch
+    against two independent evaluations: the one-dimensional t-integral it
+    is derived from, in 30-digit mpmath, and a brute-force two-dimensional
+    integral of the raw expression."""
+
+    STATES = [(0.5, 0.3, 1.0), (3.0, 0.3, 1.0), (179.0, 0.055, 1.0)]
+
+    @staticmethod
+    def t_integral(m, b, kt):
+        # (kt / 2pi) Gamma((m+1)/2)^2 / (Gamma(m) b^m)
+        #   * int_{-1/a}^{1/a} (1/(4b^2) + t^2)^{-(m+1)/2} dt,
+        # with (2b)^{m+1} taken out so the integrand is O(1)
+        with mp.workdps(30):
+            m, b, kt = mp.mpf(m), mp.mpf(b), mp.mpf(kt)
+            pref = (kt / (2 * mp.pi) * mp.gamma((m + 1) / 2) ** 2
+                    / (mp.gamma(m) * b ** m) * (2 * b) ** (m + 1))
+            body = mp.quad(lambda t: (1 + 4 * b * b * t * t) ** (-(m + 1) / 2),
+                           [0, 1 / mp.sqrt(kt)])
+            return float(2 * pref * body)
+
+    @staticmethod
+    def raw(m, b, kt, ws, wi):
+        a = math.sqrt(kt)
+        v = ws - wi
+        kernel = a / math.pi if v == 0 else a * a * math.sin(v / a) / (math.pi * v)
+        return kernel * math.exp((m - 1) / 2 * math.log(ws * wi) - (ws + wi) / (2 * b)
+                                 - math.lgamma(m) - m * math.log(b))
+
+    @pytest.mark.parametrize("m, b_pairs, s", STATES)
+    def test_matches_t_integral(self, m, b_pairs, s):
+        ctx = OrderingContext.for_params(b_pairs, s)
+        got = qdii._sinc_normalization(m, ctx.b_p_s, -ctx.k_p_s)
+        # a few double operations and one incomplete beta function (accurate
+        # to ~1e-15 relative): 1e-14 is ten times that
+        assert got == pytest.approx(self.t_integral(m, ctx.b_p_s, -ctx.k_p_s), rel=1e-14)
+
+    @pytest.mark.parametrize("m, b_pairs, s", STATES)
+    def test_matches_brute_force_double_integral(self, m, b_pairs, s):
+        ctx = OrderingContext.for_params(b_pairs, s)
+        b, kt = ctx.b_p_s, -ctx.k_p_s
+        # u = (ws + wi)/2, v = ws - wi (unit Jacobian); the u range ends 40
+        # standard deviations of the gamma-like radial factor above its mean
+        u_max = m * b + 40.0 * math.sqrt(m) * b + 40.0 * b
+        want, err = integrate.dblquad(
+            lambda v, u: self.raw(m, b, kt, u + v / 2, u - v / 2),
+            0.0, u_max, lambda u: -2.0 * u, lambda u: 2.0 * u,
+            epsabs=1e-13, epsrel=1e-10)
+        assert abs(qdii._sinc_normalization(m, b, kt) - want) <= err
+
+    def test_many_mode_mass_tends_to_abs_k(self):
+        ctx = OrderingContext.for_params(0.055, 1.0)
+        kt = -ctx.k_p_s
+        masses = [qdii._sinc_normalization(m, ctx.b_p_s, kt) for m in (3.0, 30.0, 300.0)]
+        assert masses[0] < masses[1] < masses[2] <= kt
+        assert masses[2] == pytest.approx(kt, rel=1e-12)
+
+
+class TestBesselBranch:
+    def test_distinct_arguments_match_pointwise_evaluation(self, paper_params):
+        # the grid evaluates the Bessel function once per distinct argument;
+        # one point at a time, every argument is distinct
+        g = np.linspace(60.0, 140.0, 50)
+        grid = joint_qdii_grid(paper_params, 0.0, g, g, paired_only=True)
+        ctx = OrderingContext.for_params(paper_params.b_pairs, 0.0)
+        pointwise = np.array([[paired_qdii(ctx, paper_params.m_pairs, x, y) for y in g]
+                              for x in g])
+        assert np.array_equal(grid.values, pointwise)
+
+    @given(m_pairs=st.floats(20.0, 300.0), b_pairs=st.floats(0.02, 0.2),
+           m_noise=st.floats(1e-5, 3.0), b_noise=st.floats(0.05, 1.0),
+           s=st.floats(-0.5, 0.0))
+    def test_full_grid_nonnegative(self, m_pairs, b_pairs, m_noise, b_noise, s):
+        # below the threshold ordering the density, and so its convolution
+        # with the noise measures, has no negative cell
+        params = TwinBeamParams(m_pairs, b_pairs, m_noise, b_noise, m_noise / 2, b_noise)
+        sigma = (1.0 - s) / 2.0
+        mean = m_pairs * (b_pairs + sigma) + m_noise * (b_noise + sigma)
+        sd = math.sqrt(m_pairs * (b_pairs + sigma) ** 2 + m_noise * (b_noise + sigma) ** 2)
+        g = np.linspace(0.0, mean + 10.0 * sd, 120)
+        assert joint_qdii_grid(params, s, g, g).values.min() >= 0.0
+
+
 class TestThermalQdii:
     def test_single_mode_is_exponential(self):
         for w in (0.0, 0.3, 2.0):
@@ -257,7 +342,7 @@ class TestJointGrid:
         mean = paper_params.m_pairs * (paper_params.b_pairs + 0.5)
         g = np.linspace(max(0.0, mean - 5 * 8), mean + 5 * 8, 160)
         grid = joint_qdii_grid(paper_params, 0.0, g, g)
-        assert grid.values.min() >= -1e-9
+        assert grid.values.min() >= 0.0
         assert grid.normalization == pytest.approx(1.0, abs=0.02)
 
     def test_reference_state_negative_strips_at_normal_ordering(self, paper_params):
@@ -322,38 +407,59 @@ class TestJointGrid:
 
 
 class TestFftConvolution:
-    """The noise convolution calls ``scipy.fft`` directly; it must reproduce
-    ``scipy.signal.fftconvolve`` bit for bit, so that the grids do not
-    change."""
+    """The noise convolution ``T_s @ paired @ T_i^T`` against a direct-sum
+    convolution in extended precision, on the same lattice, paired values
+    and binned kernels.  The allowed error is the rounding bound of the two
+    double-precision matrix products, ``gamma_n |T_s| |P| |T_i|^T`` with
+    ``gamma_n = n u / (1 - n u)`` and n the two inner dimensions together
+    (plus one for the final rounding of the reference)."""
 
     @staticmethod
-    def both(params, s, axis, monkeypatch):
+    def lattice(axis):
+        h = axis[1] - axis[0]
+        lo = min(int(round(axis[0] / h)), axis.size * 4)
+        return lo, h, np.maximum(axis[0] + h * np.arange(-lo, axis.size), 0.0)
+
+    def check(self, params, s, axis):
         ctx = OrderingContext.for_params(params.b_pairs, s)
         got = qdii._convolve_uniform(params, ctx, axis, axis, True)
-        with monkeypatch.context() as m:
-            m.setattr(qdii, "_fft_convolve", fftconvolve)
-            want = qdii._convolve_uniform(params, ctx, axis, axis, True)
-        assert got.shape == want.shape == (axis.size, axis.size)
-        return got, want
+        assert got.shape == (axis.size, axis.size)
+        lo, h, lat = self.lattice(axis)
+        paired = qdii._paired_values(ctx, params.m_pairs, *np.meshgrid(lat, lat, indexing="ij"))
+        sigma = (1.0 - s) / 2.0
+        kernels = [qdii._binned_thermal_kernel(m, b + sigma, h, lat.size) if m > 0
+                   else np.array([1.0])
+                   for m, b in ((params.m_noise_s, params.b_noise_s),
+                                (params.m_noise_i, params.b_noise_i))]
+        # direct sums in long double, one axis at a time
+        ext = paired.astype(np.longdouble)
+        rows = np.array([np.convolve(r, kernels[1].astype(np.longdouble)) for r in ext])
+        full = np.array([np.convolve(c, kernels[0].astype(np.longdouble)) for c in rows.T]).T
+        want = full[lo:lo + axis.size, lo:lo + axis.size].astype(float)
+        # |T_s| |P| |T_i|^T with the kernels' Toeplitz matrices, built here
+        column = [np.pad(k, (0, lat.size - k.size)) for k in kernels]
+        t_s, t_i = (linalg.toeplitz(c, np.eye(1, lat.size)[0] * c[0])[lo:] for c in column)
+        scale = t_s @ np.abs(paired) @ t_i.T
+        n = 2 * lat.size + 1
+        u = np.finfo(float).eps / 2
+        bound = n * u / (1 - n * u) * scale
+        assert np.all(np.abs(got - want) <= bound)
+        return got
 
     @pytest.mark.parametrize("cells, grid_max", [(200, 25.0), (400, 30.0)])
-    def test_reference_state(self, paper_params, cells, grid_max, monkeypatch):
-        got, want = self.both(paper_params, 1.0, np.linspace(0.0, grid_max, cells),
-                              monkeypatch)
-        assert np.array_equal(got, want)
+    def test_reference_state(self, paper_params, cells, grid_max):
+        self.check(paper_params, 1.0, np.linspace(0.0, grid_max, cells))
 
     @pytest.mark.parametrize("arm", ["m_noise_s", "m_noise_i"])
-    def test_noise_free_arm(self, paper_params, arm, monkeypatch):
-        # the kernel then has an axis of length 1, which is broadcast
+    def test_noise_free_arm(self, paper_params, arm):
+        # that arm's Toeplitz matrix is the identity
         params = replace(paper_params, **{arm: 0.0})
-        got, want = self.both(params, 1.0, np.linspace(0.0, 25.0, 200), monkeypatch)
-        assert np.array_equal(got, want)
+        self.check(params, 1.0, np.linspace(0.0, 25.0, 200))
 
-    def test_window_off_zero(self, monkeypatch):
+    def test_window_off_zero(self):
         # an axis that starts above 0 extends the lattice below the window
         params = TwinBeamParams(20.0, 0.5, 1.5, 0.8, 2.0, 0.6)
-        got, want = self.both(params, 0.0, np.linspace(4.0, 40.0, 150), monkeypatch)
-        assert np.array_equal(got, want)
+        self.check(params, 0.0, np.linspace(4.0, 40.0, 150))
 
 
 @pytest.mark.xfail(

@@ -14,6 +14,7 @@ from twinbeam import (
     log_gamma,
     sinc,
 )
+from twinbeam.specfun import log_bessel_i_array
 
 # frozen with mpmath at 50 digits
 LOG_GAMMA_8E6 = 11.736064398611756648582574243893715710
@@ -97,6 +98,19 @@ class TestLogBesselI:
                    + math.exp(lp.log_magnitude - scale)) / 2.0
             assert deriv == pytest.approx(rhs, rel=1e-6)
 
+    def test_array_mixes_library_and_series_points(self):
+        # one call covers x = 0, points where the scaled routine underflows
+        # (series) and points where it does not, in a shuffled 2-D layout
+        x = np.concatenate(([0.0], np.geomspace(1e-3, 3.0, 40), np.geomspace(3.5, 400.0, 23)))
+        x = np.random.default_rng(5).permutation(x).reshape(8, 8)
+        got = log_bessel_i_array(178.0, x)
+        assert got.shape == x.shape
+        with mp.workdps(60):
+            for g, v in zip(got.ravel(), x.ravel()):
+                want = -math.inf if v == 0 else float(mp.log(mp.besseli(178, v)))
+                assert g == pytest.approx(want, rel=1e-12)
+                assert log_bessel_i(178.0, float(v)).log_magnitude == g
+
     def test_domain(self):
         with pytest.raises(DomainError):
             log_bessel_i(-1.5, 1.0)
@@ -124,6 +138,18 @@ class TestSinc:
         out = sinc(np.array([0.0, math.pi, 2.0]))
         assert out.shape == (3,)
         assert out[0] == 1.0
+
+    def test_array_matches_scalar_branches(self):
+        # the Taylor branch is evaluated only on the small entries; every
+        # entry must equal the value of its own branch
+        x = np.array([[0.0, 5e-5, -9.99e-5, 1e-4], [-2.0, 3.5, 1e-300, 40.0]])
+        out = sinc(x)
+        assert out.shape == x.shape
+        for v, got in zip(x.ravel(), out.ravel()):
+            want = (1.0 - v * v / 6.0 + v**4 / 120.0 if abs(v) < 1e-4
+                    else math.sin(v) / v)
+            assert got == pytest.approx(want, rel=1e-15)
+        assert isinstance(sinc(np.float64(0.5)), float)
 
 
 class TestAlternatingSum:
