@@ -251,8 +251,8 @@ def cmd_moments(args) -> int:
         "feasibility_margin": margin,
     }
     if margin >= 0:
-        family = inversion_family(detected, args.eta_s, args.eta_i)
-        report["var_p_interval"] = {"low_exclusive": 0.0, "high": family.var_p_max}
+        lo, hi = inversion_family(detected, args.eta_s, args.eta_i).var_p_range
+        report["var_p_interval"] = {"low_exclusive": lo, "high": hi}
     else:
         report["var_p_interval"] = None
     _write_report(report, cfg.fmt, cfg.out_file)

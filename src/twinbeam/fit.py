@@ -2,12 +2,13 @@
 the one-dimensional search over the paired variance that selects the
 reconstructed state.
 
-The declination is scanned on a uniform grid over the allowed ``var_p``
-interval and the best bracket is refined by golden-section search.  Family
-members whose forward model does not exist (a pre-detection moment would go
-negative) are treated as failed scan points; a minimum that sits against
-such a point, or against an interval endpoint, is flagged ``at_boundary``.
-The experimental optimum of this kind of data typically lives exactly there.
+The moments fix every parameter but ``var_p``, and the members of the
+inversion family that are valid states fill a closed-form open interval
+(``MomentInversionFamily.var_p_range``).  The declination is scanned on the
+lattice points that fall inside it and the best bracket is refined by
+golden-section search, so every evaluation is a valid state.  A minimum
+within one lattice step of an interval endpoint is flagged ``at_boundary``;
+the experimental optimum of this kind of data typically lives there.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleMomentsError,
-    ReconstructionError,
-    ValidationError,
-)
+from .errors import DomainError, ReconstructionError, ValidationError
 from .model import (
     DetectorModel,
     FieldMoments,
@@ -104,39 +100,34 @@ class _Objective:
         return declination(p_c, self.f_norm), params, fm
 
     def __call__(self, var_p: float) -> float:
-        if var_p in self.evaluations:
-            return self.evaluations[var_p]
-        try:
-            value = self.full(var_p)[0]
-        except (InfeasibleMomentsError, DomainError):
-            value = math.inf
-        self.evaluations[var_p] = value
-        return value
+        if var_p not in self.evaluations:
+            self.evaluations[var_p] = self.full(var_p)[0]
+        return self.evaluations[var_p]
 
 
 def _golden_section(obj, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimization tolerant of +inf plateaus at the edges."""
-    a, b = lo, hi
-    h = b - a
-    if h <= tol:
-        return (a + b) / 2.0
+    """Golden-section minimization over the bracket ``(lo, hi)``.
+
+    Only interior points are evaluated; the better of the two final probes
+    is returned.
+    """
+    a = lo
+    h = hi - lo
     steps = max(1, int(math.ceil(math.log(tol / h) / math.log(_INV_PHI))))
     c = a + _INV_PHI_SQ * h
     d = a + _INV_PHI * h
     yc, yd = obj(c), obj(d)
     for _ in range(steps):
+        h *= _INV_PHI
         if yc < yd:
-            b, d, yd = d, c, yc
-            h *= _INV_PHI
+            d, yd = c, yc
             c = a + _INV_PHI_SQ * h
             yc = obj(c)
         else:
             a, c, yc = c, d, yd
-            h *= _INV_PHI
             d = a + _INV_PHI * h
             yd = obj(d)
-    candidates = [(obj(x), x) for x in (a, c, d, b)]
-    return min(candidates)[1]
+    return c if yc < yd else d
 
 
 def reconstruct(f: Histogram2D, dark: Histogram2D,
@@ -147,21 +138,37 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
                 response_i: DetectorResponseTable | None = None) -> ReconstructionResult:
     """Reconstruct the twin-beam state from a histogram and its dark record.
 
-    Pipeline: photocount moments -> dark correction -> feasibility ->
-    var_p scan of the declination -> golden-section refinement.  Precomputed
-    response tables may be passed to amortize repeated reconstructions with
-    the same detectors.
+    Pipeline: photocount moments -> dark correction -> feasibility -> the
+    open ``var_p`` interval of valid states -> declination scan ->
+    golden-section refinement.
+
+    ``scan_points`` sets the lattice ``var_p_max * k / scan_points``,
+    ``k = 1..scan_points``; only the points strictly inside the interval are
+    evaluated.  The best of them is refined between its neighbours (an
+    interval endpoint where it has none) to ``refine_rel_width * var_p_max``.
+    ``at_boundary`` is set when the optimum lies within one lattice step (or
+    that width, if larger) of an endpoint.  Precomputed response tables may
+    be passed to amortize repeated reconstructions with the same detectors.
+    Raises :class:`ReconstructionError` when no lattice point falls inside
+    the interval.
     """
     if scan_points < 2:
         raise DomainError("reconstruct: scan_points must be >= 2")
     detected = dark_corrected_moments(photocount_moments(f), photocount_moments(dark))
     family = inversion_family(detected, d_s.efficiency, d_i.efficiency)
+    lo, hi = family.var_p_range
+    grid = family.var_p_max * np.arange(1, scan_points + 1) / scan_points
+    grid = grid[(grid > lo) & (grid < hi)]
+    if grid.size == 0:
+        raise ReconstructionError(
+            "reconstruct: no scan point falls inside the valid var_p interval "
+            f"({lo:.6g}, {hi:.6g})")
 
     f_norm = f.normalized()
-    # photon cutoffs: worst case over the family is the smallest var_p, where
-    # the noise tails are heaviest; the cap keeps the table bounded anyway.
-    probe = invert_at(family, family.var_p_max / 2.0, atol=math.inf)
-    cutoffs = default_cutoffs(mode_parameters_safe(probe))
+    # photon cutoffs are sized once, at the interval's midpoint: each endpoint
+    # zeroes a moment and has no mode decomposition, and the cap keeps the
+    # table bounded where a noise tail grows heavy
+    cutoffs = default_cutoffs(mode_parameters(invert_at(family, (lo + hi) / 2.0)))
     m_max_s = min(d_s.pixels, f.counts.shape[0] - 1 + TABLE_MARGIN)
     m_max_i = min(d_i.pixels, f.counts.shape[1] - 1 + TABLE_MARGIN)
     if response_s is None or response_s.m_max < m_max_s or response_s.n_max < cutoffs[0]:
@@ -170,54 +177,17 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
         response_i = response_table(d_i, m_max_i, cutoffs[1])
 
     obj = _Objective(family, f_norm, response_s, response_i, cutoffs)
-    grid = family.var_p_max * np.arange(1, scan_points + 1) / scan_points
-    values = np.array([obj(v) for v in grid])
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise ReconstructionError(
-            "reconstruct: the forward model failed at every scan point")
-    best = int(np.argmin(np.where(finite, values, math.inf)))
-
-    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
-    hi = grid[best + 1] if best + 1 < len(grid) else family.var_p_max
+    best = int(np.argmin([obj(v) for v in grid]))
     width = refine_rel_width * family.var_p_max
-    var_p_opt = _golden_section(obj, lo, hi, width)
-    if not math.isfinite(obj(var_p_opt)):
-        # golden section may settle onto an infeasible edge; fall back to the
-        # best finite evaluation seen so far
-        var_p_opt = min((d, v) for v, d in obj.evaluations.items()
-                        if math.isfinite(d))[1]
-
+    var_p_opt = _golden_section(
+        obj,
+        grid[best - 1] if best > 0 else lo,
+        grid[best + 1] if best + 1 < grid.size else hi,
+        width)
     decl_opt, params_opt, fm_opt = obj.full(var_p_opt)
-
-    boundaries = [family.var_p_max, grid[0]]
-    feasible_flags = [math.isfinite(v) for v in values]
-    for k in range(1, len(grid)):
-        if feasible_flags[k] != feasible_flags[k - 1]:
-            boundaries.append((grid[k - 1] + grid[k]) / 2.0)
-    at_boundary = any(abs(var_p_opt - b) <= max(width, (grid[1] - grid[0]))
-                      for b in boundaries)
+    step = family.var_p_max / scan_points
+    at_boundary = bool(min(var_p_opt - lo, hi - var_p_opt) <= max(width, step))
 
     scan = tuple(sorted(obj.evaluations.items()))
     return ReconstructionResult(var_p_opt, params_opt, fm_opt, decl_opt,
                                 scan, at_boundary)
-
-
-def mode_parameters_safe(fm: FieldMoments) -> TwinBeamParams:
-    """Mode parameters with degenerate components mapped to absent ones.
-
-    Used only to size truncation cutoffs, where a component that cannot be
-    decomposed contributes no support anyway.
-    """
-    from .moments import component_mode_params
-
-    def comp(mean, var):
-        try:
-            return component_mode_params(mean, var)
-        except DomainError:
-            return (0.0, 0.0)
-
-    m_p, b_p = comp(fm.mean_p, fm.var_p)
-    m_s, b_s = comp(fm.mean_s, fm.var_s)
-    m_i, b_i = comp(fm.mean_i, fm.var_i)
-    return TwinBeamParams(m_p, b_p, m_s, b_s, m_i, b_i)

@@ -4,7 +4,9 @@ moments -> feasibility -> one-parameter family of pre-detection field moments
 
 The inversion is exactly determined only up to the paired-field variance
 ``var_p``; every other moment follows linearly from it.  The family is
-parametrized by ``var_p`` on the half-open interval (0, var_p_max].
+parametrized by ``var_p`` and its valid members, those whose six moments are
+all positive, fill the open interval ``MomentInversionFamily.var_p_range``,
+known in closed form.
 """
 
 from __future__ import annotations
@@ -106,10 +108,11 @@ def feasibility(detected: DetectedIntensityMoments, eta_s: float, eta_i: float) 
 class MomentInversionFamily:
     """One-parameter family of field-moment solutions.
 
-    ``var_p_range = (0, var_p_max]`` where ``var_p_max`` is fixed by the
-    requirement that both noise variances stay non-negative.  Individual
-    members may still fail the non-negativity of the remaining moments; see
-    :func:`invert_at`.
+    ``var_p_max`` is fixed by the requirement that both noise variances stay
+    non-negative; :func:`invert_at` accepts any ``var_p`` in
+    ``(0, var_p_max]``.  Every moment is linear in ``var_p``, so the members
+    with all six moments positive, the ones that decompose into mode
+    parameters, are exactly the open interval ``var_p_range``.
     """
 
     detected: DetectedIntensityMoments
@@ -118,7 +121,17 @@ class MomentInversionFamily:
 
     @property
     def var_p_range(self) -> tuple[float, float]:
-        return (0.0, self.var_p_max)
+        """Open interval ``(lo, hi)`` of the members with positive moments.
+
+        ``lo`` keeps both noise means and ``var_p`` positive, ``hi`` the
+        pair mean and both noise variances.  The bounds are computed as
+        :func:`invert_at` computes the moments, so every ``var_p`` strictly
+        inside gives six positive moments in floating point too.
+        """
+        eta_s, eta_i = self.efficiencies
+        c = self.cov_scaled
+        lo = max(c - self.detected.mean_s / eta_s, c - self.detected.mean_i / eta_i, 0.0)
+        return (lo, min(self.var_p_max, c))
 
     @property
     def cov_scaled(self) -> float:

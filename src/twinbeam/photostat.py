@@ -8,11 +8,10 @@ computed as one matrix product ``(T_s diag(pair)) T_i^T``, where ``T_s`` and
 Detection is a binary-pixel response applied independently per arm.
 
 The closed-form pixel response is an alternating sum that cancels
-catastrophically for more than a few counts, so it is evaluated with
-compensated summation, escalating to adaptive extended precision when the
-measured cancellation exceeds six digits.  Bulk tables are instead built
-with an all-positive occupancy recurrence over photons (mathematically the
-same response; the two routes cross-validate each other in the tests).
+catastrophically for more than a few counts.  Every response value is
+instead computed from an all-positive occupancy recurrence over photons,
+which is the same response without cancellation; the tests check it against
+the closed form in extended precision.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
+from .errors import DomainError, GridResolutionError, ValidationError
 from .model import DetectorModel, FieldMoments, JointDistribution, TwinBeamParams
-from .specfun import SignedLog, alternating_sum
 
 __all__ = [
     "DetectorResponseTable",
@@ -42,7 +40,6 @@ __all__ = [
 
 CUTOFF_CAP = 512
 CUTOFF_TAIL_MASS = 1e-10
-ESCALATION_DIGITS = 6.0
 
 
 def _log_mandel_rice(n_max: int, m_modes: float, b_mean: float) -> np.ndarray:
@@ -160,85 +157,6 @@ def joint_photon_distribution(params: TwinBeamParams,
 # detector response
 # ---------------------------------------------------------------------------
 
-def _eq9_terms(d: DetectorModel, m: int, n: int) -> list[SignedLog]:
-    """Signed log-scale terms of the alternating pixel-response sum,
-    including the constant prefactor; the l-th term carries sign (-1)^(m+l)."""
-    from scipy import special as sp
-
-    eta, npix, dark = d.efficiency, d.pixels, d.dark_rate
-    theta = eta / (npix * (1.0 - eta))
-    prefactor = (sp.gammaln(npix + 1) - sp.gammaln(m + 1) - sp.gammaln(npix - m + 1)
-                 + npix * math.log1p(-dark) + n * math.log1p(-eta))
-    terms = []
-    for l in range(m + 1):
-        lg = (prefactor
-              + sp.gammaln(m + 1) - sp.gammaln(l + 1) - sp.gammaln(m - l + 1)
-              - l * math.log1p(-dark) + n * math.log1p(l * theta))
-        terms.append(SignedLog(float(lg), 1 if (m + l) % 2 == 0 else -1))
-    return terms
-
-
-def _eq9_extended(d: DetectorModel, m: int, n: int) -> float:
-    """Adaptive extended-precision evaluation of the alternating response sum.
-
-    Doubles the working precision until two successive evaluations agree to
-    ~1e-14 relative (or both vanish).
-    """
-    import mpmath as mp
-
-    def evaluate(dps: int) -> mp.mpf:
-        with mp.workdps(dps):
-            eta = mp.mpf(d.efficiency)
-            dark = mp.mpf(d.dark_rate)
-            npix = d.pixels
-            acc = mp.mpf(0)
-            for l in range(m + 1):
-                acc += (mp.binomial(m, l) * (-1) ** l / (1 - dark) ** l
-                        * (1 + mp.mpf(l) / npix * eta / (1 - eta)) ** n)
-            return (mp.binomial(npix, m) * (1 - dark) ** npix
-                    * (1 - eta) ** n * (-1) ** m * acc)
-
-    dps = 40
-    prev = evaluate(dps)
-    while dps <= 2600:
-        dps *= 2
-        cur = evaluate(dps)
-        if cur == prev == 0:
-            return 0.0
-        if cur != 0 and abs(cur - prev) <= abs(cur) * mp.mpf("1e-14"):
-            return float(cur)
-        prev = cur
-    raise NumericsError(
-        f"detector_response({m}, {n}): alternating sum did not stabilize "
-        "within extended precision")
-
-
-def detector_response(d: DetectorModel, m: int, n: int) -> float:
-    """Probability of m photocounts given n incident photons.
-
-    Closed-form alternating-sum evaluation with compensated summation; when
-    the measured cancellation loss exceeds six decimal digits the computation
-    escalates to adaptive extended precision.  The result is clamped to
-    [0, 1] only when it overshoots by round-off.
-    """
-    if not (0 <= m <= d.pixels):
-        raise DomainError(f"detector_response: m must lie in [0, {d.pixels}], got {m}")
-    if n < 0:
-        raise DomainError(f"detector_response: n must be >= 0, got {n}")
-    m, n = int(m), int(n)
-    result = alternating_sum(_eq9_terms(d, m, n))
-    if result.cancellation_digits > ESCALATION_DIGITS:
-        value = _eq9_extended(d, m, n)
-    else:
-        value = result.value.value()
-    tol = 1e-10
-    if value < -tol or value > 1.0 + tol:
-        raise NumericsError(
-            f"detector_response({m}, {n}) = {value:.6g} outside [0, 1] "
-            "beyond recoverable precision")
-    return min(max(value, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class DetectorResponseTable:
     """Tabulated response probabilities table[m, n] for one detector arm.
@@ -328,6 +246,17 @@ def response_table(d: DetectorModel, m_max: int, n_max: int) -> DetectorResponse
     occ = _occupancy_matrix(d.efficiency, d.pixels, m_max, n_max)
     table = _dark_kernel(d.dark_rate, d.pixels, m_max) @ occ
     return DetectorResponseTable(d, table, table.sum(axis=0))
+
+
+def detector_response(d: DetectorModel, m: int, n: int) -> float:
+    """Probability of m photocounts given n incident photons: the ``[m, n]``
+    entry of :func:`response_table`."""
+    if not (0 <= m <= d.pixels):
+        raise DomainError(f"detector_response: m must lie in [0, {d.pixels}], got {m}")
+    if n < 0:
+        raise DomainError(f"detector_response: n must be >= 0, got {n}")
+    m, n = int(m), int(n)
+    return float(response_table(d, m, n).table[m, n])
 
 
 def photocount_distribution(p: JointDistribution,

@@ -145,6 +145,29 @@ class TestMomentsCommand:
         assert report["feasibility_margin"] < 0
         assert report["var_p_interval"] is None
 
+    def test_interval_excludes_infeasible_members(self, tmp_path, capsys):
+        # at the README state the noise means bind, so the valid interval
+        # starts above 0, and the fitted var_p lies inside it
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(json.dumps({
+            "params": PAPER_PARAMS_DICT,
+            "detector_s": {"efficiency": 0.243, "pixels": 10000, "dark_rate": 1e-4},
+            "detector_i": {"efficiency": 0.235, "pixels": 10000, "dark_rate": 1e-4},
+            "frames": 300000, "seed": 1}))
+        run = tmp_path / "run"
+        assert main(["simulate", str(cfg), "--out-dir", str(run)]) == 0
+        counts = [str(run / "histogram.txt"), str(run / "dark.txt")]
+        assert main(["moments", *counts, "--eta-s", "0.243", "--eta-i", "0.235"]) == 0
+        interval = json.loads(capsys.readouterr().out)["var_p_interval"]
+        assert interval["low_exclusive"] > 0
+        fit = tmp_path / "fit"
+        assert main(["reconstruct", *counts, "--eta-s", "0.243", "--eta-i", "0.235",
+                     "--pixels-s", "10000", "--pixels-i", "10000",
+                     "--dark-s", "1e-4", "--dark-i", "1e-4",
+                     "--scan-points", "60", "--out-dir", str(fit)]) == 0
+        var_p = json.loads((fit / "result.json").read_text())["var_p_opt"]
+        assert interval["low_exclusive"] < var_p < interval["high"]
+
 
 class TestReconstructCommand:
     def test_full_pipeline(self, sim_run, tmp_path):

@@ -7,13 +7,17 @@ from twinbeam import (
     DetectorModel,
     Histogram2D,
     JointDistribution,
+    ReconstructionError,
     SimConfig,
     TwinBeamParams,
     ValidationError,
+    dark_corrected_moments,
     declination,
     default_cutoffs,
+    inversion_family,
     joint_photon_distribution,
     photocount_distribution,
+    photocount_moments,
     reconstruct,
     response_table,
     simulate_histogram,
@@ -118,7 +122,30 @@ class TestReconstruct:
         result = reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=30)
         redo = reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=30)
         assert result.scan == redo.scan
-        assert all(d >= 0 or math.isinf(d) for _, d in result.scan)
+        assert all(math.isfinite(d) and d >= 0 for _, d in result.scan)
+
+    def test_scan_stays_inside_valid_interval(self):
+        # at the reference state the noise means bind: the interval starts
+        # well above 0, and no evaluation may fall outside it
+        params = TwinBeamParams(179.0, 0.055, 8e-6, 320.0, 8e-3, 12.0)
+        cfg = SimConfig(params,
+                        DetectorModel(0.243, 10**4, 1e-4),
+                        DetectorModel(0.235, 10**4, 1e-4),
+                        frames=3 * 10**5, seed=1)
+        f, dark = simulate_histogram(cfg)
+        detected = dark_corrected_moments(photocount_moments(f), photocount_moments(dark))
+        lo, hi = inversion_family(detected, 0.243, 0.235).var_p_range
+        assert lo > 0
+        result = reconstruct(f, dark, cfg.detector_s, cfg.detector_i, scan_points=60)
+        assert all(lo < v < hi and math.isfinite(d) for v, d in result.scan)
+        assert lo < result.var_p_opt < hi
+
+    def test_no_scan_point_inside_interval_raises(self):
+        # CLEAN_PARAMS give the interval (0.525, 0.980) with var_p_max at its
+        # open upper end; two scan points (0.490, 0.980) both miss it
+        f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)
+        with pytest.raises(ReconstructionError):
+            reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=2)
 
     def test_boundary_optimum_flagged_for_reference_data(self):
         # data simulated at the reference state: the declination decreases
@@ -149,9 +176,10 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("seed", [44, 50])
     def test_round_off_noise_variance_at_upper_endpoint(self, seed):
-        # at var_p_max one noise variance is a round-off residue (M ~ 1e17,
-        # B ~ 1e-16); its component must come out Poisson, not overflow the
-        # table, and the declination curve must stay continuous up to there
+        # var_p_max, where one noise variance is a round-off residue
+        # (M ~ 1e17, B ~ 1e-16), is the open end of the valid interval and is
+        # no longer scanned; the declination curve must stay finite and
+        # continuous up to the last scan point below it
         params = TwinBeamParams(20.0, 0.5, 2.0, 2.0, 2.0, 2.0)
         d_s = DetectorModel(0.3, 1000, 1e-4)
         d_i = DetectorModel(0.28, 1000, 1e-4)

@@ -304,3 +304,5 @@ def test_feasibility_margin_iff_family_exists(mean_s, mean_i, var_s, var_i,
     hi = min(var_s / eta_s**2, var_i / eta_i**2, c)
     has_member = hi > 0 and lo <= hi
     assert (margin >= 0) == has_member
+    if has_member:
+        assert inversion_family(det, eta_s, eta_i).var_p_range == (lo, hi)

@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import twinbeam
 from twinbeam import (
     DetectorModel,
     DetectorResponseTable,
@@ -231,6 +238,27 @@ class TestDetectorResponse:
             want = mp_detector_response(self.D, m, n)
             assert detector_response(self.D, m, n) == pytest.approx(want, rel=1e-10)
 
+    def test_escalated_cells_need_no_mpmath(self):
+        # mpmath is a test dependency only: the response must be computed
+        # with it unimportable
+        cells = ((8, 20), (15, 60), (25, 100))
+        script = textwrap.dedent(f"""
+            import json, sys
+            sys.modules["mpmath"] = None
+            from twinbeam import DetectorModel, detector_response
+            d = DetectorModel(efficiency=0.243, pixels=1000, dark_rate=0.001)
+            print(json.dumps([detector_response(d, m, n) for m, n in {cells!r}]))
+        """)
+        src = str(Path(twinbeam.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout.splitlines()[-1])
+        for (m, n), value in zip(cells, got):
+            assert value == pytest.approx(mp_detector_response(self.D, m, n), rel=1e-10)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             detector_response(self.D, -1, 0)
@@ -259,7 +287,7 @@ class TestResponseTable:
         for m in (0, 2, 5, 9, 14):
             for n in (0, 1, 7, 23, 40):
                 assert tab.table[m, n] == pytest.approx(
-                    detector_response(d, m, n), rel=1e-10, abs=1e-300)
+                    mp_detector_response(d, m, n), rel=1e-10, abs=1e-300)
 
     def test_weak_efficiency_first_order(self):
         d = DetectorModel(efficiency=1e-3, pixels=10**4, dark_rate=0.0)
