@@ -9,7 +9,8 @@ qdii         state params -> quasi-distribution grid file(s)
 diagnose     state params -> sum distribution, noise reduction, non-classicality
 
 Exit codes: 0 success, 2 parse/validation error, 3 infeasible moments,
-4 numerical failure.
+4 numerical failure.  A missing input file exits with 2 before the command
+reads any input or creates an output directory.
 
 Histogram files are plain text: a first line ``# frames: <number>`` followed
 by comma-separated rows indexed by m_s (rows) and m_i (columns).  Results are
@@ -24,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .fit import reconstruct
-from .model import DetectorModel, Histogram2D, TwinBeamParams
+from .model import DetectorModel, FieldMoments, Histogram2D, TwinBeamParams
 from .moments import (
     dark_corrected_moments,
     feasibility,
@@ -56,34 +57,12 @@ from .photostat import (
 from .qdii import joint_qdii_grid, nonclassicality, ordering_threshold
 from .simgen import SimConfig, simulate_histogram
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
-
-COMMANDS = ("moments", "reconstruct", "simulate", "qdii", "diagnose")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: command, input paths and output settings."""
-
-    command: str
-    inputs: tuple[Path, ...]
-    out_dir: Path | None
-    out_file: Path | None
-    fmt: str
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ValidationError(f"unknown output format {self.fmt!r}")
-        for p in self.inputs:
-            if not p.is_file():
-                raise ValidationError(f"input file not found: {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +71,15 @@ class RunConfig:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _input_files(*names: str) -> list[Path]:
+    """The command's input files as paths; raises if one is missing."""
+    paths = [Path(n) for n in names]
+    for p in paths:
+        if not p.is_file():
+            raise ValidationError(f"input file not found: {p}")
+    return paths
 
 
 def load_histogram(path: Path) -> Histogram2D:
@@ -136,25 +124,27 @@ def save_histogram(path: Path, h: Histogram2D) -> None:
             fh.write(",".join(_fmt(c) for c in row) + "\n")
 
 
-def load_params(path: Path) -> TwinBeamParams:
+def _load_json(path: Path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_params(path: Path) -> TwinBeamParams:
+    raw = _load_json(path)
     try:
         return TwinBeamParams(**{k: float(raw[k]) for k in (
             "m_pairs", "b_pairs", "m_noise_s", "b_noise_s", "m_noise_i", "b_noise_i")})
     except KeyError as exc:
         raise ValidationError(f"{path}: missing parameter field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed state parameters ({exc})") from exc
 
 
 def load_sim_config(path: Path) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    raw = _load_json(path)
     try:
         params = TwinBeamParams(**{k: float(v) for k, v in raw["params"].items()})
         det = {}
@@ -168,7 +158,7 @@ def load_sim_config(path: Path) -> SimConfig:
         return SimConfig(params=params, detector_s=det["detector_s"],
                          detector_i=det["detector_i"],
                          frames=int(raw["frames"]), seed=int(raw["seed"]))
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed simulation config ({exc})") from exc
 
 
@@ -234,11 +224,26 @@ def _detector_from_args(args, arm: str) -> DetectorModel:
     )
 
 
+def _diagnostics(params: TwinBeamParams, fm: FieldMoments) -> tuple[dict, np.ndarray]:
+    """Noise reduction, moment criterion and threshold ordering of a state,
+    and its sum-photon-number distribution."""
+    psum = sum_distribution(joint_photon_distribution(params, default_cutoffs(params)))
+    threshold = ordering_threshold(params)
+    verdict = nonclassicality(fm)
+    return {
+        "noise_reduction_factor": noise_reduction_factor(fm),
+        "nonclassical": verdict.nonclassical,
+        "nonclassicality_margin": verdict.margin,
+        "s_th": threshold.s_th,
+        "s_th_beta": threshold.beta,
+        "s_th_gamma": threshold.gamma,
+    }, psum
+
+
 def cmd_moments(args) -> int:
-    cfg = RunConfig("moments", (Path(args.histogram), Path(args.dark)),
-                    None, Path(args.out) if args.out else None, args.format)
-    h = load_histogram(cfg.inputs[0])
-    dark = load_histogram(cfg.inputs[1])
+    hist_path, dark_path = _input_files(args.histogram, args.dark)
+    h = load_histogram(hist_path)
+    dark = load_histogram(dark_path)
     mom = photocount_moments(h)
     dmom = photocount_moments(dark)
     detected = dark_corrected_moments(mom, dmom)
@@ -255,57 +260,48 @@ def cmd_moments(args) -> int:
         report["var_p_interval"] = {"low_exclusive": lo, "high": hi}
     else:
         report["var_p_interval"] = None
-    _write_report(report, cfg.fmt, cfg.out_file)
+    _write_report(report, args.format, Path(args.out) if args.out else None)
     return EXIT_OK if margin >= 0 else EXIT_INFEASIBLE
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = RunConfig("reconstruct", (Path(args.histogram), Path(args.dark)),
-                    Path(args.out_dir), None, args.format)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    h = load_histogram(cfg.inputs[0])
-    dark = load_histogram(cfg.inputs[1])
+    hist_path, dark_path = _input_files(args.histogram, args.dark)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    h = load_histogram(hist_path)
+    dark = load_histogram(dark_path)
     d_s = _detector_from_args(args, "s")
     d_i = _detector_from_args(args, "i")
     result = reconstruct(h, dark, d_s, d_i, scan_points=args.scan_points)
 
-    p = joint_photon_distribution(result.params, default_cutoffs(result.params))
-    psum = sum_distribution(p)
-    threshold = ordering_threshold(result.params)
-    verdict = nonclassicality(result.field_moments)
+    diagnostics, psum = _diagnostics(result.params, result.field_moments)
     report = {
         "var_p_opt": result.var_p_opt,
         "declination": result.declination,
         "at_boundary": result.at_boundary,
         "params": asdict(result.params),
         "field_moments": asdict(result.field_moments),
-        "diagnostics": {
-            "noise_reduction_factor": noise_reduction_factor(result.field_moments),
-            "nonclassical": verdict.nonclassical,
-            "nonclassicality_margin": verdict.margin,
-            "s_th": threshold.s_th,
-            "s_th_beta": threshold.beta,
-            "s_th_gamma": threshold.gamma,
-        },
+        "diagnostics": diagnostics,
     }
-    _write_report(report, cfg.fmt, cfg.out_dir / f"result.{cfg.fmt}")
-    save_curve(cfg.out_dir / "scan.csv", "var_p,declination", result.scan)
-    save_curve(cfg.out_dir / "p_sum.csv", "k,p_sum",
+    _write_report(report, args.format, out_dir / f"result.{args.format}")
+    save_curve(out_dir / "scan.csv", "var_p,declination", result.scan)
+    save_curve(out_dir / "p_sum.csv", "k,p_sum",
                list(enumerate(psum.tolist())))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    cfg = RunConfig("simulate", (Path(args.config),), Path(args.out_dir), None, "json")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    sim = load_sim_config(cfg.inputs[0])
+    [config] = _input_files(args.config)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sim = load_sim_config(config)
     if args.seed is not None or args.frames is not None:
         sim = replace(sim,
                       seed=sim.seed if args.seed is None else args.seed,
                       frames=sim.frames if args.frames is None else args.frames)
     h, dark = simulate_histogram(sim)
-    save_histogram(cfg.out_dir / "histogram.txt", h)
-    save_histogram(cfg.out_dir / "dark.txt", dark)
+    save_histogram(out_dir / "histogram.txt", h)
+    save_histogram(out_dir / "dark.txt", dark)
     manifest = {
         "seed": sim.seed,
         "frames": sim.frames,
@@ -313,7 +309,7 @@ def cmd_simulate(args) -> int:
         "detector_s": asdict(sim.detector_s),
         "detector_i": asdict(sim.detector_i),
     }
-    _write_report(manifest, "json", cfg.out_dir / "manifest.json")
+    _write_report(manifest, "json", out_dir / "manifest.json")
     return EXIT_OK
 
 
@@ -327,40 +323,32 @@ def _auto_grid_max(params: TwinBeamParams, s: float) -> float:
 
 
 def cmd_qdii(args) -> int:
-    cfg = RunConfig("qdii", (Path(args.params),), Path(args.out_dir), None, "json")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    params = load_params(cfg.inputs[0])
+    [params_path] = _input_files(args.params)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    params = load_params(params_path)
     grid_max = args.grid_max if args.grid_max else _auto_grid_max(params, args.ordering)
     axis = np.linspace(0.0, grid_max, args.grid_cells)
     grid = joint_qdii_grid(params, args.ordering, axis, axis)
-    save_grid(cfg.out_dir / "qdii.csv", grid)
+    save_grid(out_dir / "qdii.csv", grid)
     if args.paired_only:
         paired = joint_qdii_grid(params, args.ordering, axis, axis, paired_only=True)
-        save_grid(cfg.out_dir / "qdii_paired.csv", paired)
+        save_grid(out_dir / "qdii_paired.csv", paired)
     return EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
-    cfg = RunConfig("diagnose", (Path(args.params),), None,
-                    Path(args.out) if args.out else None, args.format)
-    params = load_params(cfg.inputs[0])
+    [params_path] = _input_files(args.params)
+    params = load_params(params_path)
     fm = field_moments_from_params(params)
-    p = joint_photon_distribution(params, default_cutoffs(params))
-    psum = sum_distribution(p)
-    threshold = ordering_threshold(params)
-    verdict = nonclassicality(fm)
+    diagnostics, psum = _diagnostics(params, fm)
     report = {
         "params": asdict(params),
         "field_moments": asdict(fm),
-        "noise_reduction_factor": noise_reduction_factor(fm),
-        "nonclassical": verdict.nonclassical,
-        "nonclassicality_margin": verdict.margin,
-        "s_th": threshold.s_th,
-        "s_th_beta": threshold.beta,
-        "s_th_gamma": threshold.gamma,
+        **diagnostics,
         "p_sum_head": psum[:41].tolist(),
     }
-    _write_report(report, cfg.fmt, cfg.out_file)
+    _write_report(report, args.format, Path(args.out) if args.out else None)
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ exchange.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +92,8 @@ class DetectorModel:
     """Binary-pixel detector: ``pixels`` pixels, per-photon detection
     probability ``efficiency``, per-pixel dark-fire probability ``dark_rate``.
 
-    ``efficiency`` lives in the open interval (0, 1); the unit-efficiency
-    limit is excluded because the detector response divides by
-    ``1 - efficiency``.
+    ``efficiency`` lives in the open interval (0, 1), the range the moment
+    inversion accepts (``moments._check_efficiency``).
     """
 
     efficiency: float
@@ -254,14 +253,12 @@ class QdiiGrid:
 
     ``values[j, k]`` approximates the density at ``(w_s_axis[j], w_i_axis[k])``
     and may be negative for orderings above the threshold value.
-    ``normalization`` records the trapezoidal integral over the grid.
     """
 
     w_s_axis: np.ndarray
     w_i_axis: np.ndarray
     values: np.ndarray
     ordering: float
-    normalization: float = field(default=float("nan"))
 
     def __post_init__(self):
         object.__setattr__(self, "w_s_axis", _readonly(self.w_s_axis))
@@ -278,7 +275,9 @@ class QdiiGrid:
         _require(-1.0 < self.ordering <= 1.0,
                  f"QdiiGrid: ordering must lie in (-1, 1], got {self.ordering}")
 
-    def trapezoid_integral(self) -> float:
+    @property
+    def normalization(self) -> float:
+        """Trapezoidal integral of ``values`` over the grid."""
         inner = np.trapezoid(self.values, self.w_i_axis, axis=1)
         return float(np.trapezoid(inner, self.w_s_axis))
 

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, GridResolutionError, ValidationError
-from .model import DetectorModel, FieldMoments, JointDistribution, TwinBeamParams
+from .model import DetectorModel, FieldMoments, JointDistribution, TwinBeamParams, _readonly
 
 __all__ = [
     "DetectorResponseTable",
@@ -170,12 +170,8 @@ class DetectorResponseTable:
     column_mass: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=float, copy=True)
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-        cm = np.array(self.column_mass, dtype=float, copy=True)
-        cm.setflags(write=False)
-        object.__setattr__(self, "column_mass", cm)
+        object.__setattr__(self, "table", _readonly(self.table))
+        object.__setattr__(self, "column_mass", _readonly(self.column_mass))
         if self.table.ndim != 2 or self.column_mass.shape != (self.table.shape[1],):
             raise ValidationError("DetectorResponseTable: inconsistent shapes")
 

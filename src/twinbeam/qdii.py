@@ -11,7 +11,11 @@ closed form (``normalized=False`` gives the raw expression).  The full-field
 QDII is the convolution of the paired density with one multi-thermal noise
 density per arm.  It needs uniform axes: each noise measure is binned onto
 the grid lattice, and the convolution is one product of lower-triangular
-Toeplitz matrices per arm, ``T_s @ paired @ T_i^T``.
+Toeplitz matrices per arm, ``T_s @ paired @ T_i^T``.  Without pairs the QDII
+is the product of the two noise densities.  One gamma-density routine serves
+``thermal_qdii``, that noise-only grid and the uncorrelated (``b_pairs = 0``)
+limit of the paired density.  Every grid ends in the same check: its
+trapezoid integral, ``QdiiGrid.normalization``, must lie within 5 % of 1.
 """
 
 from __future__ import annotations
@@ -169,12 +173,10 @@ def _bessel_branch(ctx: OrderingContext, m: float,
     from scipy import special as sp
 
     k, b, d = ctx.k_p_s, ctx.b_p_s, ctx.d_p
-    log_prod = np.log(np.maximum(ws, 1e-300)) + np.log(np.maximum(wi, 1e-300))
     if d == 0.0:
         # uncorrelated limit b_pairs -> 0: product of two gamma densities
-        ln = ((m - 1.0) * log_prod - 2.0 * sp.gammaln(m)
-              - 2.0 * m * math.log(b) - (ws + wi) / b)
-        return np.exp(ln)
+        return _thermal_values(m, b, ws) * _thermal_values(m, b, wi)
+    log_prod = np.log(np.maximum(ws, 1e-300)) + np.log(np.maximum(wi, 1e-300))
     arg = 2.0 * d * np.exp(log_prod / 2.0) / k
     # the argument depends on ws * wi only, so a grid repeats most values;
     # the Bessel function of high order is evaluated once per distinct one
@@ -282,7 +284,8 @@ def paired_qdii(ctx: OrderingContext, m_pairs: float,
 
 def thermal_qdii(m_modes: float, b_mean: float, s: float, w: float) -> float:
     """Multi-thermal noise density at ordering ``s`` (a gamma density with
-    shape ``m_modes`` and scale ``b_mean + (1-s)/2``)."""
+    shape ``m_modes`` and scale ``b_mean + (1-s)/2``); the scalar form of
+    ``_thermal_values``."""
     if m_modes <= 0:
         raise DomainError(f"thermal_qdii: m_modes must be > 0, got {m_modes}")
     if w < 0:
@@ -290,17 +293,7 @@ def thermal_qdii(m_modes: float, b_mean: float, s: float, w: float) -> float:
     b_s = b_mean + (1.0 - s) / 2.0
     if b_s <= 0:
         raise DomainError(f"thermal_qdii: effective scale {b_s} must be > 0")
-    if w == 0.0:
-        if m_modes > 1:
-            return 0.0
-        if m_modes == 1:
-            return 1.0 / b_s
-        raise DomainError("thermal_qdii: density diverges at w = 0 for m_modes < 1")
-    from scipy import special as sp
-
-    ln = ((m_modes - 1.0) * math.log(w) - w / b_s
-          - sp.gammaln(m_modes) - m_modes * math.log(b_s))
-    return float(math.exp(ln))
+    return float(_thermal_values(m_modes, b_s, np.array([w], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +319,9 @@ def _binned_thermal_kernel(m_modes: float, b_scaled: float, h: float,
 
 
 def _thermal_values(m_modes: float, b_scaled: float, w: np.ndarray) -> np.ndarray:
+    """Gamma density of shape ``m_modes`` and scale ``b_scaled`` on an array
+    of intensities.  At ``w = 0`` it is 0 for ``m_modes > 1``, ``1/b_scaled``
+    for ``m_modes = 1``, and divergent (``DomainError``) below."""
     from scipy import special as sp
 
     out = np.zeros(w.shape)
@@ -352,13 +348,17 @@ def _noise_only_grid(params: TwinBeamParams, s: float,
     sigma = (1.0 - s) / 2.0
     f_s = _thermal_values(params.m_noise_s, params.b_noise_s + sigma, ws)
     f_i = _thermal_values(params.m_noise_i, params.b_noise_i + sigma, wi)
-    values = np.outer(f_s, f_i)
-    grid = QdiiGrid(ws, wi, values, s,
-                    normalization=float(np.trapezoid(
-                        np.trapezoid(values, wi, axis=1), ws)))
-    if abs(grid.normalization - 1.0) > NORMALIZATION_TOL:
+    return _checked_grid(ws, wi, np.outer(f_s, f_i), s)
+
+
+def _checked_grid(ws: np.ndarray, wi: np.ndarray, values: np.ndarray,
+                  s: float) -> QdiiGrid:
+    """The grid, once its trapezoid integral is within 5 % of 1."""
+    grid = QdiiGrid(ws, wi, values, s)
+    mass = grid.normalization
+    if abs(mass - 1.0) > NORMALIZATION_TOL:
         raise GridResolutionError(
-            f"joint_qdii_grid: grid integral {grid.normalization:.4f} deviates "
+            f"joint_qdii_grid: grid integral {mass:.4f} deviates "
             "from 1 by more than 5%; enlarge or refine the axes")
     return grid
 
@@ -443,12 +443,4 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
         raise DomainError(
             "joint_qdii_grid: the noise convolution needs uniformly spaced "
             "axes; use np.linspace axes or paired_only=True")
-
-    grid = QdiiGrid(ws, wi, values, s,
-                    normalization=float(np.trapezoid(
-                        np.trapezoid(values, wi, axis=1), ws)))
-    if abs(grid.normalization - 1.0) > NORMALIZATION_TOL:
-        raise GridResolutionError(
-            f"joint_qdii_grid: grid integral {grid.normalization:.4f} deviates "
-            "from 1 by more than 5%; enlarge or refine the axes")
-    return grid
+    return _checked_grid(ws, wi, values, s)

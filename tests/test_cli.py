@@ -100,14 +100,54 @@ class TestSimulateCommand:
         assert not np.array_equal(h.counts,
                                   load_histogram(sim_run / "histogram.txt").counts)
 
-    def test_bad_config_exit_code(self, tmp_path):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text("{not json")
-        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path / "x")]) == 2
 
-    def test_missing_file_exit_code(self, tmp_path):
-        assert main(["simulate", str(tmp_path / "nope.json"),
-                     "--out-dir", str(tmp_path / "x")]) == 2
+class TestInputChecks:
+    """Every command checks that its input files exist before it reads any
+    of them or creates an output directory."""
+
+    @staticmethod
+    def argv(command, present, missing, out):
+        # the missing file comes last, so every input is checked, not just the first
+        eta = ["--eta-s", "0.3", "--eta-i", "0.28"]
+        return {
+            "simulate": ["simulate", missing, "--out-dir", out],
+            "moments": ["moments", present, missing, *eta],
+            "reconstruct": ["reconstruct", present, missing, *eta, "--out-dir", out],
+            "qdii": ["qdii", missing, "--out-dir", out],
+            "diagnose": ["diagnose", missing],
+        }[command]
+
+    @pytest.mark.parametrize("command",
+                             ["simulate", "moments", "reconstruct", "qdii", "diagnose"])
+    def test_missing_file_exit_code(self, command, tmp_path, capsys):
+        present = tmp_path / "h.txt"
+        save_histogram(present, Histogram2D(np.array([[1.0]]), 1.0))
+        out = tmp_path / "out"
+        argv = self.argv(command, str(present), str(tmp_path / "nope"), str(out))
+        assert main(argv) == 2
+        assert "input file not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "qdii", "diagnose"])
+    def test_bad_config_exit_code(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        argv = self.argv(command, None, str(bad), str(tmp_path / "x"))
+        assert main(argv) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", '{"params": [1]}'),
+        ("simulate", '{"params": {"m_pairs": "x"}}'),
+        ("qdii", "[1, 2]"),
+        ("diagnose", '{"m_pairs": "x"}'),
+    ], ids=["simulate-list", "simulate-string", "qdii-list", "diagnose-string"])
+    def test_malformed_field_exit_code(self, command, text, tmp_path, capsys):
+        # valid JSON of the wrong shape is a validation error, not a traceback
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(self.argv(command, None, str(bad), str(tmp_path / "x"))) == 2
+        assert "malformed" in capsys.readouterr().err
 
 
 class TestMomentsCommand:
@@ -258,13 +298,19 @@ class TestQdiiCommand:
         u, s, vt = np.linalg.svd(values)
         assert s[1] < 1e-10 * s[0]
 
-    def test_coarse_grid_numerical_exit_code(self, tmp_path):
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps(PAPER_PARAMS_DICT))
-        code = main(["qdii", str(params), "--ordering", "0.0",
-                     "--grid-max", "3", "--grid-cells", "20",
-                     "--out-dir", str(tmp_path / "bad")])
-        assert code == 4
+    def test_coarse_grid_numerical_exit_code(self, tmp_path, capsys):
+        # the paired state and the noise-only state (no pairs) take different
+        # grid paths to the same 5 % check on the grid integral
+        noise_only = {"m_pairs": 0.0, "b_pairs": 0.0, "m_noise_s": 2.0,
+                      "b_noise_s": 0.6, "m_noise_i": 3.0, "b_noise_i": 0.4}
+        for name, state in (("paired", PAPER_PARAMS_DICT), ("noise", noise_only)):
+            params = tmp_path / f"{name}.json"
+            params.write_text(json.dumps(state))
+            code = main(["qdii", str(params), "--ordering", "0.0",
+                         "--grid-max", "3", "--grid-cells", "20",
+                         "--out-dir", str(tmp_path / name)])
+            assert code == 4
+            assert "more than 5%" in capsys.readouterr().err
 
     def test_single_cell_grid_parse_exit_code(self, tmp_path):
         params = tmp_path / "params.json"

@@ -14,8 +14,10 @@ from twinbeam import (
     dark_corrected_moments,
     declination,
     default_cutoffs,
+    invert_at,
     inversion_family,
     joint_photon_distribution,
+    mode_parameters,
     photocount_distribution,
     photocount_moments,
     reconstruct,
@@ -178,7 +180,7 @@ class TestReconstruct:
     def test_round_off_noise_variance_at_upper_endpoint(self, seed):
         # var_p_max, where one noise variance is a round-off residue
         # (M ~ 1e17, B ~ 1e-16), is the open end of the valid interval and is
-        # no longer scanned; the declination curve must stay finite and
+        # not scanned itself; the declination curve must stay finite and
         # continuous up to the last scan point below it
         params = TwinBeamParams(20.0, 0.5, 2.0, 2.0, 2.0, 2.0)
         d_s = DetectorModel(0.3, 1000, 1e-4)
@@ -188,6 +190,20 @@ class TestReconstruct:
         (_, before), (_, last) = result.scan[-2:]
         assert math.isfinite(last) and before < last < 2 * before
         assert 0 < result.var_p_opt < result.scan[-1][0]
+        # one ulp inside the interval the residue is still there, whether or
+        # not the scan lattice rounds onto that point: the forward model must
+        # treat that noise component as the Poisson term it is
+        detected = dark_corrected_moments(photocount_moments(f), photocount_moments(dark))
+        family = inversion_family(detected, d_s.efficiency, d_i.efficiency)
+        edge = mode_parameters(invert_at(family, np.nextafter(family.var_p_range[1], 0)))
+        assert max(edge.m_noise_s, edge.m_noise_i) > 1e16
+        cut = default_cutoffs(edge)
+        photons = joint_photon_distribution(edge, cut)
+        counts = photocount_distribution(photons, response_table(d_s, cut[0], cut[0]),
+                                         response_table(d_i, cut[1], cut[1]))
+        for table in (photons, counts):
+            assert np.all(np.isfinite(table.probs))
+            assert 0 <= table.truncation_mass <= 1e-9
 
     def test_scan_is_sorted_and_contains_grid(self):
         f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)

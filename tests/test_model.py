@@ -112,6 +112,16 @@ def test_qdii_grid_ordering_range():
         QdiiGrid(ax, ax, np.zeros((3, 3)), -1.0)
 
 
+def test_qdii_grid_normalization_is_trapezoid_integral():
+    # a grid built directly reports its integral too, with no field to fill
+    ax = np.linspace(0.0, 2.0, 5)
+    assert QdiiGrid(ax, ax, np.ones((5, 5)), 0.0).normalization == 4.0
+    w_i = np.array([0.0, 1.0, 3.0])
+    values = np.outer(ax, w_i)
+    # x y on [0, 2] x [0, 3] is linear in each axis, so the rule is exact: 2 * 4.5
+    assert QdiiGrid(ax, w_i, values, 0.0).normalization == pytest.approx(9.0, rel=1e-15)
+
+
 def test_validate_rejects_foreign_types():
     with pytest.raises(ValidationError):
         validate(42)

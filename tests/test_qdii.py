@@ -190,6 +190,19 @@ class TestPairedQdii:
         with pytest.raises(DomainError):
             paired_qdii(ctx_exact, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_uncorrelated_limit_is_product_of_gamma_densities(self, s):
+        # b_pairs = 0: both arms carry independent thermal light of scale
+        # (1 - s)/2, so the density factorizes; the log-densities stay below
+        # ~200 in magnitude, so both sides agree to ~1e-13
+        ctx = OrderingContext.for_params(0.0, s)
+        scale = (1.0 - s) / 2.0
+        for m in (0.6, 1.0, 2.5, 40.0):
+            for w_s, w_i in ((0.05, 0.3), (1.0, 1.0), (0.9, 3.7), (m * scale, 2.0 * m * scale)):
+                want = (gamma_dist.pdf(w_s, a=m, scale=scale)
+                        * gamma_dist.pdf(w_i, a=m, scale=scale))
+                assert paired_qdii(ctx, m, w_s, w_i) == pytest.approx(want, rel=1e-12)
+
     def test_domain_errors(self):
         ctx = OrderingContext.for_params(0.5, 0.0)
         with pytest.raises(DomainError):
