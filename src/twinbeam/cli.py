@@ -314,12 +314,14 @@ def cmd_simulate(args) -> int:
 
 
 def _auto_grid_max(params: TwinBeamParams, s: float) -> float:
+    """Ten standard deviations above the mean intensity of the wider arm."""
     sigma = (1.0 - s) / 2.0
-    mean = (params.m_pairs * (params.b_pairs + sigma)
-            + params.m_noise_s * (params.b_noise_s + sigma))
-    var = (params.m_pairs * (params.b_pairs + sigma) ** 2
-           + params.m_noise_s * (params.b_noise_s + sigma) ** 2)
-    return mean + 10.0 * math.sqrt(var) + 3.0
+    pair = params.b_pairs + sigma
+    arms = ((params.m_noise_s, params.b_noise_s + sigma),
+            (params.m_noise_i, params.b_noise_i + sigma))
+    return max(params.m_pairs * pair + m * b
+               + 10.0 * math.sqrt(params.m_pairs * pair ** 2 + m * b ** 2) + 3.0
+               for m, b in arms)
 
 
 def cmd_qdii(args) -> int:

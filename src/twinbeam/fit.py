@@ -143,21 +143,22 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
     golden-section refinement.
 
     ``scan_points`` sets the lattice ``var_p_max * k / scan_points``,
-    ``k = 1..scan_points``; only the points strictly inside the interval are
-    evaluated.  The best of them is refined between its neighbours (an
-    interval endpoint where it has none) to ``refine_rel_width * var_p_max``.
-    ``at_boundary`` is set when the optimum lies within one lattice step (or
-    that width, if larger) of an endpoint.  Precomputed response tables may
-    be passed to amortize repeated reconstructions with the same detectors.
-    Raises :class:`ReconstructionError` when no lattice point falls inside
-    the interval.
+    ``k = 1..scan_points - 1`` (never ``var_p_max`` itself); only the points
+    strictly inside the interval are evaluated.  The best of them is refined
+    between its neighbours (an interval endpoint where it has none) to
+    ``refine_rel_width * var_p_max``.  ``at_boundary`` is set when the
+    optimum lies within one lattice step (or that width, if larger) of an
+    endpoint.  Precomputed response tables may be passed to amortize
+    repeated reconstructions with the same detectors.  Raises
+    :class:`ReconstructionError` when no lattice point falls inside the
+    interval.
     """
     if scan_points < 2:
         raise DomainError("reconstruct: scan_points must be >= 2")
     detected = dark_corrected_moments(photocount_moments(f), photocount_moments(dark))
     family = inversion_family(detected, d_s.efficiency, d_i.efficiency)
     lo, hi = family.var_p_range
-    grid = family.var_p_max * np.arange(1, scan_points + 1) / scan_points
+    grid = family.var_p_max * np.arange(1, scan_points) / scan_points
     grid = grid[(grid > lo) & (grid < hi)]
     if grid.size == 0:
         raise ReconstructionError(

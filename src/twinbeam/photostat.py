@@ -7,6 +7,9 @@ computed as one matrix product ``(T_s diag(pair)) T_i^T``, where ``T_s`` and
 ``T_i`` are the lower-triangular Toeplitz matrices of the two noise pmfs.
 Detection is a binary-pixel response applied independently per arm.
 
+Both counting laws (Mandel-Rice, binomial dark counts) are cumulative sums
+of logs of positive ratios: no term cancels and no special function is used.
+
 The closed-form pixel response is an alternating sum that cancels
 catastrophically for more than a few counts.  Every response value is
 instead computed from an all-positive occupancy recurrence over photons,
@@ -45,18 +48,15 @@ CUTOFF_TAIL_MASS = 1e-10
 def _log_mandel_rice(n_max: int, m_modes: float, b_mean: float) -> np.ndarray:
     """Log Mandel-Rice probabilities for n = 0..n_max (m_modes, b_mean > 0).
 
-    The combinatorial factor Gamma(n + M) / (Gamma(M) n!) is taken as
-    ``-log(n) - betaln(M, n)`` (and 1 at n = 0) rather than as a difference
-    of log-gammas, which cancels to nothing when M >> n: a variance that is
-    a round-off residue gives M ~ 1e17 and B ~ 1e-16, a component that must
-    stay the Poisson(M B) it is.
+    A cumulative sum of log ratios: ``-M log1p(B)`` at n = 0, then
+    ``log((n - 1 + M)/n * B/(1 + B))`` per step.  Each ratio is positive and
+    formed directly, so nothing cancels, also when M >> n: a variance that
+    is a round-off residue gives M ~ 1e17 and B ~ 1e-16, a component that
+    must stay the Poisson(M B) it is.
     """
-    from scipy import special as sp
-
-    n = np.arange(n_max + 1, dtype=float)
-    log_comb = np.zeros(n_max + 1)
-    log_comb[1:] = -np.log(n[1:]) - sp.betaln(m_modes, n[1:])
-    return log_comb + n * np.log(b_mean) - (n + m_modes) * np.log1p(b_mean)
+    n = np.arange(1, n_max + 1, dtype=float)
+    steps = np.log((n - 1.0 + m_modes) / n * (b_mean / (1.0 + b_mean)))
+    return np.cumsum(np.concatenate(([-m_modes * math.log1p(b_mean)], steps)))
 
 
 def mandel_rice(n: int, m_modes: float, b_mean: float) -> float:
@@ -88,18 +88,8 @@ def mandel_rice_pmf(n_max: int, m_modes: float, b_mean: float) -> np.ndarray:
 def _component_cutoff(m_modes: float, b_mean: float,
                       tail_mass: float, cap: int) -> int:
     """Smallest n with cumulative component mass >= 1 - tail_mass, capped."""
-    if m_modes == 0 or b_mean == 0:
-        return 0
-    # stable forward recurrence p(n+1) = p(n) (n+M)/(n+1) * B/(1+B)
-    q = b_mean / (1.0 + b_mean)
-    p = math.exp(-m_modes * math.log1p(b_mean))
-    total = p
-    n = 0
-    while total < 1.0 - tail_mass and n < cap:
-        p *= (n + m_modes) / (n + 1.0) * q
-        total += p
-        n += 1
-    return n
+    cdf = np.cumsum(mandel_rice_pmf(cap, m_modes, b_mean))
+    return min(cap, int(np.searchsorted(cdf, 1.0 - tail_mass)))
 
 
 def default_cutoffs(params: TwinBeamParams, *,
@@ -214,19 +204,19 @@ def _occupancy_matrix(eta: float, npix: int, m_max: int, n_max: int) -> np.ndarr
 
 
 def _dark_kernel(dark: float, npix: int, m_max: int) -> np.ndarray:
-    """K[m, j]: probability that dark events raise j lit pixels to m fired."""
-    from scipy import special as sp
-
-    out = np.zeros((m_max + 1, m_max + 1))
+    """K[m, j]: probability that dark events raise j lit pixels to m fired,
+    the binomial ``log K = F[m] - F[j] - log (m-j)! + (m-j) log d
+    + (npix-m) log1p(-d)`` with F[m] = log npix!/(npix-m)!; both factorial
+    terms are cumulative sums of logs of positive integers."""
     if dark == 0.0:
-        np.fill_diagonal(out, 1.0)
-        return out
-    for j in range(m_max + 1):
-        mm = np.arange(j, m_max + 1, dtype=float)
-        out[j:, j] = np.exp(
-            sp.gammaln(npix - j + 1) - sp.gammaln(mm - j + 1) - sp.gammaln(npix - mm + 1)
-            + (mm - j) * math.log(dark) + (npix - mm) * math.log1p(-dark))
-    return out
+        return np.eye(m_max + 1)
+    i = np.arange(m_max + 1)
+    log_fall = np.concatenate(([0.0], np.cumsum(np.log(npix - i[:-1]))))
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(i[1:]))))
+    k = i[:, None] - i
+    log_k = (log_fall[:, None] - log_fall - log_fact[np.maximum(k, 0)]
+             + k * math.log(dark) + (npix - i[:, None]) * math.log1p(-dark))
+    return np.exp(np.where(k >= 0, log_k, -np.inf))
 
 
 def response_table(d: DetectorModel, m_max: int, n_max: int) -> DetectorResponseTable:

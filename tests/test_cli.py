@@ -312,6 +312,19 @@ class TestQdiiCommand:
             assert code == 4
             assert "more than 5%" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("wide", ["s", "i"])
+    def test_auto_grid_covers_the_wider_arm(self, tmp_path, wide):
+        # one arm's noise is far wider than the other's; the shared axis must
+        # hold either arm, so a state and its signal/idler mirror both pass
+        # the grid-integral check
+        narrow = "i" if wide == "s" else "s"
+        state = {"m_pairs": 5.0, "b_pairs": 0.5,
+                 f"m_noise_{narrow}": 1e-3, f"b_noise_{narrow}": 0.1,
+                 f"m_noise_{wide}": 2.0, f"b_noise_{wide}": 6.0}
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(state))
+        assert main(["qdii", str(params), "--out-dir", str(tmp_path / "grid")]) == 0
+
     def test_single_cell_grid_parse_exit_code(self, tmp_path):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(PAPER_PARAMS_DICT))
@@ -335,10 +348,12 @@ class TestDiagnoseCommand:
 
 class TestImportContract:
     """Each command loads only the third-party modules it calls.  SciPy and
-    mpmath cost more to import than ``simulate`` and ``moments`` take to run,
-    and ``scipy.signal`` alone costs more than a ``qdii`` grid, whose noise
-    convolution needs neither it nor ``scipy.fft``; the package itself must
-    still import every layer module eagerly."""
+    mpmath cost more to import than ``simulate``, ``moments``, ``reconstruct``
+    and ``diagnose`` take to run, and none of them calls either: the photon
+    statistics need no special function.  Only ``qdii`` loads SciPy, and
+    ``scipy.signal`` alone costs more than a grid, whose noise convolution
+    needs neither it nor ``scipy.fft``; the package itself must still import
+    every layer module eagerly."""
 
     LAYERS = ("simgen", "moments", "photostat", "fit", "qdii", "specfun")
     HEAVY = ("scipy", "scipy.special", "scipy.signal", "scipy.fft", "mpmath")
@@ -361,6 +376,14 @@ class TestImportContract:
                      str(out / "run" / "dark.txt"), "--eta-s", "0.3", "--eta-i", "0.28",
                      "--out", str(out / "moments.json")]) == 0
         report["moments"] = heavy()
+        assert main(["reconstruct", str(out / "run" / "histogram.txt"),
+                     str(out / "run" / "dark.txt"), "--eta-s", "0.3", "--eta-i", "0.28",
+                     "--dark-s", "0.002", "--dark-i", "0.002", "--scan-points", "10",
+                     "--out-dir", str(out / "fit")]) == 0
+        report["reconstruct"] = heavy()
+        assert main(["diagnose", str(out / "params.json"),
+                     "--out", str(out / "diagnose.json")]) == 0
+        report["diagnose"] = heavy()
         assert main(["qdii", str(out / "params.json"), "--ordering", "1.0",
                      "--grid-max", "25", "--grid-cells", "120",
                      "--out-dir", str(out / "grids")]) == 0
@@ -382,5 +405,7 @@ class TestImportContract:
         assert report["import"] == []
         assert report["layers"] == list(self.LAYERS)
         assert report["moments"] == []
+        assert report["reconstruct"] == []
+        assert report["diagnose"] == []
         assert "scipy.signal" not in report["qdii"]
         assert "scipy.fft" not in report["qdii"]

@@ -144,7 +144,7 @@ class TestReconstruct:
 
     def test_no_scan_point_inside_interval_raises(self):
         # CLEAN_PARAMS give the interval (0.525, 0.980) with var_p_max at its
-        # open upper end; two scan points (0.490, 0.980) both miss it
+        # open upper end; the one lattice point (0.490) misses it
         f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)
         with pytest.raises(ReconstructionError):
             reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=2)
@@ -190,8 +190,8 @@ class TestReconstruct:
         (_, before), (_, last) = result.scan[-2:]
         assert math.isfinite(last) and before < last < 2 * before
         assert 0 < result.var_p_opt < result.scan[-1][0]
-        # one ulp inside the interval the residue is still there, whether or
-        # not the scan lattice rounds onto that point: the forward model must
+        # one ulp inside the interval the residue is still there, though the
+        # scan lattice stops a step short of it: the forward model must
         # treat that noise component as the Poisson term it is
         detected = dark_corrected_moments(photocount_moments(f), photocount_moments(dark))
         family = inversion_family(detected, d_s.efficiency, d_i.efficiency)
@@ -204,6 +204,22 @@ class TestReconstruct:
         for table in (photons, counts):
             assert np.all(np.isfinite(table.probs))
             assert 0 <= table.truncation_mass <= 1e-9
+
+    @pytest.mark.parametrize("seed", [44, 50])
+    def test_scan_lattice_stops_short_of_var_p_max(self, seed):
+        # var_p_max * k / scan_points at k = scan_points is var_p_max itself
+        # up to round-off and never strictly inside the interval; the lattice
+        # must not depend on how that product rounds.  On these seeds the
+        # upper end of the interval is var_p_max and the optimum lies lower,
+        # so no evaluation comes near it.
+        params = TwinBeamParams(20.0, 0.5, 2.0, 2.0, 2.0, 2.0)
+        d_s = DetectorModel(0.3, 1000, 1e-4)
+        d_i = DetectorModel(0.28, 1000, 1e-4)
+        f, dark = simulate_histogram(SimConfig(params, d_s, d_i, frames=20_000, seed=seed))
+        detected = dark_corrected_moments(photocount_moments(f), photocount_moments(dark))
+        var_p_max = inversion_family(detected, d_s.efficiency, d_i.efficiency).var_p_max
+        result = reconstruct(f, dark, d_s, d_i, scan_points=20)
+        assert var_p_max - result.scan[-1][0] > var_p_max / 20 / 2
 
     def test_scan_is_sorted_and_contains_grid(self):
         f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)

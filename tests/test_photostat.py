@@ -88,6 +88,27 @@ class TestMandelRice:
         np.testing.assert_allclose(pmf, poisson, rtol=rtol, atol=0)
         assert mandel_rice(7, m_modes, b_mean) == pytest.approx(poisson[7], rel=rtol)
 
+    @pytest.mark.parametrize("m_modes, b_mean", [(1e6, 1e-5), (1e4, 1e-3)])
+    def test_many_mode_pmf_against_extended_precision(self, m_modes, b_mean):
+        # log p(n) is a running sum of n + 1 terms x_k: -M log1p(B) (two
+        # roundings), then one log ratio per step (eps of its size, plus 5 eps
+        # from the 5 roundings that form the ratio).  Each of the n additions
+        # carries eps of a partial sum no larger than sum |x_k|, so log p(n)
+        # is good to eps ((n + 2) sum |x_k| + 5 n); exp turns that into a
+        # relative error of p(n) and adds one eps of its own.
+        n_max = 60
+        n = np.arange(n_max + 1)
+        x = np.concatenate(([-m_modes * math.log1p(b_mean)],
+                            np.log((n[1:] - 1 + m_modes) / n[1:] * b_mean / (1 + b_mean))))
+        eps = np.finfo(float).eps
+        rtol = eps * ((n + 2) * np.cumsum(np.abs(x)) + 5 * n + 1)
+        with mp.workdps(50):
+            m, b = mp.mpf(m_modes), mp.mpf(b_mean)
+            want = np.array([float(mp.rf(m, k) / mp.factorial(k) * (b / (1 + b)) ** k
+                                   * (1 + b) ** -m) for k in n])
+        got = mandel_rice_pmf(n_max, m_modes, b_mean)
+        assert np.all(np.abs(got / want - 1) <= rtol)
+
 
 class TestJointPhotonDistribution:
     def test_noise_free_field_is_diagonal(self):
@@ -288,6 +309,29 @@ class TestResponseTable:
             for n in (0, 1, 7, 23, 40):
                 assert tab.table[m, n] == pytest.approx(
                     mp_detector_response(d, m, n), rel=1e-10, abs=1e-300)
+
+    def test_dark_column_against_extended_precision(self):
+        # the README detector, no photons: the dark binomial law.  log K[m, 0]
+        # is F[m] - log m! + m log d + (npix - m) log1p(-d), where F[m] and
+        # log m! are running sums of m logs each.  Every rounding (the logs
+        # together, the m - 1 additions of each sum, the 6 of the final
+        # combination) carries eps of a value no larger than T(m), the sum of
+        # the four magnitudes, so log K is good to (m + 6) eps T(m); exp adds
+        # one eps of its own
+        d = DetectorModel(efficiency=0.243, pixels=10_000, dark_rate=1e-4)
+        m = np.arange(61)
+        log_fall = np.array([math.lgamma(d.pixels + 1) - math.lgamma(d.pixels - k + 1)
+                             for k in m])
+        log_fact = np.array([math.lgamma(k + 1) for k in m])
+        total = (log_fall + log_fact + m * abs(math.log(d.dark_rate))
+                 - (d.pixels - m) * math.log1p(-d.dark_rate))
+        rtol = np.finfo(float).eps * ((m + 6) * total + 1)
+        with mp.workdps(50):
+            dark = mp.mpf(d.dark_rate)
+            want = np.array([float(mp.binomial(d.pixels, k) * dark**k
+                                   * (1 - dark) ** (d.pixels - k)) for k in m])
+        got = response_table(d, 60, 0).table[:, 0]
+        assert np.all(np.abs(got / want - 1) <= rtol)
 
     def test_weak_efficiency_first_order(self):
         d = DetectorModel(efficiency=1e-3, pixels=10**4, dark_rate=0.0)
