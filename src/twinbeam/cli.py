@@ -326,10 +326,15 @@ def _auto_grid_max(params: TwinBeamParams, s: float) -> float:
 
 def cmd_qdii(args) -> int:
     [params_path] = _input_files(args.params)
+    if args.grid_max is not None and not (math.isfinite(args.grid_max) and args.grid_max > 0):
+        raise ValidationError(f"--grid-max must be finite and > 0, got {args.grid_max}")
+    if args.grid_cells < 2:
+        raise ValidationError(f"--grid-cells must be at least 2, got {args.grid_cells}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = load_params(params_path)
-    grid_max = args.grid_max if args.grid_max else _auto_grid_max(params, args.ordering)
+    grid_max = (_auto_grid_max(params, args.ordering) if args.grid_max is None
+                else args.grid_max)
     axis = np.linspace(0.0, grid_max, args.grid_cells)
     grid = joint_qdii_grid(params, args.ordering, axis, axis)
     save_grid(out_dir / "qdii.csv", grid)

@@ -4,7 +4,14 @@ diagnostics.
 The paired-field density has two regimes separated by a threshold ordering
 ``s_th``: below it a smooth non-negative modified-Bessel form, above it an
 oscillatory sinc-kernel form whose negative strips parallel to the diagonal
-are the signature of pairwise emission.  The sinc form is a closed-form
+are the signature of pairwise emission.  Both are evaluated on the grid of
+two 1-D axes.  The ascending series of the Bessel function makes the Bessel
+form a sum of separable terms, ``p(x, y) = sum_j F_j(x) F_j(y)``, so a grid
+is the matrix product of two factor tables, one per axis.  The number of
+terms K is the one the largest product ``x_max y_max`` needs, and it grows
+without bound toward ``s_th``; the series is used while K is at most the
+number of points on the two axes, otherwise the Bessel function is
+evaluated once per distinct argument.  The sinc form is a closed-form
 interference expression, not an exact Fourier inversion; as printed it is
 not normalized, so by default it is divided by its total mass, itself a
 closed form (``normalized=False`` gives the raw expression).  The full-field
@@ -168,33 +175,96 @@ def nonclassicality(fm: FieldMoments) -> NonclassicalityVerdict:
 # paired-field density
 # ---------------------------------------------------------------------------
 
-def _bessel_branch(ctx: OrderingContext, m: float,
-                   ws: np.ndarray, wi: np.ndarray) -> np.ndarray:
+def _series_half_log_coefficients(ctx: OrderingContext, m: float, corner: float,
+                                  max_terms: int) -> np.ndarray | None:
+    """Half the log coefficients ``A_j`` of the separable series of the
+    Bessel-branch density, or None if it needs more than ``max_terms`` terms.
+
+    The ascending series of I_{m-1} (Abramowitz & Stegun 9.6.10) turns the
+    density into ``sum_j exp(A_j + (m-1+j) log(x y) - b (x+y)/k)`` with
+    ``A_j = 2j log d - log G(m) - (m+2j) log k - log j! - log G(m+j)``.  The
+    ratio of successive terms grows with ``x y``, and so does the relative
+    tail after any cut, so the largest product ``corner`` fixes the number of
+    terms K: the series stops at the first term past the largest one whose
+    tail is below eps of the sum at the corner.
+    """
+    from scipy import special as sp
+
+    k, d = ctx.k_p_s, ctx.d_p
+    j = np.arange(max_terms + 1.0)
+    half_a = 0.5 * (2.0 * j * math.log(d) - sp.gammaln(m) - (m + 2.0 * j) * math.log(k)
+                    - sp.gammaln(j + 1.0) - sp.gammaln(m + j))
+    log_t = 2.0 * half_a + (m - 1.0 + j) * math.log(corner)
+    log_r = np.diff(log_t)
+    # past the largest term the ratios fall, so a geometric series bounds
+    # the tail: sum_{i >= j} t_i <= t_j / (1 - r_j)
+    with np.errstate(divide="ignore"):
+        log_tail = log_t[:-1] - np.log1p(-np.exp(np.minimum(log_r, 0.0)))
+    log_sum = np.logaddexp.reduce(log_t)
+    cut = np.flatnonzero((log_r < 0.0)
+                         & (log_tail < log_sum + math.log(np.finfo(float).eps)))
+    return half_a[:cut[0]] if cut.size else None
+
+
+def _series_factors(ctx: OrderingContext, m: float, half_a: np.ndarray,
+                    w: np.ndarray) -> np.ndarray:
+    """``F[i, j] = exp(A_j / 2 + (m-1+j) log w_i - b w_i / k)``: the density
+    is ``F_s @ F_i.T``.  Each factor is at most ``sqrt(p(w, w))``, so none
+    overflows."""
+    expo = (half_a + np.multiply.outer(np.log(w), m - 1.0 + np.arange(half_a.size))
+            - (ctx.b_p_s * w / ctx.k_p_s)[:, None])
+    return _flush_subnormal(np.exp(expo))
+
+
+def _flush_subnormal(a: np.ndarray) -> np.ndarray:
+    """``a`` with its subnormal entries set to 0.  A subnormal factor adds
+    less than ``2.3e-308 sqrt(p(w, w))`` to a cell, and a subnormal cell is
+    below every normal double; either slows a matrix product several-fold."""
+    a[np.abs(a) < np.finfo(float).tiny] = 0.0
+    return a
+
+
+def _bessel_distinct(ctx: OrderingContext, m: float,
+                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bessel-branch density on the grid of axes ``x``, ``y``, with the
+    Bessel function evaluated once per distinct argument."""
     from scipy import special as sp
 
     k, b, d = ctx.k_p_s, ctx.b_p_s, ctx.d_p
-    if d == 0.0:
-        # uncorrelated limit b_pairs -> 0: product of two gamma densities
-        return _thermal_values(m, b, ws) * _thermal_values(m, b, wi)
-    log_prod = np.log(np.maximum(ws, 1e-300)) + np.log(np.maximum(wi, 1e-300))
+    log_prod = np.log(x)[:, None] + np.log(y)[None, :]
     arg = 2.0 * d * np.exp(log_prod / 2.0) / k
-    # the argument depends on ws * wi only, so a grid repeats most values;
-    # the Bessel function of high order is evaluated once per distinct one
+    # the argument depends on x * y only, so a grid repeats most values
     distinct, where = np.unique(arg.ravel(), return_inverse=True)
     log_i = log_bessel_i_array(m - 1.0, distinct)[where].reshape(arg.shape)
     ln = ((m - 1.0) / 2.0 * log_prod - sp.gammaln(m) - math.log(k)
-          - (m - 1.0) * math.log(d) - b * (ws + wi) / k + log_i)
+          - (m - 1.0) * math.log(d) - b * (x[:, None] + y[None, :]) / k + log_i)
     return np.exp(ln)
 
 
+def _bessel_branch(ctx: OrderingContext, m: float,
+                   x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if ctx.d_p == 0.0:
+        # uncorrelated limit b_pairs -> 0: product of two gamma densities
+        return np.outer(_thermal_values(m, ctx.b_p_s, x), _thermal_values(m, ctx.b_p_s, y))
+    # the series while it needs no more terms than the grid has points
+    half_a = _series_half_log_coefficients(ctx, m, x.max() * y.max(), x.size + y.size)
+    if half_a is None:
+        return _bessel_distinct(ctx, m, x, y)
+    f_s = _series_factors(ctx, m, half_a, x)
+    # equal axes give F @ F.T, which BLAS forms as a symmetric product
+    f_i = f_s if np.array_equal(x, y) else _series_factors(ctx, m, half_a, y)
+    return _flush_subnormal(f_s @ f_i.T)
+
+
 def _sinc_branch_raw(ctx: OrderingContext, m: float,
-                     ws: np.ndarray, wi: np.ndarray) -> np.ndarray:
+                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
     from scipy import special as sp
 
     kt = -ctx.k_p_s
     b = ctx.b_p_s
     a = math.sqrt(kt)
-    log_prod = np.log(np.maximum(ws, 1e-300)) + np.log(np.maximum(wi, 1e-300))
+    ws, wi = x[:, None], y[None, :]
+    log_prod = np.log(ws) + np.log(wi)
     ln = ((m - 1.0) / 2.0 * log_prod - sp.gammaln(m) - m * math.log(b)
           - (ws + wi) / (2.0 * b))
     return np.exp(ln) * a * sinc((ws - wi) / a) / math.pi
@@ -222,36 +292,35 @@ def _sinc_normalization(m: float, b: float, kt: float) -> float:
 def _paired_values(ctx: OrderingContext, m_pairs: float,
                    ws: np.ndarray, wi: np.ndarray,
                    normalized: bool = True) -> np.ndarray:
-    """Paired density on arrays; entries with a negative coordinate are 0.
-    The sinc branch is divided by its closed-form total mass unless
-    ``normalized`` is false."""
-    ws = np.asarray(ws, dtype=float)
-    wi = np.asarray(wi, dtype=float)
-    shape = np.broadcast_shapes(ws.shape, wi.shape)
-    ws = np.broadcast_to(ws, shape)
-    wi = np.broadcast_to(wi, shape)
-    out = np.zeros(shape)
-    inside = (ws > 0) & (wi > 0)
-    edge = ((ws == 0) | (wi == 0)) & (ws >= 0) & (wi >= 0)
-    if edge.any():
-        if m_pairs > 1.0:
-            pass  # density vanishes on the axes
-        elif m_pairs == 1.0:
-            inside = inside | edge
-        else:
+    """Paired density on the grid of the 1-D axes ``ws`` (rows) and ``wi``
+    (columns); cells with a negative coordinate are 0.
+
+    The Bessel branch is ``F_s @ F_i.T``, a product of per-axis tables of
+    series factors, when the series needs no more terms than the two axes
+    have points, and is evaluated once per distinct Bessel argument
+    otherwise.  The sinc branch is one broadcast expression, divided by its
+    closed-form total mass unless ``normalized`` is false."""
+    ws = np.atleast_1d(np.asarray(ws, dtype=float))
+    wi = np.atleast_1d(np.asarray(wi, dtype=float))
+    out = np.zeros((ws.size, wi.size))
+    if ((ws == 0).any() and (wi >= 0).any()) or ((wi == 0).any() and (ws >= 0).any()):
+        if m_pairs < 1.0:
             raise DomainError(
                 "paired density diverges on the axes for m_pairs < 1; "
                 "use strictly positive grid points")
-    if inside.any():
-        x = np.where(inside, np.maximum(ws, 1e-300), 1.0)
-        y = np.where(inside, np.maximum(wi, 1e-300), 1.0)
+    # on the axes the density vanishes for m_pairs > 1 and is finite for 1
+    rows = (ws > 0) | ((ws == 0) & (m_pairs == 1.0))
+    cols = (wi > 0) | ((wi == 0) & (m_pairs == 1.0))
+    if rows.any() and cols.any():
+        x = np.maximum(ws[rows], 1e-300)
+        y = np.maximum(wi[cols], 1e-300)
         if ctx.k_p_s > 0:
             vals = _bessel_branch(ctx, m_pairs, x, y)
         else:
             vals = _sinc_branch_raw(ctx, m_pairs, x, y)
             if normalized:
                 vals = vals / _sinc_normalization(m_pairs, ctx.b_p_s, -ctx.k_p_s)
-        out[inside] = vals[inside]
+        out[np.ix_(rows, cols)] = vals
     return out
 
 
@@ -274,8 +343,7 @@ def paired_qdii(ctx: OrderingContext, m_pairs: float,
         raise DomainError(
             "paired_qdii: evaluation at the branch boundary s = s_th is "
             "singular; use a one-sided offset")
-    value = float(_paired_values(ctx, m_pairs, np.asarray(w_s, dtype=float),
-                                 np.asarray(w_i, dtype=float), normalized))
+    value = float(_paired_values(ctx, m_pairs, w_s, w_i, normalized)[0, 0])
     if math.isinf(value):
         raise NumericsError(
             f"paired_qdii overflow at (w_s={w_s}, w_i={w_i})")
@@ -401,8 +469,7 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     lat_i = wi[0] + h_i * np.arange(-lo_i, len(wi))
     lat_s = np.maximum(lat_s, 0.0)
     lat_i = np.maximum(lat_i, 0.0)
-    gx, gy = np.meshgrid(lat_s, lat_i, indexing="ij")
-    paired = _paired_values(ctx, params.m_pairs, gx, gy, normalized)
+    paired = _paired_values(ctx, params.m_pairs, lat_s, lat_i, normalized)
     t_s = _noise_toeplitz(params.m_noise_s, params.b_noise_s + sigma, h_s, lat_s.size)
     t_i = _noise_toeplitz(params.m_noise_i, params.b_noise_i + sigma, h_i, lat_i.size)
     return t_s[lo_s:] @ paired @ t_i[lo_i:].T
@@ -414,7 +481,11 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
                     normalized: bool = True) -> QdiiGrid:
     """Full-field QDII on a rectangular intensity grid.
 
-    Convolves the paired density with the per-arm noise densities: the noise
+    The paired density is evaluated from the two axes (see
+    ``_paired_values``): below the threshold ordering as the product of two
+    tables of series factors while the series needs at most as many terms as
+    the axes have points, and otherwise once per distinct Bessel argument.
+    It is then convolved with the per-arm noise densities: the noise
     measures are binned onto the grid lattice (their sub-resolution mass
     lands in the zero-shift bin) and the convolution is a product with one
     lower-triangular Toeplitz matrix per arm.  The unresolvably-small noise
@@ -435,8 +506,7 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
         raise DomainError("joint_qdii_grid: s equals the paired branch boundary")
 
     if paired_only or (params.m_noise_s == 0 and params.m_noise_i == 0):
-        gx, gy = np.meshgrid(ws, wi, indexing="ij")
-        values = _paired_values(ctx, params.m_pairs, gx, gy, normalized)
+        values = _paired_values(ctx, params.m_pairs, ws, wi, normalized)
     elif _is_uniform(ws) and _is_uniform(wi):
         values = _convolve_uniform(params, ctx, ws, wi, normalized)
     else:

@@ -150,6 +150,21 @@ class TestInputChecks:
         assert "malformed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-max", "0"), ("--grid-max", "-5"), ("--grid-max", "nan"),
+        ("--grid-max", "inf"), ("--grid-cells", "0"), ("--grid-cells", "1"),
+    ])
+    def test_bad_qdii_grid_exit_code(self, flag, value, tmp_path, capsys):
+        # an axis that cannot be built fails before the output directory
+        # exists, with a message naming the flag
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(PAPER_PARAMS_DICT))
+        out = tmp_path / "grid"
+        assert main(["qdii", str(params), flag, value, "--out-dir", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMomentsCommand:
     def test_report_fields(self, sim_run, capsys):
         code = main(["moments", str(sim_run / "histogram.txt"),

@@ -4,8 +4,8 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from scipy import integrate, linalg
+from hypothesis import assume, given, strategies as st
+from scipy import integrate, linalg, special
 from scipy.stats import gamma as gamma_dist
 
 from twinbeam import (
@@ -22,7 +22,10 @@ from twinbeam import (
     thermal_qdii,
 )
 from twinbeam import qdii
-from twinbeam.specfun import log_bessel_i
+from twinbeam.cli import _auto_grid_max
+from twinbeam.specfun import log_bessel_i, log_bessel_i_array
+
+EPS = np.finfo(float).eps
 
 
 class TestCharacteristicFunction:
@@ -294,6 +297,116 @@ class TestBesselBranch:
         assert joint_qdii_grid(params, s, g, g).values.min() >= 0.0
 
 
+def series_scale(ctx, m, n_terms, w):
+    """For each intensity w, the largest sum over the terms of the magnitudes
+    of the components of the log of a series factor, ``A_j / 2``,
+    ``(m-1+j) log w`` and ``b w / k``; ``A_j`` itself has five components."""
+    j = np.arange(n_terms)
+    half_a = 0.5 * (np.abs(2.0 * j * math.log(ctx.d_p)) + abs(special.gammaln(m))
+                    + np.abs((m + 2.0 * j) * math.log(ctx.k_p_s))
+                    + special.gammaln(j + 1.0) + np.abs(special.gammaln(m + j)))
+    return (half_a + np.abs(np.multiply.outer(np.log(w), m - 1.0 + j))
+            + (ctx.b_p_s * w / ctx.k_p_s)[:, None]).max(axis=1)
+
+
+def series_tolerance(ctx, m, n_terms, x, y):
+    """Relative error bound of the series grid on the axes x, y, per cell.
+
+    A cell is ``sum_j exp(E_j(x) + E_j(y))`` with ``n_terms`` positive terms.
+    Every component of ``E_j`` is one or two rounded operations, and so is
+    each addition, so the absolute error of ``E_j(x) + E_j(y)`` is a few
+    units of roundoff u times the sum of the component magnitudes, at most
+    ``series_scale(x) + series_scale(y)``; ``exp`` turns it into the same
+    relative error.  Four units, ``2 eps`` times that sum, are allowed.  The
+    sum of n positive terms adds at most ``n u``, allowed as ``eps n``."""
+    scale = series_scale(ctx, m, n_terms, x)[:, None] + series_scale(ctx, m, n_terms, y)[None, :]
+    return EPS * (2.0 * scale + n_terms)
+
+
+def series_terms(ctx, m, x, y, max_terms):
+    half_a = qdii._series_half_log_coefficients(ctx, m, x[-1] * y[-1], max_terms)
+    return None if half_a is None else half_a.size
+
+
+class TestBesselSeries:
+    """The separable series ``F_s @ F_i.T`` of the Bessel-branch density."""
+
+    @staticmethod
+    def mp_density(ctx, m, x, y):
+        with mp.workdps(40):
+            b, d, k = mp.mpf(ctx.b_p_s), mp.mpf(ctx.d_p), mp.mpf(ctx.k_p_s)
+            x, y, nu = mp.mpf(x), mp.mpf(y), mp.mpf(m) - 1
+            return float((x * y) ** (nu / 2) / (mp.gamma(m) * k * d ** nu)
+                         * mp.exp(-b * (x + y) / k)
+                         * mp.besseli(nu, 2 * d * mp.sqrt(x * y) / k))
+
+    @pytest.mark.parametrize("m, b_pairs, s", [
+        (179.0, 0.055, 0.0), (179.0, 0.055, -0.5), (1.0, 0.055, 0.0), (2.5, 1.0, 0.0),
+    ], ids=["readme-s0", "readme-s-0.5", "m1", "m2.5"])
+    def test_against_extended_precision(self, m, b_pairs, s):
+        # 200-cell grids on the CLI's automatic axis, every fourth row and
+        # column, at the cells above 1e-8 of the peak; the 40-digit reference
+        # sees the same double inputs, so its own error is negligible
+        params = TwinBeamParams(m, b_pairs, 0, 0, 0, 0)
+        axis = np.linspace(0.0, _auto_grid_max(params, s), 200)
+        ctx = OrderingContext.for_params(b_pairs, s)
+        n_terms = series_terms(ctx, m, axis, axis, 2 * axis.size)
+        assert n_terms is not None  # the grid takes the series
+        grid = joint_qdii_grid(params, s, axis, axis, paired_only=True).values
+        tol = series_tolerance(ctx, m, n_terms, np.maximum(axis, 1e-300),
+                               np.maximum(axis, 1e-300))
+        peak = grid.max()
+        checked = 0
+        for i in range(0, axis.size, 4):
+            for j in range(0, axis.size, 4):
+                if grid[i, j] > 1e-8 * peak:
+                    want = self.mp_density(ctx, m, max(axis[i], 1e-300), max(axis[j], 1e-300))
+                    assert abs(grid[i, j] - want) <= tol[i, j] * want
+                    checked += 1
+        assert checked > 100
+
+    @given(m=st.floats(0.5, 300.0), b_pairs=st.floats(0.01, 2.0),
+           s=st.floats(-0.9, 0.0, exclude_max=True))
+    def test_matches_distinct_argument_evaluation(self, m, b_pairs, s):
+        # s < 0 lies below every paired threshold ordering (which exceeds 0
+        # for b_pairs > 0).  The distinct-argument path has its own rounding:
+        # the components of its log density, ``log I`` among them, with the
+        # same allowance of 2 eps times their magnitude; the library Bessel
+        # function adds a few units of its own, below the slack of the bound
+        ctx = OrderingContext.for_params(b_pairs, s)
+        g = _auto_grid_max(TwinBeamParams(m, b_pairs, 0, 0, 0, 0), s)
+        axis = np.linspace(g / 60, g, 60)
+        half_a = qdii._series_half_log_coefficients(ctx, m, g * g, 20000)
+        assume(half_a is not None)
+        factors = qdii._series_factors(ctx, m, half_a, axis)
+        series = factors @ factors.T
+        distinct = qdii._bessel_distinct(ctx, m, axis, axis)
+        log_prod = np.add.outer(np.log(axis), np.log(axis))
+        z = 2.0 * ctx.d_p * np.exp(log_prod / 2.0) / ctx.k_p_s
+        distinct_scale = (abs(m - 1.0) / 2.0 * np.abs(log_prod) + abs(special.gammaln(m))
+                          + abs(math.log(ctx.k_p_s)) + abs((m - 1.0) * math.log(ctx.d_p))
+                          + ctx.b_p_s * np.add.outer(axis, axis) / ctx.k_p_s
+                          + np.abs(log_bessel_i_array(m - 1.0, z)))
+        tol = series_tolerance(ctx, m, half_a.size, axis, axis) + 2.0 * EPS * distinct_scale
+        kept = series > 1e-8 * series.max()
+        assert np.all(np.abs(series - distinct)[kept] <= (tol * series)[kept])
+
+    @pytest.mark.parametrize("s, series", [(0.0, True), (0.6, False)])
+    def test_term_count_selects_the_path(self, paper_params, s, series, monkeypatch):
+        # README state, 200-cell automatic axis: 182 terms at s = 0 fit in
+        # the 400 the two axes allow; 3,138 at s = 0.6 do not
+        axis = np.linspace(0.0, _auto_grid_max(paper_params, s), 200)
+        ctx = OrderingContext.for_params(paper_params.b_pairs, s)
+        n_terms = series_terms(ctx, paper_params.m_pairs, axis, axis, 10000)
+        assert (n_terms <= 2 * axis.size) == series
+        calls = []
+        distinct = qdii._bessel_distinct
+        monkeypatch.setattr(qdii, "_bessel_distinct",
+                            lambda *a: calls.append(1) or distinct(*a))
+        joint_qdii_grid(paper_params, s, axis, axis, paired_only=True)
+        assert len(calls) == (0 if series else 1)
+
+
 class TestThermalQdii:
     def test_single_mode_is_exponential(self):
         for w in (0.0, 0.3, 2.0):
@@ -438,7 +551,7 @@ class TestFftConvolution:
         got = qdii._convolve_uniform(params, ctx, axis, axis, True)
         assert got.shape == (axis.size, axis.size)
         lo, h, lat = self.lattice(axis)
-        paired = qdii._paired_values(ctx, params.m_pairs, *np.meshgrid(lat, lat, indexing="ij"))
+        paired = qdii._paired_values(ctx, params.m_pairs, lat, lat)
         sigma = (1.0 - s) / 2.0
         kernels = [qdii._binned_thermal_kernel(m, b + sigma, h, lat.size) if m > 0
                    else np.array([1.0])
