@@ -10,8 +10,8 @@ form a sum of separable terms, ``p(x, y) = sum_j F_j(x) F_j(y)``, so a grid
 is the matrix product of two factor tables, one per axis.  The number of
 terms K is the one the largest product ``x_max y_max`` needs, and it grows
 without bound toward ``s_th``; the series is used while K is at most the
-number of points on the two axes, otherwise the Bessel function is
-evaluated once per distinct argument.  The sinc form is a closed-form
+number of points on the two axes and at most 2,000, otherwise the Bessel
+function is evaluated once per distinct argument.  The sinc form is a closed-form
 interference expression, not an exact Fourier inversion; as printed it is
 not normalized, so by default it is divided by its total mass, itself a
 closed form (``normalized=False`` gives the raw expression).  The full-field
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 0.05
+# most terms of the Bessel series a grid is evaluated with (see _bessel_branch)
+_SERIES_MAX_TERMS = 2000
 
 
 def _check_ordering(s: float) -> None:
@@ -175,7 +177,7 @@ def nonclassicality(fm: FieldMoments) -> NonclassicalityVerdict:
 # paired-field density
 # ---------------------------------------------------------------------------
 
-def _series_half_log_coefficients(ctx: OrderingContext, m: float, corner: float,
+def _series_half_log_coefficients(ctx: OrderingContext, m: float, log_corner: float,
                                   max_terms: int) -> np.ndarray | None:
     """Half the log coefficients ``A_j`` of the separable series of the
     Bessel-branch density, or None if it needs more than ``max_terms`` terms.
@@ -184,9 +186,10 @@ def _series_half_log_coefficients(ctx: OrderingContext, m: float, corner: float,
     density into ``sum_j exp(A_j + (m-1+j) log(x y) - b (x+y)/k)`` with
     ``A_j = 2j log d - log G(m) - (m+2j) log k - log j! - log G(m+j)``.  The
     ratio of successive terms grows with ``x y``, and so does the relative
-    tail after any cut, so the largest product ``corner`` fixes the number of
-    terms K: the series stops at the first term past the largest one whose
-    tail is below eps of the sum at the corner.
+    tail after any cut, so the largest product, whose log is ``log_corner``,
+    fixes the number of terms K: the series stops at the first term past the
+    largest one whose tail is below eps of the sum at the corner.  The corner
+    is passed as a log because a product of two tiny coordinates underflows.
     """
     from scipy import special as sp
 
@@ -194,7 +197,7 @@ def _series_half_log_coefficients(ctx: OrderingContext, m: float, corner: float,
     j = np.arange(max_terms + 1.0)
     half_a = 0.5 * (2.0 * j * math.log(d) - sp.gammaln(m) - (m + 2.0 * j) * math.log(k)
                     - sp.gammaln(j + 1.0) - sp.gammaln(m + j))
-    log_t = 2.0 * half_a + (m - 1.0 + j) * math.log(corner)
+    log_t = 2.0 * half_a + (m - 1.0 + j) * log_corner
     log_r = np.diff(log_t)
     # past the largest term the ratios fall, so a geometric series bounds
     # the tail: sum_{i >= j} t_i <= t_j / (1 - r_j)
@@ -246,8 +249,13 @@ def _bessel_branch(ctx: OrderingContext, m: float,
     if ctx.d_p == 0.0:
         # uncorrelated limit b_pairs -> 0: product of two gamma densities
         return np.outer(_thermal_values(m, ctx.b_p_s, x), _thermal_values(m, ctx.b_p_s, y))
-    # the series while it needs no more terms than the grid has points
-    half_a = _series_half_log_coefficients(ctx, m, x.max() * y.max(), x.size + y.size)
+    # the series while it needs no more terms than the grid has points, and
+    # at most _SERIES_MAX_TERMS.  On README-state N x N grids with one BLAS
+    # thread, the two paths cost the same at K ~ 900 for N = 200, 1,150 for
+    # 400, 1,900 for 800, 2,400 for 1,200 and 2,100 for 1,600
+    log_corner = math.log(x.max()) + math.log(y.max())
+    half_a = _series_half_log_coefficients(
+        ctx, m, log_corner, min(x.size + y.size, _SERIES_MAX_TERMS))
     if half_a is None:
         return _bessel_distinct(ctx, m, x, y)
     f_s = _series_factors(ctx, m, half_a, x)
@@ -297,8 +305,8 @@ def _paired_values(ctx: OrderingContext, m_pairs: float,
 
     The Bessel branch is ``F_s @ F_i.T``, a product of per-axis tables of
     series factors, when the series needs no more terms than the two axes
-    have points, and is evaluated once per distinct Bessel argument
-    otherwise.  The sinc branch is one broadcast expression, divided by its
+    have points (and at most ``_SERIES_MAX_TERMS``), and is evaluated once
+    per distinct Bessel argument otherwise.  The sinc branch is one broadcast expression, divided by its
     closed-form total mass unless ``normalized`` is false."""
     ws = np.atleast_1d(np.asarray(ws, dtype=float))
     wi = np.atleast_1d(np.asarray(wi, dtype=float))
@@ -484,7 +492,8 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
     The paired density is evaluated from the two axes (see
     ``_paired_values``): below the threshold ordering as the product of two
     tables of series factors while the series needs at most as many terms as
-    the axes have points, and otherwise once per distinct Bessel argument.
+    the axes have points, up to a cap of 2,000, and otherwise once per
+    distinct Bessel argument.
     It is then convolved with the per-arm noise densities: the noise
     measures are binned onto the grid lattice (their sub-resolution mass
     lands in the zero-shift bin) and the convolution is a product with one

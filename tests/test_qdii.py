@@ -160,6 +160,19 @@ class TestPairedQdii:
                 / ctx.k_p_s)
         assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("w", [0.0, 1e-200])
+    def test_single_mode_bessel_at_origin(self, w):
+        # with one paired mode the density at the origin is 1/k; the series
+        # sizes itself from log x + log y, as the product x y underflows here
+        ctx = OrderingContext.for_params(0.055, 0.0)
+        assert paired_qdii(ctx, 1.0, w, w) == pytest.approx(1.0 / ctx.k_p_s, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2.5, 179.0])
+    def test_bessel_branch_vanishes_near_origin(self, m):
+        # (x y)^((m-1)/2) at x = y = 1e-200 is below every double
+        ctx = OrderingContext.for_params(0.055, 0.0)
+        assert 0.0 <= paired_qdii(ctx, m, 1e-200, 1e-200) < 1e-300
+
     def test_bessel_branch_normalized(self):
         g = np.linspace(1e-9, 30.0, 900)
         grid = joint_qdii_grid(TwinBeamParams(1.0, 0.055, 0, 0, 0, 0), 0.0, g, g)
@@ -324,8 +337,18 @@ def series_tolerance(ctx, m, n_terms, x, y):
 
 
 def series_terms(ctx, m, x, y, max_terms):
-    half_a = qdii._series_half_log_coefficients(ctx, m, x[-1] * y[-1], max_terms)
+    log_corner = math.log(x[-1]) + math.log(y[-1])
+    half_a = qdii._series_half_log_coefficients(ctx, m, log_corner, max_terms)
     return None if half_a is None else half_a.size
+
+
+def series_limit(m, x, y):
+    """The most terms the grid of axes x, y runs the series with: the points
+    the paired density evaluates, which leave out w = 0 unless m = 1, up to
+    a fixed cap."""
+    def kept(w):
+        return np.count_nonzero((w > 0) | ((w == 0) & (m == 1.0)))
+    return min(kept(x) + kept(y), qdii._SERIES_MAX_TERMS)
 
 
 class TestBesselSeries:
@@ -350,7 +373,7 @@ class TestBesselSeries:
         params = TwinBeamParams(m, b_pairs, 0, 0, 0, 0)
         axis = np.linspace(0.0, _auto_grid_max(params, s), 200)
         ctx = OrderingContext.for_params(b_pairs, s)
-        n_terms = series_terms(ctx, m, axis, axis, 2 * axis.size)
+        n_terms = series_terms(ctx, m, axis, axis, series_limit(m, axis, axis))
         assert n_terms is not None  # the grid takes the series
         grid = joint_qdii_grid(params, s, axis, axis, paired_only=True).values
         tol = series_tolerance(ctx, m, n_terms, np.maximum(axis, 1e-300),
@@ -376,7 +399,7 @@ class TestBesselSeries:
         ctx = OrderingContext.for_params(b_pairs, s)
         g = _auto_grid_max(TwinBeamParams(m, b_pairs, 0, 0, 0, 0), s)
         axis = np.linspace(g / 60, g, 60)
-        half_a = qdii._series_half_log_coefficients(ctx, m, g * g, 20000)
+        half_a = qdii._series_half_log_coefficients(ctx, m, 2.0 * math.log(g), 20000)
         assume(half_a is not None)
         factors = qdii._series_factors(ctx, m, half_a, axis)
         series = factors @ factors.T
@@ -391,14 +414,18 @@ class TestBesselSeries:
         kept = series > 1e-8 * series.max()
         assert np.all(np.abs(series - distinct)[kept] <= (tol * series)[kept])
 
-    @pytest.mark.parametrize("s, series", [(0.0, True), (0.6, False)])
-    def test_term_count_selects_the_path(self, paper_params, s, series, monkeypatch):
+    @pytest.mark.parametrize("s, cap, series", [
+        (0.0, None, True), (0.6, None, False), (0.0, 100, False)])
+    def test_term_count_selects_the_path(self, paper_params, s, cap, series, monkeypatch):
         # README state, 200-cell automatic axis: 182 terms at s = 0 fit in
-        # the 400 the two axes allow; 3,138 at s = 0.6 do not
+        # the 398 the two axes allow without w = 0; 3,138 at s = 0.6 do not,
+        # and neither do 182 when the cap is 100
+        if cap is not None:
+            monkeypatch.setattr(qdii, "_SERIES_MAX_TERMS", cap)
         axis = np.linspace(0.0, _auto_grid_max(paper_params, s), 200)
         ctx = OrderingContext.for_params(paper_params.b_pairs, s)
         n_terms = series_terms(ctx, paper_params.m_pairs, axis, axis, 10000)
-        assert (n_terms <= 2 * axis.size) == series
+        assert (n_terms <= series_limit(paper_params.m_pairs, axis, axis)) == series
         calls = []
         distinct = qdii._bessel_distinct
         monkeypatch.setattr(qdii, "_bessel_distinct",
