@@ -10,7 +10,9 @@ diagnose     state params -> sum distribution, noise reduction, non-classicality
 
 Exit codes: 0 success, 2 parse/validation error, 3 infeasible moments,
 4 numerical failure.  A missing input file exits with 2 before the command
-reads any input or creates an output directory.
+reads any input.  A command creates its ``--out-dir`` only after its
+computation has succeeded, just before the first write, so a run that exits
+with 2, 3 or 4 creates none.
 
 Histogram files are plain text: a first line ``# frames: <number>`` followed
 by comma-separated rows indexed by m_s (rows) and m_i (columns).  Results are
@@ -168,14 +170,12 @@ def _write_report(report: dict, fmt: str, out_file: Path | None) -> None:
     else:
         lines = []
 
-        def flatten(prefix, obj):
-            if isinstance(obj, dict):
-                for k in sorted(obj):
-                    flatten(f"{prefix}{k}." if prefix else f"{k}.", obj[k]) \
-                        if isinstance(obj[k], dict) else \
-                        lines.append(f"{prefix}{k},{_csv_cell(obj[k])}")
-            else:
-                lines.append(f"{prefix.rstrip('.')},{_csv_cell(obj)}")
+        def flatten(prefix: str, obj: dict) -> None:
+            for k in sorted(obj):
+                if isinstance(obj[k], dict):
+                    flatten(f"{prefix}{k}.", obj[k])
+                else:
+                    lines.append(f"{prefix}{k},{_csv_cell(obj[k])}")
 
         flatten("", report)
         text = "\n".join(lines) + "\n"
@@ -266,8 +266,6 @@ def cmd_moments(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     hist_path, dark_path = _input_files(args.histogram, args.dark)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     h = load_histogram(hist_path)
     dark = load_histogram(dark_path)
     d_s = _detector_from_args(args, "s")
@@ -283,6 +281,8 @@ def cmd_reconstruct(args) -> int:
         "field_moments": asdict(result.field_moments),
         "diagnostics": diagnostics,
     }
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(report, args.format, out_dir / f"result.{args.format}")
     save_curve(out_dir / "scan.csv", "var_p,declination", result.scan)
     save_curve(out_dir / "p_sum.csv", "k,p_sum",
@@ -292,14 +292,14 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_simulate(args) -> int:
     [config] = _input_files(args.config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sim = load_sim_config(config)
     if args.seed is not None or args.frames is not None:
         sim = replace(sim,
                       seed=sim.seed if args.seed is None else args.seed,
                       frames=sim.frames if args.frames is None else args.frames)
     h, dark = simulate_histogram(sim)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_histogram(out_dir / "histogram.txt", h)
     save_histogram(out_dir / "dark.txt", dark)
     manifest = {
@@ -330,17 +330,18 @@ def cmd_qdii(args) -> int:
         raise ValidationError(f"--grid-max must be finite and > 0, got {args.grid_max}")
     if args.grid_cells < 2:
         raise ValidationError(f"--grid-cells must be at least 2, got {args.grid_cells}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params = load_params(params_path)
     grid_max = (_auto_grid_max(params, args.ordering) if args.grid_max is None
                 else args.grid_max)
     axis = np.linspace(0.0, grid_max, args.grid_cells)
-    grid = joint_qdii_grid(params, args.ordering, axis, axis)
-    save_grid(out_dir / "qdii.csv", grid)
+    grids = {"qdii.csv": joint_qdii_grid(params, args.ordering, axis, axis)}
     if args.paired_only:
-        paired = joint_qdii_grid(params, args.ordering, axis, axis, paired_only=True)
-        save_grid(out_dir / "qdii_paired.csv", paired)
+        grids["qdii_paired.csv"] = joint_qdii_grid(params, args.ordering, axis, axis,
+                                                   paired_only=True)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, grid in grids.items():
+        save_grid(out_dir / name, grid)
     return EXIT_OK
 
 

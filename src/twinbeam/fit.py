@@ -34,7 +34,6 @@ from .moments import (
     photocount_moments,
 )
 from .photostat import (
-    DetectorResponseTable,
     default_cutoffs,
     joint_photon_distribution,
     photocount_distribution,
@@ -47,6 +46,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 TABLE_MARGIN = 16  # extra photocount rows beyond the histogram support
+REFINE_REL_WIDTH = 1e-4  # golden-section stopping width, relative to var_p_max
 
 
 def declination(p_c: JointDistribution, f: Histogram2D) -> float:
@@ -81,30 +81,6 @@ class ReconstructionResult:
             raise ValidationError("ReconstructionResult: scan must be sorted by var_p")
 
 
-class _Objective:
-    """Declination as a function of var_p, with memoized evaluations."""
-
-    def __init__(self, family, f_norm, table_s, table_i, cutoffs):
-        self.family = family
-        self.f_norm = f_norm
-        self.table_s = table_s
-        self.table_i = table_i
-        self.cutoffs = cutoffs
-        self.evaluations: dict[float, float] = {}
-
-    def full(self, var_p: float):
-        fm = invert_at(self.family, var_p)
-        params = mode_parameters(fm)
-        p = joint_photon_distribution(params, self.cutoffs)
-        p_c = photocount_distribution(p, self.table_s, self.table_i)
-        return declination(p_c, self.f_norm), params, fm
-
-    def __call__(self, var_p: float) -> float:
-        if var_p not in self.evaluations:
-            self.evaluations[var_p] = self.full(var_p)[0]
-        return self.evaluations[var_p]
-
-
 def _golden_section(obj, lo: float, hi: float, tol: float) -> float:
     """Golden-section minimization over the bracket ``(lo, hi)``.
 
@@ -132,10 +108,7 @@ def _golden_section(obj, lo: float, hi: float, tol: float) -> float:
 
 def reconstruct(f: Histogram2D, dark: Histogram2D,
                 d_s: DetectorModel, d_i: DetectorModel,
-                scan_points: int = 200, *,
-                refine_rel_width: float = 1e-4,
-                response_s: DetectorResponseTable | None = None,
-                response_i: DetectorResponseTable | None = None) -> ReconstructionResult:
+                scan_points: int = 200) -> ReconstructionResult:
     """Reconstruct the twin-beam state from a histogram and its dark record.
 
     Pipeline: photocount moments -> dark correction -> feasibility -> the
@@ -146,12 +119,12 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
     ``k = 1..scan_points - 1`` (never ``var_p_max`` itself); only the points
     strictly inside the interval are evaluated.  The best of them is refined
     between its neighbours (an interval endpoint where it has none) to
-    ``refine_rel_width * var_p_max``.  ``at_boundary`` is set when the
+    ``REFINE_REL_WIDTH * var_p_max``.  ``at_boundary`` is set when the
     optimum lies within one lattice step (or that width, if larger) of an
-    endpoint.  Precomputed response tables may be passed to amortize
-    repeated reconstructions with the same detectors.  Raises
-    :class:`ReconstructionError` when no lattice point falls inside the
-    interval.
+    endpoint.  The response tables reach ``TABLE_MARGIN`` counts beyond the
+    histogram support.  Every ``var_p`` is evaluated once; the optimum is
+    one of the evaluated points.  Raises :class:`ReconstructionError` when
+    no lattice point falls inside the interval.
     """
     if scan_points < 2:
         raise DomainError("reconstruct: scan_points must be >= 2")
@@ -170,25 +143,34 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
     # zeroes a moment and has no mode decomposition, and the cap keeps the
     # table bounded where a noise tail grows heavy
     cutoffs = default_cutoffs(mode_parameters(invert_at(family, (lo + hi) / 2.0)))
-    m_max_s = min(d_s.pixels, f.counts.shape[0] - 1 + TABLE_MARGIN)
-    m_max_i = min(d_i.pixels, f.counts.shape[1] - 1 + TABLE_MARGIN)
-    if response_s is None or response_s.m_max < m_max_s or response_s.n_max < cutoffs[0]:
-        response_s = response_table(d_s, m_max_s, cutoffs[0])
-    if response_i is None or response_i.m_max < m_max_i or response_i.n_max < cutoffs[1]:
-        response_i = response_table(d_i, m_max_i, cutoffs[1])
+    table_s = response_table(d_s, min(d_s.pixels, f.counts.shape[0] - 1 + TABLE_MARGIN),
+                             cutoffs[0])
+    table_i = response_table(d_i, min(d_i.pixels, f.counts.shape[1] - 1 + TABLE_MARGIN),
+                             cutoffs[1])
 
-    obj = _Objective(family, f_norm, response_s, response_i, cutoffs)
-    best = int(np.argmin([obj(v) for v in grid]))
-    width = refine_rel_width * family.var_p_max
+    # var_p -> (declination, params, field moments)
+    evaluations: dict[float, tuple[float, TwinBeamParams, FieldMoments]] = {}
+
+    def objective(var_p: float) -> float:
+        if var_p not in evaluations:
+            fm = invert_at(family, var_p)
+            params = mode_parameters(fm)
+            p_c = photocount_distribution(
+                joint_photon_distribution(params, cutoffs), table_s, table_i)
+            evaluations[var_p] = (declination(p_c, f_norm), params, fm)
+        return evaluations[var_p][0]
+
+    best = int(np.argmin([objective(v) for v in grid]))
+    width = REFINE_REL_WIDTH * family.var_p_max
     var_p_opt = _golden_section(
-        obj,
+        objective,
         grid[best - 1] if best > 0 else lo,
         grid[best + 1] if best + 1 < grid.size else hi,
         width)
-    decl_opt, params_opt, fm_opt = obj.full(var_p_opt)
+    decl_opt, params_opt, fm_opt = evaluations[var_p_opt]
     step = family.var_p_max / scan_points
     at_boundary = bool(min(var_p_opt - lo, hi - var_p_opt) <= max(width, step))
 
-    scan = tuple(sorted(obj.evaluations.items()))
+    scan = tuple(sorted((v, e[0]) for v, e in evaluations.items()))
     return ReconstructionResult(var_p_opt, params_opt, fm_opt, decl_opt,
                                 scan, at_boundary)

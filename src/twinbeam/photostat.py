@@ -85,25 +85,24 @@ def mandel_rice_pmf(n_max: int, m_modes: float, b_mean: float) -> np.ndarray:
     return np.exp(_log_mandel_rice(n_max, m_modes, b_mean))
 
 
-def _component_cutoff(m_modes: float, b_mean: float,
-                      tail_mass: float, cap: int) -> int:
-    """Smallest n with cumulative component mass >= 1 - tail_mass, capped."""
-    cdf = np.cumsum(mandel_rice_pmf(cap, m_modes, b_mean))
-    return min(cap, int(np.searchsorted(cdf, 1.0 - tail_mass)))
+def _component_cutoff(m_modes: float, b_mean: float) -> int:
+    """Smallest n with cumulative component mass >= 1 - CUTOFF_TAIL_MASS,
+    capped at CUTOFF_CAP."""
+    cdf = np.cumsum(mandel_rice_pmf(CUTOFF_CAP, m_modes, b_mean))
+    return min(CUTOFF_CAP, int(np.searchsorted(cdf, 1.0 - CUTOFF_TAIL_MASS)))
 
 
-def default_cutoffs(params: TwinBeamParams, *,
-                    tail_mass: float = CUTOFF_TAIL_MASS,
-                    cap: int = CUTOFF_CAP) -> tuple[int, int]:
-    """Photon-number cutoffs covering each arm to the requested tail mass.
+def default_cutoffs(params: TwinBeamParams) -> tuple[int, int]:
+    """Photon-number cutoffs covering each arm to a tail mass of
+    ``CUTOFF_TAIL_MASS`` per component.
 
     Per-arm cutoff is the sum of the pair-component and noise-component
-    cutoffs, capped at ``cap``.
+    cutoffs, capped at ``CUTOFF_CAP``.
     """
-    c_pair = _component_cutoff(params.m_pairs, params.b_pairs, tail_mass, cap)
-    c_s = _component_cutoff(params.m_noise_s, params.b_noise_s, tail_mass, cap)
-    c_i = _component_cutoff(params.m_noise_i, params.b_noise_i, tail_mass, cap)
-    return (min(cap, c_pair + c_s), min(cap, c_pair + c_i))
+    c_pair = _component_cutoff(params.m_pairs, params.b_pairs)
+    c_s = _component_cutoff(params.m_noise_s, params.b_noise_s)
+    c_i = _component_cutoff(params.m_noise_i, params.b_noise_i)
+    return (min(CUTOFF_CAP, c_pair + c_s), min(CUTOFF_CAP, c_pair + c_i))
 
 
 def _toeplitz(pmf: np.ndarray, columns: int) -> np.ndarray:
@@ -173,9 +172,10 @@ class DetectorResponseTable:
     def n_max(self) -> int:
         return self.table.shape[1] - 1
 
-    def check_completeness(self, tol: float = 1e-8) -> None:
+    def check_completeness(self) -> None:
+        """Raise unless every column captures all but 1e-8 of its mass."""
         worst = float(np.max(1.0 - self.column_mass))
-        if worst > tol:
+        if worst > 1e-8:
             raise GridResolutionError(
                 f"response table m_max={self.m_max} misses up to {worst:.3g} "
                 "of a photon-number column")

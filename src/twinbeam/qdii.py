@@ -11,12 +11,13 @@ is the matrix product of two factor tables, one per axis.  The number of
 terms K is the one the largest product ``x_max y_max`` needs, and it grows
 without bound toward ``s_th``; the series is used while K is at most the
 number of points on the two axes and at most 2,000, otherwise the Bessel
-function is evaluated once per distinct argument.  The sinc form is a closed-form
-interference expression, not an exact Fourier inversion; as printed it is
-not normalized, so by default it is divided by its total mass, itself a
-closed form (``normalized=False`` gives the raw expression).  The full-field
-QDII is the convolution of the paired density with one multi-thermal noise
-density per arm.  It needs uniform axes: each noise measure is binned onto
+function is evaluated once per distinct argument.  The sinc form is a
+closed-form interference expression, not an exact Fourier inversion; as
+printed it is not normalized, so every grid divides it by its total mass,
+itself a closed form.  Only the pointwise ``paired_qdii`` takes
+``normalized=False`` for the raw expression.  The full-field QDII is the
+convolution of the paired density with one multi-thermal noise density per
+arm.  It needs uniform axes: each noise measure is binned onto
 the grid lattice, and the convolution is one product of lower-triangular
 Toeplitz matrices per arm, ``T_s @ paired @ T_i^T``.  Without pairs the QDII
 is the product of the two noise densities.  One gamma-density routine serves
@@ -458,8 +459,7 @@ def _noise_toeplitz(m_modes: float, b_scaled: float, h: float,
 
 
 def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
-                      ws: np.ndarray, wi: np.ndarray,
-                      normalized: bool) -> np.ndarray:
+                      ws: np.ndarray, wi: np.ndarray) -> np.ndarray:
     """Convolution with the noise measures binned onto the grid lattice.
 
     The paired density is sampled on a lattice extended down toward zero so
@@ -477,7 +477,7 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     lat_i = wi[0] + h_i * np.arange(-lo_i, len(wi))
     lat_s = np.maximum(lat_s, 0.0)
     lat_i = np.maximum(lat_i, 0.0)
-    paired = _paired_values(ctx, params.m_pairs, lat_s, lat_i, normalized)
+    paired = _paired_values(ctx, params.m_pairs, lat_s, lat_i)
     t_s = _noise_toeplitz(params.m_noise_s, params.b_noise_s + sigma, h_s, lat_s.size)
     t_i = _noise_toeplitz(params.m_noise_i, params.b_noise_i + sigma, h_i, lat_i.size)
     return t_s[lo_s:] @ paired @ t_i[lo_i:].T
@@ -485,8 +485,7 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
 
 def joint_qdii_grid(params: TwinBeamParams, s: float,
                     w_s_axis, w_i_axis, *,
-                    paired_only: bool = False,
-                    normalized: bool = True) -> QdiiGrid:
+                    paired_only: bool = False) -> QdiiGrid:
     """Full-field QDII on a rectangular intensity grid.
 
     The paired density is evaluated from the two axes (see
@@ -501,7 +500,8 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
     shifts of reconstructed states thus collapse onto a point mass at zero,
     which keeps the nearly-empty noise arms well-behaved.  The convolution
     needs uniform axes and raises ``DomainError`` otherwise; paired-only and
-    noise-free grids accept any increasing axes.
+    noise-free grids accept any increasing axes.  A sinc-branch density is
+    always divided by its closed-form total mass.
     """
     _check_ordering(s)
     ws = np.asarray(w_s_axis, dtype=float)
@@ -515,9 +515,9 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
         raise DomainError("joint_qdii_grid: s equals the paired branch boundary")
 
     if paired_only or (params.m_noise_s == 0 and params.m_noise_i == 0):
-        values = _paired_values(ctx, params.m_pairs, ws, wi, normalized)
+        values = _paired_values(ctx, params.m_pairs, ws, wi)
     elif _is_uniform(ws) and _is_uniform(wi):
-        values = _convolve_uniform(params, ctx, ws, wi, normalized)
+        values = _convolve_uniform(params, ctx, ws, wi)
     else:
         raise DomainError(
             "joint_qdii_grid: the noise convolution needs uniformly spaced "

@@ -150,6 +150,34 @@ class TestInputChecks:
         assert "malformed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, args", [
+        ("simulate", ["--frames", "0"]),
+        ("reconstruct", ["--scan-points", "1"]),
+        ("reconstruct", ["--eta-s", "1.3"]),
+        ("reconstruct", ["--pixels-s", "0"]),
+        ("qdii", ["--ordering", "1.5"]),
+    ], ids=["simulate-frames", "reconstruct-scan-points", "reconstruct-eta",
+            "reconstruct-pixels", "qdii-ordering"])
+    def test_rejected_argument_creates_no_output_dir(self, command, args, tmp_path):
+        # the argument is rejected inside the computation, after every input
+        # file has been read; the output directory is made only after that
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(SIM_CONFIG))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(PAPER_PARAMS_DICT))
+        hist = tmp_path / "h.txt"
+        save_histogram(hist, Histogram2D(np.array([[3.0, 1.0], [1.0, 2.0]]), 7.0))
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", str(config)],
+            # argparse keeps the last of a repeated option, so args override
+            "reconstruct": ["reconstruct", str(hist), str(hist),
+                            "--eta-s", "0.3", "--eta-i", "0.28"],
+            "qdii": ["qdii", str(params)],
+        }[command]
+        assert main([*argv, *args, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--grid-max", "0"), ("--grid-max", "-5"), ("--grid-max", "nan"),
         ("--grid-max", "inf"), ("--grid-cells", "0"), ("--grid-cells", "1"),
@@ -267,6 +295,29 @@ class TestReconstructCommand:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+    def test_csv_format(self, sim_run, tmp_path):
+        # the csv report is the json report flattened: nested keys dotted,
+        # booleans lower-case, every float in round-trip precision
+        counts = [str(sim_run / "histogram.txt"), str(sim_run / "dark.txt")]
+        flags = ["--eta-s", "0.3", "--eta-i", "0.28", "--dark-s", "0.002",
+                 "--dark-i", "0.002", "--scan-points", "15"]
+        for fmt in ("json", "csv"):
+            assert main(["reconstruct", *counts, *flags, "--format", fmt,
+                         "--out-dir", str(tmp_path / fmt)]) == 0
+        result = json.loads((tmp_path / "json" / "result.json").read_text())
+        lines = (tmp_path / "csv" / "result.csv").read_text().splitlines()
+        cells = dict(line.split(",", 1) for line in lines)
+        assert list(cells) == sorted(cells)
+        assert cells["at_boundary"] == ("true" if result["at_boundary"] else "false")
+        nonclassical = result["diagnostics"]["nonclassical"]
+        assert cells["diagnostics.nonclassical"] == ("true" if nonclassical else "false")
+        assert float(cells["var_p_opt"]) == result["var_p_opt"]
+        assert float(cells["params.m_pairs"]) == result["params"]["m_pairs"]
+        for name in ("scan.csv", "p_sum.csv"):
+            assert ((tmp_path / "csv" / name).read_bytes()
+                    == (tmp_path / "json" / name).read_bytes())
+
+
 class TestQdiiCommand:
     def test_normal_ordering_grid_has_negative_cells(self, tmp_path):
         params = tmp_path / "params.json"
@@ -359,6 +410,18 @@ class TestDiagnoseCommand:
         assert report["s_th"] < 1.0
         psum = report["p_sum_head"]
         assert psum[2] > psum[1] and psum[2] > psum[3]
+
+    def test_csv_format(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(PAPER_PARAMS_DICT))
+        assert main(["diagnose", str(params)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["diagnose", str(params), "--format", "csv"]) == 0
+        cells = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines())
+        assert cells["nonclassical"] == "true"
+        assert cells["params.m_pairs"] == "179.0"
+        assert cells["p_sum_head"] == ";".join(repr(p) for p in report["p_sum_head"])
+        assert [float(p) for p in cells["p_sum_head"].split(";")] == report["p_sum_head"]
 
 
 class TestImportContract:

@@ -227,3 +227,21 @@ class TestReconstruct:
         vps = [v for v, _ in result.scan]
         assert vps == sorted(vps)
         assert len(result.scan) >= 25
+
+    def test_one_forward_evaluation_per_scan_point(self, monkeypatch):
+        # the optimum is one of the evaluated points, so its declination,
+        # parameters and moments are read back, not computed a second time
+        import twinbeam.fit
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return joint_photon_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(twinbeam.fit, "joint_photon_distribution", counted)
+        f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)
+        result = reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=25)
+        assert len(calls) == len(result.scan)
+        assert (result.var_p_opt, result.declination) in result.scan
+        assert result.params in calls

@@ -575,7 +575,7 @@ class TestFftConvolution:
 
     def check(self, params, s, axis):
         ctx = OrderingContext.for_params(params.b_pairs, s)
-        got = qdii._convolve_uniform(params, ctx, axis, axis, True)
+        got = qdii._convolve_uniform(params, ctx, axis, axis)
         assert got.shape == (axis.size, axis.size)
         lo, h, lat = self.lattice(axis)
         paired = qdii._paired_values(ctx, params.m_pairs, lat, lat)
