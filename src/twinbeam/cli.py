@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DomainError,
     GridResolutionError,
     InfeasibleMomentsError,
     NumericsError,
@@ -117,13 +116,18 @@ def load_histogram(path: Path) -> Histogram2D:
     return Histogram2D(counts, frames)
 
 
-def save_histogram(path: Path, h: Histogram2D) -> None:
+def _save_table(path: Path, header_lines, rows) -> None:
+    """Comma-separated ``rows`` below ``#``-prefixed ``header_lines``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        frames = h.total_frames
-        header = int(frames) if float(frames).is_integer() else frames
-        fh.write(f"# frames: {header}\n")
-        for row in h.counts:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        for row in rows:
             fh.write(",".join(_fmt(c) for c in row) + "\n")
+
+
+def save_histogram(path: Path, h: Histogram2D) -> None:
+    frames = int(h.total_frames) if float(h.total_frames).is_integer() else h.total_frames
+    _save_table(path, [f"frames: {frames}"], h.counts)
 
 
 def _load_json(path: Path):
@@ -196,20 +200,10 @@ def _csv_cell(v) -> str:
 
 
 def save_grid(path: Path, grid) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# ws: " + ",".join(_fmt(x) for x in grid.w_s_axis) + "\n")
-        fh.write("# wi: " + ",".join(_fmt(x) for x in grid.w_i_axis) + "\n")
-        fh.write(f"# ordering: {_fmt(grid.ordering)}\n")
-        fh.write(f"# normalization: {_fmt(grid.normalization)}\n")
-        for row in grid.values:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
-
-
-def save_curve(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {header}\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
+    _save_table(path, ["ws: " + ",".join(_fmt(x) for x in grid.w_s_axis),
+                       "wi: " + ",".join(_fmt(x) for x in grid.w_i_axis),
+                       f"ordering: {_fmt(grid.ordering)}",
+                       f"normalization: {_fmt(grid.normalization)}"], grid.values)
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +241,21 @@ def cmd_moments(args) -> int:
     mom = photocount_moments(h)
     dmom = photocount_moments(dark)
     detected = dark_corrected_moments(mom, dmom)
-    margin = feasibility(detected, args.eta_s, args.eta_i)
     report = {
         "photocount_moments": asdict(mom),
         "dark_moments": asdict(dmom),
         "detected_moments": asdict(detected),
         "efficiencies": {"eta_s": args.eta_s, "eta_i": args.eta_i},
-        "feasibility_margin": margin,
+        "feasibility_margin": feasibility(detected, args.eta_s, args.eta_i),
+        "var_p_interval": None,
     }
-    if margin >= 0:
+    try:
         lo, hi = inversion_family(detected, args.eta_s, args.eta_i).var_p_range
         report["var_p_interval"] = {"low_exclusive": lo, "high": hi}
-    else:
-        report["var_p_interval"] = None
+    except InfeasibleMomentsError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
     _write_report(report, args.format, Path(args.out) if args.out else None)
-    return EXIT_OK if margin >= 0 else EXIT_INFEASIBLE
+    return EXIT_OK if report["var_p_interval"] else EXIT_INFEASIBLE
 
 
 def cmd_reconstruct(args) -> int:
@@ -284,9 +278,8 @@ def cmd_reconstruct(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(report, args.format, out_dir / f"result.{args.format}")
-    save_curve(out_dir / "scan.csv", "var_p,declination", result.scan)
-    save_curve(out_dir / "p_sum.csv", "k,p_sum",
-               list(enumerate(psum.tolist())))
+    _save_table(out_dir / "scan.csv", ["var_p,declination"], result.scan)
+    _save_table(out_dir / "p_sum.csv", ["k,p_sum"], enumerate(psum.tolist()))
     return EXIT_OK
 
 
@@ -428,16 +421,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except InfeasibleMomentsError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (NumericsError, GridResolutionError, ReconstructionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except TwinbeamError as exc:
+    except TwinbeamError as exc:  # ValidationError, DomainError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

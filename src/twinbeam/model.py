@@ -93,7 +93,7 @@ class DetectorModel:
     probability ``efficiency``, per-pixel dark-fire probability ``dark_rate``.
 
     ``efficiency`` lives in the open interval (0, 1), the range the moment
-    inversion accepts (``moments._check_efficiency``).
+    inversion accepts (``moments._check_efficiencies``).
     """
 
     efficiency: float

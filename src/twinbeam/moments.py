@@ -6,7 +6,8 @@ The inversion is exactly determined only up to the paired-field variance
 ``var_p``; every other moment follows linearly from it.  The family is
 parametrized by ``var_p`` and its valid members, those whose six moments are
 all positive, fill the open interval ``MomentInversionFamily.var_p_range``,
-known in closed form.
+known in closed form; the inversion has a solution exactly when it is not
+empty.
 """
 
 from __future__ import annotations
@@ -82,19 +83,19 @@ def dark_corrected_moments(signal_idler: PhotocountMoments,
     return out
 
 
-def _check_efficiency(name: str, eta: float) -> None:
-    if not (0.0 < eta < 1.0):
-        raise DomainError(f"{name} must lie in (0, 1), got {eta}")
+def _check_efficiencies(eta_s: float, eta_i: float) -> None:
+    for name, eta in (("eta_s", eta_s), ("eta_i", eta_i)):
+        if not (0.0 < eta < 1.0):
+            raise DomainError(f"{name} must lie in (0, 1), got {eta}")
 
 
 def feasibility(detected: DetectedIntensityMoments, eta_s: float, eta_i: float) -> float:
-    """Margin of the efficiency inequality; >= 0 iff the inversion has a solution.
-
-    Returns ``eta_s`` minus the smallest signal efficiency compatible with the
-    detected moments at the given efficiency ratio.
+    """Margin of the efficiency inequality: ``eta_s`` minus the smallest
+    signal efficiency compatible with the detected moments at the given
+    efficiency ratio.  A margin >= 0 is necessary for a solution, not
+    sufficient (a covariance <= 0 passes it); :func:`inversion_family` decides.
     """
-    _check_efficiency("eta_s", eta_s)
-    _check_efficiency("eta_i", eta_i)
+    _check_efficiencies(eta_s, eta_i)
     alpha = eta_i / eta_s
     denom = min(detected.mean_s, detected.mean_i / alpha)
     if denom <= 0:
@@ -141,16 +142,16 @@ class MomentInversionFamily:
 
 def inversion_family(detected: DetectedIntensityMoments,
                      eta_s: float, eta_i: float) -> MomentInversionFamily:
-    """Build the allowed ``var_p`` interval for the moment inversion."""
-    margin = feasibility(detected, eta_s, eta_i)
-    if margin < 0:
-        raise InfeasibleMomentsError(
-            f"moment inversion infeasible: efficiency margin {margin:.4g} < 0")
+    """The family of the moment inversion; :class:`InfeasibleMomentsError`
+    exactly when its interval ``var_p_range`` of valid members is empty."""
+    _check_efficiencies(eta_s, eta_i)
     var_p_max = min(detected.var_s / eta_s**2, detected.var_i / eta_i**2)
-    if not var_p_max > 0:
+    family = MomentInversionFamily(detected, (eta_s, eta_i), var_p_max)
+    lo, hi = family.var_p_range
+    if not lo < hi:
         raise InfeasibleMomentsError(
-            f"moment inversion degenerate: var_p interval (0, {var_p_max:.4g}] is empty")
-    return MomentInversionFamily(detected, (eta_s, eta_i), var_p_max)
+            f"moment inversion infeasible: valid var_p interval ({lo:.4g}, {hi:.4g}) is empty")
+    return family
 
 
 def invert_at(family: MomentInversionFamily, var_p: float, *,
@@ -228,8 +229,7 @@ def field_moments_from_params(params: TwinBeamParams) -> FieldMoments:
 
 def detected_from_field(fm: FieldMoments, eta_s: float, eta_i: float) -> DetectedIntensityMoments:
     """Forward map from pre-detection field moments to detected moments."""
-    _check_efficiency("eta_s", eta_s)
-    _check_efficiency("eta_i", eta_i)
+    _check_efficiencies(eta_s, eta_i)
     return DetectedIntensityMoments(
         mean_s=eta_s * (fm.mean_p + fm.mean_s),
         mean_i=eta_i * (fm.mean_p + fm.mean_i),

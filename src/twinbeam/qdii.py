@@ -7,23 +7,24 @@ oscillatory sinc-kernel form whose negative strips parallel to the diagonal
 are the signature of pairwise emission.  Both are evaluated on the grid of
 two 1-D axes.  The ascending series of the Bessel function makes the Bessel
 form a sum of separable terms, ``p(x, y) = sum_j F_j(x) F_j(y)``, so a grid
-is the matrix product of two factor tables, one per axis.  The number of
-terms K is the one the largest product ``x_max y_max`` needs, and it grows
-without bound toward ``s_th``; the series is used while K is at most the
-number of points on the two axes and at most 2,000, otherwise the Bessel
-function is evaluated once per distinct argument.  The sinc form is a
-closed-form interference expression, not an exact Fourier inversion; as
-printed it is not normalized, so every grid divides it by its total mass,
-itself a closed form.  Only the pointwise ``paired_qdii`` takes
-``normalized=False`` for the raw expression.  The full-field QDII is the
-convolution of the paired density with one multi-thermal noise density per
-arm.  It needs uniform axes: each noise measure is binned onto
-the grid lattice, and the convolution is one product of lower-triangular
-Toeplitz matrices per arm, ``T_s @ paired @ T_i^T``.  Without pairs the QDII
-is the product of the two noise densities.  One gamma-density routine serves
-``thermal_qdii``, that noise-only grid and the uncorrelated (``b_pairs = 0``)
-limit of the paired density.  Every grid ends in the same check: its
-trapezoid integral, ``QdiiGrid.normalization``, must lie within 5 % of 1.
+is the matrix product of two factor tables, one per axis, with the
+coefficients and the term count K of ``specfun._ascending_log_coefficients``
+at the largest product ``x_max y_max``.  K grows without bound toward
+``s_th``; the series is used while K is at most the number of points on the
+two axes and at most 2,000, otherwise the Bessel function is evaluated once
+per distinct argument.  The sinc form is a closed-form interference
+expression, not an exact Fourier inversion; as printed it is not
+normalized, so every grid divides it by its total mass, itself a closed
+form.  Only the pointwise ``paired_qdii`` takes ``normalized=False`` for
+the raw expression.  The full-field QDII is the convolution of the paired
+density with one multi-thermal noise density per arm.  It needs uniform
+axes: each noise measure is binned onto the grid lattice, and the
+convolution is one product of lower-triangular Toeplitz matrices per arm,
+``T_s @ paired @ T_i^T``.  Without pairs the QDII is the product of the two
+noise densities.  One gamma-density routine serves ``thermal_qdii``, that
+noise-only grid and the uncorrelated (``b_pairs = 0``) limit of the paired
+density.  Every grid ends in the same check: its trapezoid integral,
+``QdiiGrid.normalization``, must lie within 5 % of 1.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
 from .model import FieldMoments, QdiiGrid, TwinBeamParams
 from .photostat import _toeplitz
-from .specfun import log_bessel_i_array, sinc
+from .specfun import _ascending_log_coefficients, log_bessel_i_array, sinc
 
 __all__ = [
     "OrderingContext",
@@ -181,33 +182,21 @@ def nonclassicality(fm: FieldMoments) -> NonclassicalityVerdict:
 def _series_half_log_coefficients(ctx: OrderingContext, m: float, log_corner: float,
                                   max_terms: int) -> np.ndarray | None:
     """Half the log coefficients ``A_j`` of the separable series of the
-    Bessel-branch density, or None if it needs more than ``max_terms`` terms.
-
-    The ascending series of I_{m-1} (Abramowitz & Stegun 9.6.10) turns the
-    density into ``sum_j exp(A_j + (m-1+j) log(x y) - b (x+y)/k)`` with
-    ``A_j = 2j log d - log G(m) - (m+2j) log k - log j! - log G(m+j)``.  The
-    ratio of successive terms grows with ``x y``, and so does the relative
-    tail after any cut, so the largest product, whose log is ``log_corner``,
-    fixes the number of terms K: the series stops at the first term past the
-    largest one whose tail is below eps of the sum at the corner.  The corner
-    is passed as a log because a product of two tiny coordinates underflows.
+    Bessel-branch density, ``sum_j exp(A_j + (m-1+j) log(x y) - b (x+y)/k)``,
+    or None if it needs more than ``max_terms`` terms.  ``A_j = log c_j +
+    2j log(d/k) - log G(m) - m log k`` with the ``c_j`` of
+    ``specfun._ascending_log_coefficients`` at ``q = (d/k)^2 x y``, sized at
+    the corner ``log_corner = log(x_max y_max)``, passed as a log because a
+    product of two tiny coordinates underflows.
     """
     from scipy import special as sp
 
-    k, d = ctx.k_p_s, ctx.d_p
-    j = np.arange(max_terms + 1.0)
-    half_a = 0.5 * (2.0 * j * math.log(d) - sp.gammaln(m) - (m + 2.0 * j) * math.log(k)
-                    - sp.gammaln(j + 1.0) - sp.gammaln(m + j))
-    log_t = 2.0 * half_a + (m - 1.0 + j) * log_corner
-    log_r = np.diff(log_t)
-    # past the largest term the ratios fall, so a geometric series bounds
-    # the tail: sum_{i >= j} t_i <= t_j / (1 - r_j)
-    with np.errstate(divide="ignore"):
-        log_tail = log_t[:-1] - np.log1p(-np.exp(np.minimum(log_r, 0.0)))
-    log_sum = np.logaddexp.reduce(log_t)
-    cut = np.flatnonzero((log_r < 0.0)
-                         & (log_tail < log_sum + math.log(np.finfo(float).eps)))
-    return half_a[:cut[0]] if cut.size else None
+    log_ratio = math.log(ctx.d_p / ctx.k_p_s)
+    log_c = _ascending_log_coefficients(m - 1.0, 2.0 * log_ratio + log_corner, max_terms)
+    if log_c is None:
+        return None
+    return 0.5 * (log_c + 2.0 * np.arange(log_c.size) * log_ratio - sp.gammaln(m)
+                  - m * math.log(ctx.k_p_s))
 
 
 def _series_factors(ctx: OrderingContext, m: float, half_a: np.ndarray,
@@ -251,9 +240,7 @@ def _bessel_branch(ctx: OrderingContext, m: float,
         # uncorrelated limit b_pairs -> 0: product of two gamma densities
         return np.outer(_thermal_values(m, ctx.b_p_s, x), _thermal_values(m, ctx.b_p_s, y))
     # the series while it needs no more terms than the grid has points, and
-    # at most _SERIES_MAX_TERMS.  On README-state N x N grids with one BLAS
-    # thread, the two paths cost the same at K ~ 900 for N = 200, 1,150 for
-    # 400, 1,900 for 800, 2,400 for 1,200 and 2,100 for 1,600
+    # at most _SERIES_MAX_TERMS, below the crossovers the README lists
     log_corner = math.log(x.max()) + math.log(y.max())
     half_a = _series_half_log_coefficients(
         ctx, m, log_corner, min(x.size + y.size, _SERIES_MAX_TERMS))
@@ -302,13 +289,9 @@ def _paired_values(ctx: OrderingContext, m_pairs: float,
                    ws: np.ndarray, wi: np.ndarray,
                    normalized: bool = True) -> np.ndarray:
     """Paired density on the grid of the 1-D axes ``ws`` (rows) and ``wi``
-    (columns); cells with a negative coordinate are 0.
-
-    The Bessel branch is ``F_s @ F_i.T``, a product of per-axis tables of
-    series factors, when the series needs no more terms than the two axes
-    have points (and at most ``_SERIES_MAX_TERMS``), and is evaluated once
-    per distinct Bessel argument otherwise.  The sinc branch is one broadcast expression, divided by its
-    closed-form total mass unless ``normalized`` is false."""
+    (columns); cells with a negative coordinate are 0.  The Bessel branch is
+    ``_bessel_branch``; the sinc branch is one broadcast expression, divided
+    by its closed-form total mass unless ``normalized`` is false."""
     ws = np.atleast_1d(np.asarray(ws, dtype=float))
     wi = np.atleast_1d(np.asarray(wi, dtype=float))
     out = np.zeros((ws.size, wi.size))
@@ -488,20 +471,16 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
                     paired_only: bool = False) -> QdiiGrid:
     """Full-field QDII on a rectangular intensity grid.
 
-    The paired density is evaluated from the two axes (see
-    ``_paired_values``): below the threshold ordering as the product of two
-    tables of series factors while the series needs at most as many terms as
-    the axes have points, up to a cap of 2,000, and otherwise once per
-    distinct Bessel argument.
-    It is then convolved with the per-arm noise densities: the noise
-    measures are binned onto the grid lattice (their sub-resolution mass
-    lands in the zero-shift bin) and the convolution is a product with one
-    lower-triangular Toeplitz matrix per arm.  The unresolvably-small noise
-    shifts of reconstructed states thus collapse onto a point mass at zero,
-    which keeps the nearly-empty noise arms well-behaved.  The convolution
-    needs uniform axes and raises ``DomainError`` otherwise; paired-only and
-    noise-free grids accept any increasing axes.  A sinc-branch density is
-    always divided by its closed-form total mass.
+    The paired density (see ``_paired_values``) is convolved with the
+    per-arm noise densities: the noise measures are binned onto the grid
+    lattice (their sub-resolution mass lands in the zero-shift bin) and the
+    convolution is a product with one lower-triangular Toeplitz matrix per
+    arm.  The unresolvably-small noise shifts of reconstructed states thus
+    collapse onto a point mass at zero, which keeps the nearly-empty noise
+    arms well-behaved.  The convolution needs uniform axes and raises
+    ``DomainError`` otherwise; paired-only and noise-free grids accept any
+    increasing axes.  A sinc-branch density is always divided by its
+    closed-form total mass.
     """
     _check_ordering(s)
     ws = np.asarray(w_s_axis, dtype=float)

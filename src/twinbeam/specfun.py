@@ -2,7 +2,11 @@
 
 Everything here is evaluated in log space with explicit signs, because the
 model routinely produces factors (gamma functions of nearly-zero mode counts,
-Bessel functions of order ~178) far outside the linear double range.
+Bessel functions of order 178 to thousands) far outside the linear double
+range.  The ascending Bessel series has one routine for its coefficients and
+term count, ``_ascending_log_coefficients``: ``log_bessel_i_array`` sums it
+where the scaled library function underflows, and ``qdii`` builds its
+separable grid factors from it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 
 __all__ = [
     "SignedLog",
@@ -79,32 +83,45 @@ def log_gamma(x: float) -> float:
     return float(sp.gammaln(x))
 
 
-def _log_bessel_series(order: float, x: np.ndarray) -> np.ndarray:
-    # ascending series, leading term factored out; all terms positive.  Each
-    # point stops adding terms once its own series has converged.
+# most terms log_bessel_i_array's series sums, and most log terms it holds
+_FALLBACK_MAX_TERMS = 100_000
+_FALLBACK_BLOCK = 1 << 18
+
+
+def _ascending_log_coefficients(order: float, log_q: float,
+                                max_terms: int) -> np.ndarray | None:
+    """``log c_j = -log j! - log G(order+1+j)`` of the ascending series
+    ``I_order(z) = (z/2)^order sum_j c_j q^j``, ``q = z^2/4`` (Abramowitz &
+    Stegun 9.6.10), up to the first term past the largest one whose tail is
+    below eps of the sum at ``q = exp(log_q)``; None past ``max_terms``.
+    Past ``j = (-order + sqrt(order^2 + 8q)) / 2`` the ratio ``q / (j (order
+    + j))`` of successive terms is at most 1/2, so 55 more terms reach eps.
+    """
     from scipy import special as sp
 
-    lead = order * np.log(x / 2.0) - sp.gammaln(order + 1.0)
-    q = x * x / 4.0
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    live = np.arange(x.size)
-    k = 0
-    while live.size and k <= 100000:
-        k += 1
-        term[live] *= q[live] / (k * (order + k))
-        total[live] += term[live]
-        live = live[term[live] > 1e-18 * total[live]]
-    return lead + np.log(total)
+    root_q = math.exp(min(log_q, 1400.0) / 2.0)  # past e^1400, max_terms binds
+    j_half = (math.hypot(order, math.sqrt(8.0) * root_q) - order) / 2.0
+    j = np.arange(min(math.ceil(j_half) + 56, max_terms + 1), dtype=float)
+    log_c = -sp.gammaln(j + 1.0) - sp.gammaln(order + 1.0 + j)
+    log_t = log_c + j * log_q
+    log_r = np.diff(log_t)
+    # past the largest term the ratios fall, so a geometric series bounds
+    # the tail: sum_{i >= j} t_i <= t_j / (1 - r_j)
+    with np.errstate(divide="ignore"):
+        log_tail = log_t[:-1] - np.log1p(-np.exp(np.minimum(log_r, 0.0)))
+    log_sum = np.logaddexp.reduce(log_t)
+    cut = np.flatnonzero((log_r < 0.0)
+                         & (log_tail < log_sum + math.log(np.finfo(float).eps)))
+    return log_c[:cut[0]] if cut.size else None
 
 
 def log_bessel_i_array(order: float, x: np.ndarray) -> np.ndarray:
-    """log I_order(x) elementwise for an array of arguments x >= 0.
-
-    Uses the exponentially scaled library routine where it stays in range
-    and the ascending series (in log space) on all points where the scaled
-    value underflows, which happens for large order and small argument.
-    Orders must be >= -1; I_{-1} = I_1.
+    """log I_order(x) elementwise for arguments x >= 0 and orders >= -1
+    (I_{-1} = I_1).  The exponentially scaled library routine serves where it
+    stays in range; where it underflows (large order, small argument) the
+    ascending series, with the term count ``_ascending_log_coefficients``
+    gives at the largest such argument, is summed in log space.  Past
+    ``_FALLBACK_MAX_TERMS`` terms it raises ``NumericsError``.
     """
     from scipy import special as sp
 
@@ -119,7 +136,22 @@ def log_bessel_i_array(order: float, x: np.ndarray) -> np.ndarray:
     out[ok] = np.log(scaled[ok]) + x[ok]
     hard = pos & ~ok
     if hard.any():
-        out[hard] = _log_bessel_series(order, x[hard])
+        log_half = np.log(x[hard] / 2.0)
+        log_c = _ascending_log_coefficients(order, 2.0 * log_half.max(), _FALLBACK_MAX_TERMS)
+        if log_c is None:
+            raise NumericsError(f"log_bessel_i: order {order} at {x[hard].max():.6g} "
+                                f"needs more than {_FALLBACK_MAX_TERMS} series terms")
+        j = np.arange(1.0, log_c.size)
+        log_den = np.log(j * (order + j))
+        log_sum = np.empty(log_half.size)
+        step = max(1, _FALLBACK_BLOCK // log_c.size)
+        for lo in range(0, log_half.size, step):
+            # log(t_j / t_0), j >= 1, by the ratios q / (j (order + j)); a row per x
+            log_t = np.cumsum(2.0 * log_half[lo:lo + step, None] - log_den, axis=1)
+            peak = log_t.max(axis=1, initial=0.0)
+            log_sum[lo:lo + step] = peak + np.log(
+                np.exp(-peak) + np.exp(log_t - peak[:, None]).sum(axis=1))
+        out[hard] = order * log_half - sp.gammaln(order + 1.0) + log_sum
     # at x = 0: I_0 = 1, I_order = 0 for order > 0, divergent for order < 0
     out[~pos] = 0.0 if order == 0 else (-math.inf if order > 0 else math.inf)
     return out
@@ -143,21 +175,16 @@ def log_bessel_i(order: float, x: float) -> SignedLog:
     return SignedLog(log_magnitude, 1)
 
 
-_SINC_SWITCH = 1e-4
-
-
 def sinc(x):
-    """sin(x)/x with the removable singularity handled by a short Taylor
-    series for |x| < 1e-4.  Accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    scalar = np.isscalar(x) or arr.ndim == 0
-    arr = arr.reshape(-1) if scalar else arr
-    small = np.abs(arr) < _SINC_SWITCH
-    safe = np.where(small, 1.0, arr)
-    out = np.sin(safe) / safe
-    if small.any():
-        near = arr[small]
-        out[small] = 1.0 - near * near / 6.0 + near**4 / 120.0
+    """sin(x)/x for scalars or arrays.  Below |x| = 1e-4 the quotient is within
+    1.1e-16 of the Taylor series, so only x = 0 needs its own value, 1."""
+    scalar = np.ndim(x) == 0
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    zero = arr == 0
+    safe = np.where(zero, 1.0, arr)
+    out = np.sin(safe)
+    out /= safe
+    out[zero] = 1.0
     return float(out[0]) if scalar else out
 
 

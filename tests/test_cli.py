@@ -228,6 +228,23 @@ class TestMomentsCommand:
         assert report["feasibility_margin"] < 0
         assert report["var_p_interval"] is None
 
+    def test_anti_correlated_counts_are_infeasible(self, tmp_path, capsys):
+        # a negative covariance passes the efficiency inequality (margin
+        # 4.5) but leaves no valid var_p, so both commands exit with 3
+        counts = np.zeros((5, 5))
+        counts[0, 0], counts[4, 0], counts[0, 4] = 50.0, 25.0, 25.0
+        save_histogram(tmp_path / "h.txt", Histogram2D(counts, 100.0))
+        save_histogram(tmp_path / "d.txt", Histogram2D(np.array([[100.0]]), 100.0))
+        files = [str(tmp_path / "h.txt"), str(tmp_path / "d.txt"), "--eta-s", "0.5",
+                 "--eta-i", "0.25"]
+        assert main(["moments", *files]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["feasibility_margin"] > 0
+        assert report["var_p_interval"] is None
+        out = tmp_path / "fit"
+        assert main(["reconstruct", *files, "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
     def test_interval_excludes_infeasible_members(self, tmp_path, capsys):
         # at the README state the noise means bind, so the valid interval
         # starts above 0, and the fitted var_p lies inside it
@@ -390,6 +407,16 @@ class TestQdiiCommand:
         params = tmp_path / "params.json"
         params.write_text(json.dumps(state))
         assert main(["qdii", str(params), "--out-dir", str(tmp_path / "grid")]) == 0
+
+    def test_many_mode_state(self, tmp_path):
+        # 2,000 pairs: the Bessel function of order 1,999 underflows its
+        # scaled form on part of the automatic axis
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**PAPER_PARAMS_DICT, "m_pairs": 2000.0}))
+        out = tmp_path / "grid"
+        assert main(["qdii", str(params), "--out-dir", str(out)]) == 0
+        values = np.loadtxt(out / "qdii.csv", delimiter=",", comments="#")
+        assert values.shape == (201, 201) and np.isfinite(values).all()
 
     def test_single_cell_grid_parse_exit_code(self, tmp_path):
         params = tmp_path / "params.json"

@@ -306,3 +306,27 @@ def test_feasibility_margin_iff_family_exists(mean_s, mean_i, var_s, var_i,
     assert (margin >= 0) == has_member
     if has_member:
         assert inversion_family(det, eta_s, eta_i).var_p_range == (lo, hi)
+
+
+@given(
+    mean_s=st.floats(0.5, 5.0),
+    mean_i=st.floats(0.5, 5.0),
+    var_s=st.floats(0.01, 2.0),
+    var_i=st.floats(0.01, 2.0),
+    cov=st.floats(-3.0, 3.0),
+    eta_s=st.floats(0.1, 0.9),
+    eta_i=st.floats(0.1, 0.9),
+)
+def test_family_exists_iff_its_interval_is_open(mean_s, mean_i, var_s, var_i,
+                                                cov, eta_s, eta_i):
+    # a covariance <= 0 passes the efficiency inequality yet leaves no valid
+    # member; the closed-form interval decides on its own
+    det = DetectedIntensityMoments(mean_s, mean_i, var_s, var_i, cov)
+    c = cov / (eta_s * eta_i)
+    lo = max(c - mean_s / eta_s, c - mean_i / eta_i, 0.0)
+    hi = min(var_s / eta_s**2, var_i / eta_i**2, c)
+    if lo < hi:
+        assert inversion_family(det, eta_s, eta_i).var_p_range == (lo, hi)
+    else:
+        with pytest.raises(InfeasibleMomentsError):
+            inversion_family(det, eta_s, eta_i)

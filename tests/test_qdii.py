@@ -434,6 +434,22 @@ class TestBesselSeries:
         assert len(calls) == (0 if series else 1)
 
 
+    @pytest.mark.parametrize("m_pairs", [2000.0, 5000.0])
+    @pytest.mark.parametrize("s", [0.0, 0.3])
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_many_mode_grids(self, paper_params, m_pairs, s, paired):
+        # README noise with thousands of pairs on the 201-cell automatic
+        # axis: the series needs more terms than the axes have points, so
+        # the Bessel function is evaluated per argument, and near the origin
+        # its scaled value underflows into the ascending series of order
+        # m_pairs - 1, whose terms overflow a double
+        params = replace(paper_params, m_pairs=m_pairs)
+        axis = np.linspace(0.0, _auto_grid_max(params, s), 201)
+        grid = joint_qdii_grid(params, s, axis, axis, paired_only=paired)
+        assert np.isfinite(grid.values).all()
+        assert abs(grid.normalization - 1.0) <= qdii.NORMALIZATION_TOL
+
+
 class TestThermalQdii:
     def test_single_mode_is_exponential(self):
         for w in (0.0, 0.3, 2.0):

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy import special
 from hypothesis import strategies as st
 
 from twinbeam import (
@@ -14,7 +15,11 @@ from twinbeam import (
     log_gamma,
     sinc,
 )
+from twinbeam import specfun
+from twinbeam.errors import NumericsError
 from twinbeam.specfun import log_bessel_i_array
+
+EPS = np.finfo(float).eps
 
 # frozen with mpmath at 50 digits
 LOG_GAMMA_8E6 = 11.736064398611756648582574243893715710
@@ -111,11 +116,67 @@ class TestLogBesselI:
                 assert g == pytest.approx(want, rel=1e-12)
                 assert log_bessel_i(178.0, float(v)).log_magnitude == g
 
+    @staticmethod
+    def fallback_tolerance(order, x):
+        """Absolute error bound of the log-space series at ``(order, x)``.
+
+        The result is ``order L - log G(order+1) + log sum_j t_j / t_0`` with
+        ``L = log(x/2)`` and ``log t_j / t_0`` the running sum ``S_j`` of
+        ``2L - D_i``, ``D_i = log(i (order + i))``.  Every rounded operation
+        adds a few units of roundoff u times the magnitude it produces: the
+        two leading logs, each ``2L - D_i`` (at most ``2|L| + D_i``) and each
+        partial sum ``S_i``, so an error of ``S_j`` is bounded by u times the
+        sum of those magnitudes up to j; all j are taken, over every term the
+        table may hold.  Four units, ``2 eps`` times that sum, are allowed,
+        and ``eps n`` for the final sum of n positive terms."""
+        half = math.log(x / 2.0)
+        n = math.ceil((-order + math.sqrt(order * order + 2.0 * x * x)) / 2.0) + 56
+        j = np.arange(1.0, n)
+        den = np.log(j * (order + j))
+        partial = np.cumsum(2.0 * half - den)
+        scale = (abs(order * half) + abs(special.gammaln(order + 1.0))
+                 + np.sum(np.abs(partial) + 2.0 * abs(half) + den))
+        return 2.0 * EPS * scale + EPS * n
+
+    @pytest.mark.parametrize("order, x", [(2000, 2700), (5000, 4000), (20000, 15000)])
+    def test_high_order_series_against_mpmath(self, order, x):
+        # the scaled library routine underflows here, and the terms of the
+        # series reach e^2000 and beyond, past the linear double range
+        assert special.ive(order, x) < 1e-290
+        with mp.workdps(60):
+            want = float(mp.log(mp.besseli(order, x, maxterms=10**6)))
+        got = log_bessel_i(order, x)
+        assert got.sign == 1
+        assert abs(got.log_magnitude - want) <= self.fallback_tolerance(order, x)
+
+    def test_series_past_the_term_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_FALLBACK_MAX_TERMS", 50)
+        assert log_bessel_i(178.0, 1.0).sign == 1  # 5 terms
+        with pytest.raises(NumericsError):
+            log_bessel_i(2000.0, 2700.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             log_bessel_i(-1.5, 1.0)
         with pytest.raises(DomainError):
             log_bessel_i(0.0, -1.0)
+
+
+class TestAscendingLogCoefficients:
+    @given(order=st.floats(-0.9, 1e4), log_q=st.floats(-60.0, 16.0))
+    def test_tail_past_the_table_is_below_eps(self, order, log_q):
+        # the K terms returned leave a tail below eps of the sum, counted
+        # over 3,000 further terms of the same series
+        log_c = specfun._ascending_log_coefficients(order, log_q, 100_000)
+        j = np.arange(log_c.size + 3000.0)
+        log_t = -special.gammaln(j + 1.0) - special.gammaln(order + 1.0 + j) + j * log_q
+        assert np.array_equal(log_c + j[:log_c.size] * log_q, log_t[:log_c.size])
+        tail = np.logaddexp.reduce(log_t[log_c.size:])
+        assert tail < np.logaddexp.reduce(log_t) + math.log(EPS)
+
+    def test_none_past_max_terms(self):
+        assert specfun._ascending_log_coefficients(178.0, math.log(1e6), 10) is None
+        assert specfun._ascending_log_coefficients(178.0, math.log(1e6), 10_000).size > 10
 
 
 class TestSinc:
