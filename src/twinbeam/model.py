@@ -277,9 +277,11 @@ class QdiiGrid:
 
     @property
     def normalization(self) -> float:
-        """Trapezoidal integral of ``values`` over the grid."""
-        inner = np.trapezoid(self.values, self.w_i_axis, axis=1)
-        return float(np.trapezoid(inner, self.w_s_axis))
+        """Trapezoidal integral of ``values`` over the grid, ``w_s @ values @
+        w_i`` with the trapezoid weight vectors of the two axes: half the
+        widths of the two cells beside each point."""
+        w_s, w_i = (np.convolve(np.diff(ax), [0.5, 0.5]) for ax in (self.w_s_axis, self.w_i_axis))
+        return float(w_s @ (self.values @ w_i))
 
 
 _VALIDATABLE = (TwinBeamParams, DetectorModel, Histogram2D, PhotocountMoments,

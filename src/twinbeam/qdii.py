@@ -5,26 +5,40 @@ The paired-field density has two regimes separated by a threshold ordering
 ``s_th``: below it a smooth non-negative modified-Bessel form, above it an
 oscillatory sinc-kernel form whose negative strips parallel to the diagonal
 are the signature of pairwise emission.  Both are evaluated on the grid of
-two 1-D axes.  The ascending series of the Bessel function makes the Bessel
-form a sum of separable terms, ``p(x, y) = sum_j F_j(x) F_j(y)``, so a grid
-is the matrix product of two factor tables, one per axis, with the
-coefficients and the term count K of ``specfun._ascending_log_coefficients``
-at the largest product ``x_max y_max``.  K grows without bound toward
-``s_th``; the series is used while K is at most the number of points on the
-two axes and at most 2,000, otherwise the Bessel function is evaluated once
-per distinct argument.  The sinc form is a closed-form interference
-expression, not an exact Fourier inversion; as printed it is not
-normalized, so every grid divides it by its total mass, itself a closed
-form.  Only the pointwise ``paired_qdii`` takes ``normalized=False`` for
-the raw expression.  The full-field QDII is the convolution of the paired
-density with one multi-thermal noise density per arm.  It needs uniform
-axes: each noise measure is binned onto the grid lattice, and the
-convolution is one product of lower-triangular Toeplitz matrices per arm,
-``T_s @ paired @ T_i^T``.  Without pairs the QDII is the product of the two
-noise densities.  One gamma-density routine serves ``thermal_qdii``, that
-noise-only grid and the uncorrelated (``b_pairs = 0``) limit of the paired
-density.  Every grid ends in the same check: its trapezoid integral,
-``QdiiGrid.normalization``, must lie within 5 % of 1.
+two 1-D axes, and both as products ``L @ R.T`` of two factor tables, one
+per axis, with one column per separable term:
+
+* Bessel branch: the ascending series of the Bessel function gives
+  ``p(x, y) = sum_j F_j(x) F_j(y)``, with the coefficients and the term
+  count K of ``specfun._ascending_log_coefficients`` at the largest product
+  ``x_max y_max``.  K grows without bound toward ``s_th``; the series is
+  used while K is at most the number of points on the two axes and at most
+  2,000, otherwise the Bessel function is evaluated once per distinct
+  argument.  Without pairs correlation (``b_pairs = 0``) the density is
+  one product of two gamma densities, rank 1.
+* Sinc branch: the kernel ``a sinc(v/a)/pi`` is a Fourier integral over a
+  finite band, which an n-node Gauss-Legendre rule turns into 2n separable
+  cosine and sine terms.  n is the fewest nodes for which the rule's
+  error bound (Abramowitz & Stegun 25.4.30) is below eps at the largest
+  ``|x - y|``; the quadrature is used while 2n is at most a third of the
+  points on the two axes and at most 1,000, otherwise the closed form is
+  evaluated per cell.
+
+The sinc form is a closed-form interference expression, not an exact
+Fourier inversion; as printed it is not normalized, so every grid divides
+it by its total mass, itself a closed form.  Only the pointwise
+``paired_qdii`` takes ``normalized=False`` for the raw expression.  The
+full-field QDII is the convolution of the paired density with one
+multi-thermal noise density per arm.  It needs uniform axes: each noise
+measure is binned onto the grid lattice, and the convolution is one
+product of lower-triangular Toeplitz matrices per arm, ``T_s @ paired @
+T_i^T``; a factored density is convolved as ``(T_s @ L) @ (T_i @ R).T``
+instead when that needs fewer multiply-adds, which it does while the rank
+is well below the number of lattice points.  Without pairs the QDII is the
+product of the two noise densities.  One gamma-density routine serves
+``thermal_qdii``, that noise-only grid and the uncorrelated limit of the
+paired density.  Every grid ends in the same check: its trapezoid
+integral, ``QdiiGrid.normalization``, must lie within 5 % of 1.
 """
 
 from __future__ import annotations
@@ -54,6 +68,8 @@ __all__ = [
 NORMALIZATION_TOL = 0.05
 # most terms of the Bessel series a grid is evaluated with (see _bessel_branch)
 _SERIES_MAX_TERMS = 2000
+# largest rank, twice the node count, of the sinc quadrature (see _sinc_branch)
+_SINC_MAX_RANK = 1000
 
 
 def _check_ordering(s: float) -> None:
@@ -206,13 +222,13 @@ def _series_factors(ctx: OrderingContext, m: float, half_a: np.ndarray,
     overflows."""
     expo = (half_a + np.multiply.outer(np.log(w), m - 1.0 + np.arange(half_a.size))
             - (ctx.b_p_s * w / ctx.k_p_s)[:, None])
-    return _flush_subnormal(np.exp(expo))
+    return np.exp(expo)
 
 
 def _flush_subnormal(a: np.ndarray) -> np.ndarray:
-    """``a`` with its subnormal entries set to 0.  A subnormal factor adds
-    less than ``2.3e-308 sqrt(p(w, w))`` to a cell, and a subnormal cell is
-    below every normal double; either slows a matrix product several-fold."""
+    """``a`` with its subnormal entries set to 0.  A subnormal entry of a
+    matrix product's operand slows the product several-fold; it adds less
+    than ``2.3e-308`` times the other operand's entries to a result."""
     a[np.abs(a) < np.finfo(float).tiny] = 0.0
     return a
 
@@ -234,26 +250,60 @@ def _bessel_distinct(ctx: OrderingContext, m: float,
     return np.exp(ln)
 
 
-def _bessel_branch(ctx: OrderingContext, m: float,
-                   x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _bessel_branch(ctx: OrderingContext, m: float, x: np.ndarray,
+                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Bessel-branch density as factors ``(F_s, F_i)`` of the series, or as
+    ``(grid, None)`` from ``_bessel_distinct``."""
     if ctx.d_p == 0.0:
         # uncorrelated limit b_pairs -> 0: product of two gamma densities
-        return np.outer(_thermal_values(m, ctx.b_p_s, x), _thermal_values(m, ctx.b_p_s, y))
+        return (_thermal_values(m, ctx.b_p_s, x)[:, None],
+                _thermal_values(m, ctx.b_p_s, y)[:, None])
     # the series while it needs no more terms than the grid has points, and
     # at most _SERIES_MAX_TERMS, below the crossovers the README lists
     log_corner = math.log(x.max()) + math.log(y.max())
     half_a = _series_half_log_coefficients(
         ctx, m, log_corner, min(x.size + y.size, _SERIES_MAX_TERMS))
     if half_a is None:
-        return _bessel_distinct(ctx, m, x, y)
+        return _bessel_distinct(ctx, m, x, y), None
     f_s = _series_factors(ctx, m, half_a, x)
     # equal axes give F @ F.T, which BLAS forms as a symmetric product
-    f_i = f_s if np.array_equal(x, y) else _series_factors(ctx, m, half_a, y)
-    return _flush_subnormal(f_s @ f_i.T)
+    return f_s, f_s if np.array_equal(x, y) else _series_factors(ctx, m, half_a, y)
 
 
-def _sinc_branch_raw(ctx: OrderingContext, m: float,
-                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Golub & Welsch (Math. Comp. 23, 1969): the eigenvalues of the Jacobi
+    matrix of the Legendre polynomials, whose off-diagonal is ``k /
+    sqrt(4k^2 - 1)``, and twice the squared first components of its
+    eigenvectors."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+def _quadrature_nodes(omega: float, max_nodes: int) -> int | None:
+    """Fewest Gauss-Legendre nodes that integrate ``cos(omega (1 + tau))``
+    over [-1, 1] within eps, or None past ``max_nodes``.  The error of the
+    n-point rule is ``2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) f^(2n)(xi)``
+    (Abramowitz & Stegun 25.4.30), and ``|f^(2n)| <= omega^(2n)``.  The
+    ratio of successive bounds falls with n, so the bound rises and then
+    falls, and the first n below eps is the smallest that stays below it.
+    """
+    from scipy import special as sp
+
+    n = np.arange(1.0, max_nodes + 1)
+    log_bound = ((2.0 * n + 1.0) * math.log(2.0) + 4.0 * sp.gammaln(n + 1.0)
+                 - np.log(2.0 * n + 1.0) - 3.0 * sp.gammaln(2.0 * n + 1.0)
+                 + 2.0 * n * math.log(max(omega, np.finfo(float).tiny)))
+    fits = np.flatnonzero(log_bound <= math.log(np.finfo(float).eps))
+    return int(n[fits[0]]) if fits.size else None
+
+
+def _sinc_direct(ctx: OrderingContext, m: float,
+                 x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Raw sinc-branch density on the grid of axes ``x``, ``y``, evaluated
+    per cell."""
     from scipy import special as sp
 
     kt = -ctx.k_p_s
@@ -264,6 +314,46 @@ def _sinc_branch_raw(ctx: OrderingContext, m: float,
     ln = ((m - 1.0) / 2.0 * log_prod - sp.gammaln(m) - m * math.log(b)
           - (ws + wi) / (2.0 * b))
     return np.exp(ln) * a * sinc((ws - wi) / a) / math.pi
+
+
+def _sinc_branch(ctx: OrderingContext, m: float, x: np.ndarray, y: np.ndarray,
+                 normalized: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sinc-branch density as factors ``(L, R)`` of a Gauss-Legendre rule,
+    or as ``(grid, None)`` from ``_sinc_direct`` when the rule needs a rank
+    above the limit; divided by its closed-form total mass unless
+    ``normalized`` is false.
+
+    The kernel is the Fourier integral ``a sinc(v/a)/pi = (a^2/pi)
+    int_0^{1/a} cos(t v) dt``.  With ``t = (1 + tau)/(2a)`` and n nodes it
+    is ``(a/2pi) sum_q w_q cos(t_q v)``, and ``cos(t_q (x - y)) = cos(t_q x)
+    cos(t_q y) + sin(t_q x) sin(t_q y)`` makes the density a sum of 2n
+    separable terms.  ``cos(t v)`` is ``cos(omega (1 + tau))`` in tau with
+    ``omega = |v| / (2a)``, so n comes from the largest ``|x - y|``.
+    """
+    from scipy import special as sp
+
+    b = ctx.b_p_s
+    a = math.sqrt(-ctx.k_p_s)
+    mass = _sinc_normalization(m, b, -ctx.k_p_s) if normalized else 1.0
+    omega = max(x.max() - y.min(), y.max() - x.min()) / (2.0 * a)
+    # the quadrature while its rank is at most a third of the points on the
+    # two axes, and at most _SINC_MAX_RANK, near the crossovers the README lists
+    n = _quadrature_nodes(omega, min((x.size + y.size) // 3, _SINC_MAX_RANK) // 2)
+    if n is None:
+        return _sinc_direct(ctx, m, x, y) / mass, None
+    tau, weights = _gauss_legendre(n)
+    t = (1.0 + tau) / (2.0 * a)
+    root_w = np.tile(np.sqrt(weights * a / (2.0 * math.pi * mass)), 2)
+    half_log_scale = -(sp.gammaln(m) + m * math.log(b)) / 2.0
+
+    def factor(w: np.ndarray) -> np.ndarray:
+        gauss = np.exp((m - 1.0) / 2.0 * np.log(w) + half_log_scale - w / (2.0 * b))
+        phase = np.multiply.outer(w, t)
+        return np.hstack((np.cos(phase), np.sin(phase))) * np.outer(gauss, root_w)
+
+    f_s = factor(x)
+    # equal axes give F @ F.T, which BLAS forms as a symmetric product
+    return f_s, f_s if np.array_equal(x, y) else factor(y)
 
 
 def _sinc_normalization(m: float, b: float, kt: float) -> float:
@@ -285,16 +375,33 @@ def _sinc_normalization(m: float, b: float, kt: float) -> float:
     return total
 
 
+def _axis_factor(f: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """A factor table on a whole axis, from its rows at the ``keep`` points:
+    the other rows are 0, and so are subnormal entries."""
+    f = _flush_subnormal(f)
+    if keep.all():
+        return f
+    out = np.zeros((keep.size, f.shape[1]))
+    out[keep] = f
+    return out
+
+
 def _paired_values(ctx: OrderingContext, m_pairs: float,
                    ws: np.ndarray, wi: np.ndarray,
-                   normalized: bool = True) -> np.ndarray:
+                   normalized: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Paired density on the grid of the 1-D axes ``ws`` (rows) and ``wi``
-    (columns); cells with a negative coordinate are 0.  The Bessel branch is
-    ``_bessel_branch``; the sinc branch is one broadcast expression, divided
-    by its closed-form total mass unless ``normalized`` is false."""
+    (columns); cells with a negative coordinate are 0.
+
+    Both branches are products of per-axis factors: the result is ``(L,
+    R)`` with the grid ``L @ R.T``, from ``_bessel_branch`` (a series, rank
+    K) or ``_sinc_branch`` (a quadrature, rank 2n), unless the rank would
+    exceed the limit of that branch; then the direct path of the branch
+    runs and the result is ``(grid, None)``.  A point the density drops (w
+    = 0 when m_pairs > 1) is a zero row of its factor.  The sinc branch is
+    divided by its closed-form total mass unless ``normalized`` is false.
+    """
     ws = np.atleast_1d(np.asarray(ws, dtype=float))
     wi = np.atleast_1d(np.asarray(wi, dtype=float))
-    out = np.zeros((ws.size, wi.size))
     if ((ws == 0).any() and (wi >= 0).any()) or ((wi == 0).any() and (ws >= 0).any()):
         if m_pairs < 1.0:
             raise DomainError(
@@ -303,17 +410,29 @@ def _paired_values(ctx: OrderingContext, m_pairs: float,
     # on the axes the density vanishes for m_pairs > 1 and is finite for 1
     rows = (ws > 0) | ((ws == 0) & (m_pairs == 1.0))
     cols = (wi > 0) | ((wi == 0) & (m_pairs == 1.0))
-    if rows.any() and cols.any():
-        x = np.maximum(ws[rows], 1e-300)
-        y = np.maximum(wi[cols], 1e-300)
-        if ctx.k_p_s > 0:
-            vals = _bessel_branch(ctx, m_pairs, x, y)
-        else:
-            vals = _sinc_branch_raw(ctx, m_pairs, x, y)
-            if normalized:
-                vals = vals / _sinc_normalization(m_pairs, ctx.b_p_s, -ctx.k_p_s)
-        out[np.ix_(rows, cols)] = vals
-    return out
+    if not (rows.any() and cols.any()):
+        return np.zeros((ws.size, wi.size)), None
+    x = np.maximum(ws[rows], 1e-300)
+    y = np.maximum(wi[cols], 1e-300)
+    if ctx.k_p_s > 0:
+        left, right = _bessel_branch(ctx, m_pairs, x, y)
+    else:
+        left, right = _sinc_branch(ctx, m_pairs, x, y, normalized)
+    if right is None:
+        out = np.zeros((ws.size, wi.size))
+        out[np.ix_(rows, cols)] = left
+        return out, None
+    f_s = _axis_factor(left, rows)
+    if right is left and np.array_equal(rows, cols):
+        return f_s, f_s
+    return f_s, _axis_factor(right, cols)
+
+
+def _paired_grid(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
+                 wi: np.ndarray, normalized: bool = True) -> np.ndarray:
+    """The paired density of ``_paired_values`` as a grid."""
+    left, right = _paired_values(ctx, m_pairs, ws, wi, normalized)
+    return left if right is None else left @ right.T
 
 
 def paired_qdii(ctx: OrderingContext, m_pairs: float,
@@ -335,7 +454,7 @@ def paired_qdii(ctx: OrderingContext, m_pairs: float,
         raise DomainError(
             "paired_qdii: evaluation at the branch boundary s = s_th is "
             "singular; use a one-sided offset")
-    value = float(_paired_values(ctx, m_pairs, w_s, w_i, normalized)[0, 0])
+    value = float(_paired_grid(ctx, m_pairs, w_s, w_i, normalized)[0, 0])
     if math.isinf(value):
         raise NumericsError(
             f"paired_qdii overflow at (w_s={w_s}, w_i={w_i})")
@@ -449,7 +568,10 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     that noise shifts can move mass into the requested window.  The noise
     kernel is the outer product of the two arms' per-bin masses, so the
     convolution separates into ``T_s @ paired @ T_i^T``; only the rows of
-    each Toeplitz matrix that fall in the window are formed.
+    each Toeplitz matrix that fall in the window are formed.  A paired
+    density given as factors ``L @ R.T`` is convolved as ``(T_s @ L) @ (T_i
+    @ R).T`` or as ``T_s @ (L @ R.T) @ T_i.T``, whichever needs fewer
+    multiply-adds.
     """
     sigma = (1.0 - ctx.s) / 2.0
     h_s = float(ws[1] - ws[0])
@@ -460,10 +582,17 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     lat_i = wi[0] + h_i * np.arange(-lo_i, len(wi))
     lat_s = np.maximum(lat_s, 0.0)
     lat_i = np.maximum(lat_i, 0.0)
-    paired = _paired_values(ctx, params.m_pairs, lat_s, lat_i)
-    t_s = _noise_toeplitz(params.m_noise_s, params.b_noise_s + sigma, h_s, lat_s.size)
-    t_i = _noise_toeplitz(params.m_noise_i, params.b_noise_i + sigma, h_i, lat_i.size)
-    return t_s[lo_s:] @ paired @ t_i[lo_i:].T
+    left, right = _paired_values(ctx, params.m_pairs, lat_s, lat_i)
+    t_s = _noise_toeplitz(params.m_noise_s, params.b_noise_s + sigma, h_s, lat_s.size)[lo_s:]
+    t_i = _noise_toeplitz(params.m_noise_i, params.b_noise_i + sigma, h_i, lat_i.size)[lo_i:]
+    if right is not None:
+        (rows_s, n_s), (rows_i, n_i) = t_s.shape, t_i.shape
+        rank = left.shape[1]
+        if (rank * (rows_s * n_s + rows_i * n_i + rows_s * rows_i)
+                <= n_s * n_i * rank + rows_s * n_i * (n_s + rows_i)):
+            return (t_s @ left) @ (t_i @ right).T
+        left = _flush_subnormal(left @ right.T)
+    return t_s @ left @ t_i.T
 
 
 def joint_qdii_grid(params: TwinBeamParams, s: float,
@@ -471,13 +600,16 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
                     paired_only: bool = False) -> QdiiGrid:
     """Full-field QDII on a rectangular intensity grid.
 
-    The paired density (see ``_paired_values``) is convolved with the
-    per-arm noise densities: the noise measures are binned onto the grid
-    lattice (their sub-resolution mass lands in the zero-shift bin) and the
-    convolution is a product with one lower-triangular Toeplitz matrix per
-    arm.  The unresolvably-small noise shifts of reconstructed states thus
-    collapse onto a point mass at zero, which keeps the nearly-empty noise
-    arms well-behaved.  The convolution needs uniform axes and raises
+    The paired density (see ``_paired_values``: a product of per-axis
+    factor tables on both branches, or a grid where the rank would pass the
+    branch's limit) is convolved with the per-arm noise densities: the
+    noise measures are binned onto the grid lattice (their sub-resolution
+    mass lands in the zero-shift bin) and the convolution is a product with
+    one lower-triangular Toeplitz matrix per arm, applied to the factors or
+    to their product, whichever needs fewer multiply-adds.  The
+    unresolvably-small noise shifts of reconstructed states thus collapse
+    onto a point mass at zero, which keeps the nearly-empty noise arms
+    well-behaved.  The convolution needs uniform axes and raises
     ``DomainError`` otherwise; paired-only and noise-free grids accept any
     increasing axes.  A sinc-branch density is always divided by its
     closed-form total mass.
@@ -494,7 +626,7 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
         raise DomainError("joint_qdii_grid: s equals the paired branch boundary")
 
     if paired_only or (params.m_noise_s == 0 and params.m_noise_i == 0):
-        values = _paired_values(ctx, params.m_pairs, ws, wi)
+        values = _paired_grid(ctx, params.m_pairs, ws, wi)
     elif _is_uniform(ws) and _is_uniform(wi):
         values = _convolve_uniform(params, ctx, ws, wi)
     else:

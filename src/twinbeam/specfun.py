@@ -119,9 +119,11 @@ def log_bessel_i_array(order: float, x: np.ndarray) -> np.ndarray:
     """log I_order(x) elementwise for arguments x >= 0 and orders >= -1
     (I_{-1} = I_1).  The exponentially scaled library routine serves where it
     stays in range; where it underflows (large order, small argument) the
-    ascending series, with the term count ``_ascending_log_coefficients``
-    gives at the largest such argument, is summed in log space.  Past
-    ``_FALLBACK_MAX_TERMS`` terms it raises ``NumericsError``.
+    ascending series is summed in log space, max-shifted.  Those arguments
+    are sorted in descending order and summed in blocks of at most
+    ``_FALLBACK_BLOCK`` log terms, each with the coefficients
+    ``_ascending_log_coefficients`` gives at its first, largest argument.
+    Past ``_FALLBACK_MAX_TERMS`` terms it raises ``NumericsError``.
     """
     from scipy import special as sp
 
@@ -136,22 +138,26 @@ def log_bessel_i_array(order: float, x: np.ndarray) -> np.ndarray:
     out[ok] = np.log(scaled[ok]) + x[ok]
     hard = pos & ~ok
     if hard.any():
-        log_half = np.log(x[hard] / 2.0)
-        log_c = _ascending_log_coefficients(order, 2.0 * log_half.max(), _FALLBACK_MAX_TERMS)
-        if log_c is None:
-            raise NumericsError(f"log_bessel_i: order {order} at {x[hard].max():.6g} "
-                                f"needs more than {_FALLBACK_MAX_TERMS} series terms")
-        j = np.arange(1.0, log_c.size)
-        log_den = np.log(j * (order + j))
+        # log x - log 2, since x / 2 underflows at the smallest subnormal
+        log_half = np.log(x[hard]) - math.log(2.0)
+        # descending, so that each block is sized at its first argument
+        rank = np.argsort(log_half)[::-1]
         log_sum = np.empty(log_half.size)
-        step = max(1, _FALLBACK_BLOCK // log_c.size)
-        for lo in range(0, log_half.size, step):
-            # log(t_j / t_0), j >= 1, by the ratios q / (j (order + j)); a row per x
-            log_t = np.cumsum(2.0 * log_half[lo:lo + step, None] - log_den, axis=1)
-            peak = log_t.max(axis=1, initial=0.0)
-            log_sum[lo:lo + step] = peak + np.log(
-                np.exp(-peak) + np.exp(log_t - peak[:, None]).sum(axis=1))
-        out[hard] = order * log_half - sp.gammaln(order + 1.0) + log_sum
+        lo = 0
+        while lo < rank.size:
+            top = log_half[rank[lo]]
+            log_c = _ascending_log_coefficients(order, 2.0 * top, _FALLBACK_MAX_TERMS)
+            if log_c is None:
+                raise NumericsError(f"log_bessel_i: order {order} at {math.exp(top) * 2.0:.6g} "
+                                    f"needs more than {_FALLBACK_MAX_TERMS} series terms")
+            block = rank[lo:lo + max(1, _FALLBACK_BLOCK // log_c.size)]
+            # log(c_j q^j), a column per x
+            log_t = log_c[:, None] + np.multiply.outer(np.arange(log_c.size),
+                                                       2.0 * log_half[block])
+            peak = log_t.max(axis=0)
+            log_sum[block] = peak + np.log(np.exp(log_t - peak).sum(axis=0))
+            lo += block.size
+        out[hard] = order * log_half + log_sum
     # at x = 0: I_0 = 1, I_order = 0 for order > 0, divergent for order < 0
     out[~pos] = 0.0 if order == 0 else (-math.inf if order > 0 else math.inf)
     return out

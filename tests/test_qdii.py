@@ -575,13 +575,73 @@ class TestJointGrid:
                               paired.values)
 
 
-class TestFftConvolution:
-    """The noise convolution ``T_s @ paired @ T_i^T`` against a direct-sum
-    convolution in extended precision, on the same lattice, paired values
-    and binned kernels.  The allowed error is the rounding bound of the two
-    double-precision matrix products, ``gamma_n |T_s| |P| |T_i|^T`` with
-    ``gamma_n = n u / (1 - n u)`` and n the two inner dimensions together
-    (plus one for the final rounding of the reference)."""
+def sinc_envelope(ctx, m, x, y, mass):
+    """``a g(x) g(y) / (pi mass)``, the value of the normalized sinc-branch
+    density's kernel at zero offset: no cell exceeds it in magnitude."""
+    b, a = ctx.b_p_s, math.sqrt(-ctx.k_p_s)
+    log_g = lambda w: ((m - 1.0) / 2.0 * np.log(w) - w / (2.0 * b)
+                       - (special.gammaln(m) + m * math.log(b)) / 2.0)
+    return a * np.exp(np.add.outer(log_g(x), log_g(y))) / (math.pi * mass)
+
+
+def sinc_tolerance(ctx, m, n_nodes, x, y, mass):
+    """Absolute error bound of a sinc-branch grid on the axes x, y, per cell.
+
+    Both paths form ``g(x) g(y)`` from exponents whose components, ``(m-1)/2
+    log w``, ``w / (2b)`` and half of ``log G(m) + m log b``, are one or two
+    rounded operations each: an error of a few units of roundoff u times
+    ``S(x) + S(y)``, S the sum of their magnitudes, which ``exp`` makes a
+    relative error; 2 eps times it is allowed.  The direct path takes the
+    sine of ``(x - y)/a``, rounded to u times ``|x - y|/a``.  The quadrature
+    takes cosines and sines of ``t_q w``, ``t_q <= 1/a``, each off by u
+    times ``w/a`` plus the node error, a few u times ``w/a`` for eigenvalues
+    of a matrix of norm below 1; ``(x + y)/a`` times eps covers both axes.
+    Its weights sum to 2 and ``|cc| + |ss| <= 1``, so the 2n-term sum rounds
+    by at most ``eps n`` of the envelope, its weights are off by a few u in
+    all, and its truncation error is at most eps/2 of the envelope by the
+    node rule.  All these scale the envelope of ``sinc_envelope``.  Where
+    the envelope is below 1e-290 products of factors can be subnormal, and
+    rounding there is absolute, not relative; the tests skip those cells."""
+    b, a = ctx.b_p_s, math.sqrt(-ctx.k_p_s)
+    half = abs(special.gammaln(m) + m * math.log(b)) / 2.0
+    size = lambda w: abs(m - 1.0) / 2.0 * np.abs(np.log(w)) + w / (2.0 * b) + half
+    units = 2.0 * np.add.outer(size(x), size(y))
+    if n_nodes is None:
+        units += np.abs(np.subtract.outer(x, y)) / a + 4.0
+    else:
+        units += np.add.outer(x, y) / a + n_nodes + 4.0
+    return EPS * units * sinc_envelope(ctx, m, x, y, mass)
+
+
+def sinc_nodes(ctx, x, y):
+    """The node count the grid on axes x, y runs the quadrature with, or
+    None when it takes the direct path; w = 0 is dropped for m > 1."""
+    a = math.sqrt(-ctx.k_p_s)
+    omega = max(x.max() - y.min(), y.max() - x.min()) / (2.0 * a)
+    return qdii._quadrature_nodes(omega, min((x.size + y.size) // 3, qdii._SINC_MAX_RANK) // 2)
+
+
+class TestNoiseConvolution:
+    """The noise convolution against a direct-sum convolution in extended
+    precision, on the same lattice, paired factors and binned kernels.
+
+    ``_convolve_uniform`` forms ``(T_s L)(T_i R)^T`` or ``T_s (L R^T)
+    T_i^T`` from the factors ``(L, R)`` of ``_paired_values``, or ``T_s P
+    T_i^T`` from a grid P of a direct path.  Either way it is three chained
+    matrix products, with inner dimensions the two lattice sizes and the
+    rank K.  A rounded product of inner dimension k is ``AB + E`` with
+    ``|E| <= gamma_k |A||B|``, ``gamma_k = k u / (1 - k u)`` (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.5).  Chaining three,
+    in either order, gives ``|got - exact| <= gamma_n |T_s||L||R|^T|T_i|^T``
+    with n the sum of the inner dimensions, since ``(1 + gamma_a)(1 +
+    gamma_b)(1 + gamma_c) <= 1 + gamma_(a+b+c)``; a direct grid is K = 0
+    with ``|P|`` for ``|L||R|^T``.  The reference adds one rounding, to
+    double.  In the second order the subnormal cells of ``L R^T`` are set
+    to 0, which moves each by less than the smallest normal double; the
+    binned kernels' masses sum to at most 1, so that moves a convolved cell
+    by less than the same amount, which the bound adds.  Sinc-branch
+    factors are also checked against the direct expression, so a rule with
+    too few nodes fails here, not only the convolution of its factors."""
 
     @staticmethod
     def lattice(axis):
@@ -589,34 +649,54 @@ class TestFftConvolution:
         lo = min(int(round(axis[0] / h)), axis.size * 4)
         return lo, h, np.maximum(axis[0] + h * np.arange(-lo, axis.size), 0.0)
 
-    def check(self, params, s, axis):
+    def check(self, params, s, axis, factored=True):
         ctx = OrderingContext.for_params(params.b_pairs, s)
         got = qdii._convolve_uniform(params, ctx, axis, axis)
         assert got.shape == (axis.size, axis.size)
         lo, h, lat = self.lattice(axis)
-        paired = qdii._paired_values(ctx, params.m_pairs, lat, lat)
+        left, right = qdii._paired_values(ctx, params.m_pairs, lat, lat)
+        assert (right is not None) == factored
+        if right is None:
+            paired, magnitude, rank = left.astype(np.longdouble), np.abs(left), 0
+        else:
+            paired = left.astype(np.longdouble) @ right.astype(np.longdouble).T
+            magnitude, rank = np.abs(left) @ np.abs(right).T, left.shape[1]
+        if right is not None and ctx.k_p_s < 0:
+            self.check_sinc_factors(ctx, params.m_pairs, lat, left @ right.T, rank // 2)
         sigma = (1.0 - s) / 2.0
         kernels = [qdii._binned_thermal_kernel(m, b + sigma, h, lat.size) if m > 0
                    else np.array([1.0])
                    for m, b in ((params.m_noise_s, params.b_noise_s),
                                 (params.m_noise_i, params.b_noise_i))]
         # direct sums in long double, one axis at a time
-        ext = paired.astype(np.longdouble)
-        rows = np.array([np.convolve(r, kernels[1].astype(np.longdouble)) for r in ext])
+        rows = np.array([np.convolve(r, kernels[1].astype(np.longdouble)) for r in paired])
         full = np.array([np.convolve(c, kernels[0].astype(np.longdouble)) for c in rows.T]).T
         want = full[lo:lo + axis.size, lo:lo + axis.size].astype(float)
-        # |T_s| |P| |T_i|^T with the kernels' Toeplitz matrices, built here
+        # |T_s| |L| |R|^T |T_i|^T with the kernels' Toeplitz matrices, built here
         column = [np.pad(k, (0, lat.size - k.size)) for k in kernels]
         t_s, t_i = (linalg.toeplitz(c, np.eye(1, lat.size)[0] * c[0])[lo:] for c in column)
-        scale = t_s @ np.abs(paired) @ t_i.T
-        n = 2 * lat.size + 1
+        scale = t_s @ magnitude @ t_i.T
+        n = 2 * lat.size + rank + 1
         u = np.finfo(float).eps / 2
-        bound = n * u / (1 - n * u) * scale
+        bound = n * u / (1 - n * u) * scale + np.finfo(float).tiny
         assert np.all(np.abs(got - want) <= bound)
         return got
 
+    @staticmethod
+    def check_sinc_factors(ctx, m, lat, product, n_nodes):
+        # the two paths round as sinc_tolerance states, on the positive
+        # lattice points; w = 0 is a zero row for m > 1
+        w = lat[lat > 0]
+        mass = qdii._sinc_normalization(m, ctx.b_p_s, -ctx.k_p_s)
+        direct = qdii._sinc_direct(ctx, m, w, w) / mass
+        tol = (sinc_tolerance(ctx, m, n_nodes, w, w, mass)
+               + sinc_tolerance(ctx, m, None, w, w, mass))
+        normal = sinc_envelope(ctx, m, w, w, mass) > 1e-290
+        assert np.all((np.abs(product[np.ix_(lat > 0, lat > 0)] - direct) <= tol)[normal])
+
     @pytest.mark.parametrize("cells, grid_max", [(200, 25.0), (400, 30.0)])
     def test_reference_state(self, paper_params, cells, grid_max):
+        # sinc quadrature, convolved as (T_s L)(T_i R)^T
         self.check(paper_params, 1.0, np.linspace(0.0, grid_max, cells))
 
     @pytest.mark.parametrize("arm", ["m_noise_s", "m_noise_i"])
@@ -626,9 +706,99 @@ class TestFftConvolution:
         self.check(params, 1.0, np.linspace(0.0, 25.0, 200))
 
     def test_window_off_zero(self):
-        # an axis that starts above 0 extends the lattice below the window
+        # an axis that starts above 0 extends the lattice below the window;
+        # a series of 203 terms on 167 lattice points is convolved as
+        # T_s (L R^T) T_i^T
         params = TwinBeamParams(20.0, 0.5, 1.5, 0.8, 2.0, 0.6)
         self.check(params, 0.0, np.linspace(4.0, 40.0, 150))
+
+    @pytest.mark.parametrize("s, cells, grid_max", [(0.6, 200, 90.0), (1.0, 100, 25.0)],
+                             ids=["bessel-distinct", "sinc-direct"])
+    def test_direct_paths(self, paper_params, s, cells, grid_max):
+        # past the rank limits the paired density is a grid
+        self.check(paper_params, s, np.linspace(0.0, grid_max, cells), factored=False)
+
+
+class TestSincQuadrature:
+    """The sinc branch as a Gauss-Legendre sum of separable terms."""
+
+    @staticmethod
+    def mp_density(ctx, m, x, y, mass):
+        with mp.workdps(30):
+            b, a = mp.mpf(ctx.b_p_s), mp.sqrt(-mp.mpf(ctx.k_p_s))
+            x, y = mp.mpf(x), mp.mpf(y)
+            v = x - y
+            kernel = a / mp.pi if v == 0 else a * a * mp.sin(v / a) / (mp.pi * v)
+            return float(kernel * mp.exp((m - 1) / 2 * mp.log(x * y) - (x + y) / (2 * b)
+                                         - mp.loggamma(m) - m * mp.log(b)) / mass)
+
+    @pytest.mark.parametrize("b_pairs, cells, quadrature", [
+        (0.055, 200, True), (0.055, 400, True), (0.005, 400, True), (0.005, 200, False),
+    ], ids=["readme-200", "readme-400", "high-omega-400", "high-omega-200"])
+    def test_against_extended_precision(self, paper_params, b_pairs, cells, quadrature):
+        # s = 1 grids on the CLI's automatic axis, every fourth (200 cells)
+        # or eighth (400) row and column.  At b_pairs = 0.005 the kernel is
+        # 0.07 wide on a 14.7-wide axis, so the rule needs 87 nodes: more
+        # than 200 cells allow, fewer than 400 do.  The 30-digit reference
+        # sees the same double inputs and the same double total mass
+        params = replace(paper_params, b_pairs=b_pairs)
+        ctx = OrderingContext.for_params(b_pairs, 1.0)
+        axis = np.linspace(0.0, _auto_grid_max(params, 1.0), cells)
+        n_nodes = sinc_nodes(ctx, axis[1:], axis[1:])
+        assert (n_nodes is not None) == quadrature
+        grid = joint_qdii_grid(params, 1.0, axis, axis, paired_only=True).values
+        mass = qdii._sinc_normalization(params.m_pairs, ctx.b_p_s, -ctx.k_p_s)
+        pick = np.arange(1, cells, cells // 50)
+        tol = sinc_tolerance(ctx, params.m_pairs, n_nodes, axis[pick], axis[pick], mass)
+        normal = sinc_envelope(ctx, params.m_pairs, axis[pick], axis[pick], mass) > 1e-290
+        for a, c in zip(*np.nonzero(normal)):
+            want = self.mp_density(ctx, params.m_pairs, axis[pick[a]], axis[pick[c]], mass)
+            assert abs(grid[pick[a], pick[c]] - want) <= tol[a, c]
+        assert normal.sum() > 500
+
+    @pytest.mark.parametrize("cells, cap, quadrature", [
+        (200, None, True), (100, None, False), (200, 80, False)])
+    def test_node_count_selects_the_path(self, paper_params, cells, cap, quadrature,
+                                         monkeypatch):
+        # README state, s = 1, axis to 25: the rule needs 51 nodes, a rank
+        # of 102, within the 132 a third of the 398 positive points of two
+        # 200-cell axes allow; 100-cell axes allow 66, and a cap of 80 less
+        if cap is not None:
+            monkeypatch.setattr(qdii, "_SINC_MAX_RANK", cap)
+        axis = np.linspace(0.0, 25.0, cells)
+        ctx = OrderingContext.for_params(paper_params.b_pairs, 1.0)
+        assert (sinc_nodes(ctx, axis[1:], axis[1:]) is not None) == quadrature
+        calls = []
+        direct = qdii._sinc_direct
+        monkeypatch.setattr(qdii, "_sinc_direct", lambda *a: calls.append(1) or direct(*a))
+        joint_qdii_grid(paper_params, 1.0, axis, axis, paired_only=True)
+        assert len(calls) == (0 if quadrature else 1)
+
+    @given(m=st.floats(0.5, 300.0), b_pairs=st.floats(0.005, 2.0),
+           frac=st.floats(0.0, 1.0, exclude_min=True))
+    def test_matches_direct_evaluation(self, m, b_pairs, frac):
+        # s in (s_th, 1]: above the paired threshold ordering.  The axis is
+        # the automatic one, cut to 100 kernel widths around the mean, so
+        # that 200 points always take the quadrature.  Both paths round as
+        # sinc_tolerance states; their difference is bounded by the sum of
+        # the two bounds
+        s_th = OrderingContext.for_params(b_pairs, 0.0).s_th_paired
+        s = s_th + frac * (1.0 - s_th)
+        ctx = OrderingContext.for_params(b_pairs, s)
+        assume(ctx.k_p_s < 0)
+        span = min(_auto_grid_max(TwinBeamParams(m, b_pairs, 0, 0, 0, 0), s),
+                   100.0 * math.sqrt(-ctx.k_p_s))
+        start = max(m * ctx.b_p_s - span / 2.0, span / 200.0)
+        axis = np.linspace(start, start + span, 200)
+        n_nodes = sinc_nodes(ctx, axis, axis)
+        assert n_nodes is not None
+        left, right = qdii._sinc_branch(ctx, m, axis, axis, normalized=True)
+        mass = qdii._sinc_normalization(m, ctx.b_p_s, -ctx.k_p_s)
+        direct = qdii._sinc_direct(ctx, m, axis, axis) / mass
+        tol = (sinc_tolerance(ctx, m, n_nodes, axis, axis, mass)
+               + sinc_tolerance(ctx, m, None, axis, axis, mass))
+        normal = sinc_envelope(ctx, m, axis, axis, mass) > 1e-290
+        assert np.all((np.abs(left @ right.T - direct) <= tol)[normal])
 
 
 @pytest.mark.xfail(

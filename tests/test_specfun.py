@@ -120,23 +120,23 @@ class TestLogBesselI:
     def fallback_tolerance(order, x):
         """Absolute error bound of the log-space series at ``(order, x)``.
 
-        The result is ``order L - log G(order+1) + log sum_j t_j / t_0`` with
-        ``L = log(x/2)`` and ``log t_j / t_0`` the running sum ``S_j`` of
-        ``2L - D_i``, ``D_i = log(i (order + i))``.  Every rounded operation
-        adds a few units of roundoff u times the magnitude it produces: the
-        two leading logs, each ``2L - D_i`` (at most ``2|L| + D_i``) and each
-        partial sum ``S_i``, so an error of ``S_j`` is bounded by u times the
-        sum of those magnitudes up to j; all j are taken, over every term the
-        table may hold.  Four units, ``2 eps`` times that sum, are allowed,
-        and ``eps n`` for the final sum of n positive terms."""
-        half = math.log(x / 2.0)
+        The result is ``order L + log sum_j exp(log c_j + 2 j L)`` with ``L =
+        log x - log 2`` and ``log c_j = -log j! - log G(order+1+j)``.  Every
+        rounded operation adds a few units of roundoff u times the magnitude
+        it produces: ``L`` (at most ``|log x| + log 2``) times the order,
+        each ``log c_j`` (two log-gamma values) and each ``2 j L``.  The sum
+        is max-shifted, so an error of an exponent becomes the same relative
+        error of its term, and the log of the sum is off by at most the
+        largest of them, taken over every term the table may hold.  Four
+        units, ``2 eps`` times those magnitudes, are allowed, and ``eps n``
+        for the final sum of n positive terms."""
+        log_x = math.log(x)
+        half = abs(log_x) + math.log(2.0)
         n = math.ceil((-order + math.sqrt(order * order + 2.0 * x * x)) / 2.0) + 56
-        j = np.arange(1.0, n)
-        den = np.log(j * (order + j))
-        partial = np.cumsum(2.0 * half - den)
-        scale = (abs(order * half) + abs(special.gammaln(order + 1.0))
-                 + np.sum(np.abs(partial) + 2.0 * abs(half) + den))
-        return 2.0 * EPS * scale + EPS * n
+        j = np.arange(n)
+        term = (special.gammaln(j + 1.0) + np.abs(special.gammaln(order + 1.0 + j))
+                + 2.0 * j * half)
+        return 2.0 * EPS * (abs(order) * half + term.max()) + EPS * n
 
     @pytest.mark.parametrize("order, x", [(2000, 2700), (5000, 4000), (20000, 15000)])
     def test_high_order_series_against_mpmath(self, order, x):
@@ -148,6 +148,34 @@ class TestLogBesselI:
         got = log_bessel_i(order, x)
         assert got.sign == 1
         assert abs(got.log_magnitude - want) <= self.fallback_tolerance(order, x)
+
+    @pytest.mark.parametrize("order", [1.0, 178.0])
+    def test_smallest_subnormal_argument(self, order):
+        # x / 2 underflows to 0 at 5e-324, so the series takes log x - log 2
+        x = 5e-324
+        with mp.workdps(60):
+            want = float(mp.log(mp.besseli(order, mp.mpf(x))))
+        got = log_bessel_i(order, x)
+        assert got.sign == 1
+        assert abs(got.log_magnitude - want) <= self.fallback_tolerance(order, x)
+
+    @pytest.mark.parametrize("order, x_max", [(178.0, 3.1), (1999.0, 2500.0)])
+    def test_blocks_leave_the_results_unchanged(self, order, x_max, monkeypatch):
+        # with blocks of 4,096 log terms each block is sized at its own
+        # largest argument; in one block every argument is summed to the
+        # term count of the largest.  The extra terms add less than eps of
+        # the sum, and the n-term sum rounds by at most eps n, where n is
+        # the largest table, at x_max; adding the log of the sum to the
+        # leading term rounds once more, by at most eps of the result
+        x = np.random.default_rng(3).uniform(1e-3, x_max, 3000)
+        assert (special.ive(order, x) < 1e-290).mean() > 0.5
+        monkeypatch.setattr(specfun, "_FALLBACK_BLOCK", 1 << 30)
+        one_block = log_bessel_i_array(order, x)
+        monkeypatch.setattr(specfun, "_FALLBACK_BLOCK", 1 << 12)
+        blocks = log_bessel_i_array(order, x)
+        n = specfun._ascending_log_coefficients(order, 2.0 * math.log(x_max / 2.0),
+                                                100_000).size
+        assert np.all(np.abs(blocks - one_block) <= EPS * (n + 1 + np.abs(one_block)))
 
     def test_series_past_the_term_cap_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "_FALLBACK_MAX_TERMS", 50)
