@@ -585,31 +585,35 @@ def sinc_envelope(ctx, m, x, y, mass):
 
 
 def sinc_tolerance(ctx, m, n_nodes, x, y, mass):
-    """Absolute error bound of a sinc-branch grid on the axes x, y, per cell.
+    """Absolute error bound of a sinc-branch grid on the axes x, y, per cell,
+    in units of eps times the envelope of ``sinc_envelope``.
 
     Both paths form ``g(x) g(y)`` from exponents whose components, ``(m-1)/2
-    log w``, ``w / (2b)`` and half of ``log G(m) + m log b``, are one or two
-    rounded operations each: an error of a few units of roundoff u times
-    ``S(x) + S(y)``, S the sum of their magnitudes, which ``exp`` makes a
-    relative error; 2 eps times it is allowed.  The direct path takes the
-    sine of ``(x - y)/a``, rounded to u times ``|x - y|/a``.  The quadrature
-    takes cosines and sines of ``t_q w``, ``t_q <= 1/a``, each off by u
-    times ``w/a`` plus the node error, a few u times ``w/a`` for eigenvalues
-    of a matrix of norm below 1; ``(x + y)/a`` times eps covers both axes.
-    Its weights sum to 2 and ``|cc| + |ss| <= 1``, so the 2n-term sum rounds
-    by at most ``eps n`` of the envelope, its weights are off by a few u in
-    all, and its truncation error is at most eps/2 of the envelope by the
-    node rule.  All these scale the envelope of ``sinc_envelope``.  Where
-    the envelope is below 1e-290 products of factors can be subnormal, and
-    rounding there is absolute, not relative; the tests skip those cells."""
+    log w``, ``w / (2b)`` and half of ``log G(m)`` and of ``m log b``, are
+    one or two rounded operations each: an error of a few units of roundoff
+    u times ``S(x) + S(y)``, S the sum of their magnitudes, which ``exp``
+    makes a relative error; 2 eps times it is allowed.  The direct path
+    takes the sine of ``z = (x - y)/a``, rounded to ``2u |z|``, which moves
+    ``sin z / z`` by at most 4u of the envelope; ``|z| + 4`` units are
+    allowed.  The quadrature takes cosines and sines of ``t_q w``, ``t_q =
+    (1 + tau_q)/(2a)``: with nodes tau_q within 8 eps (``TestGaussLegendre``)
+    a phase is off by at most ``5 eps w/a``, and the kernel, a weighted mean
+    of cosines of weight 2, by at most the phase errors of the two axes,
+    ``5 (x + y)/a`` units.  Its 2n-term sum rounds by ``gamma_2n``, n units,
+    since ``|cos cos + sin sin| <= 1`` and the weights sum to 2; its weights
+    are off by at most 3n eps in all (``TestGaussLegendre``), 1.5 n units;
+    its truncation error is below eps/2 of the envelope by the node rule;
+    4 more units cover the scalar factors.  Where the envelope is below
+    1e-290 products of factors can be subnormal, and rounding there is
+    absolute, not relative; the tests skip those cells."""
     b, a = ctx.b_p_s, math.sqrt(-ctx.k_p_s)
-    half = abs(special.gammaln(m) + m * math.log(b)) / 2.0
+    half = (abs(special.gammaln(m)) + abs(m * math.log(b))) / 2.0
     size = lambda w: abs(m - 1.0) / 2.0 * np.abs(np.log(w)) + w / (2.0 * b) + half
-    units = 2.0 * np.add.outer(size(x), size(y))
+    units = 2.0 * np.add.outer(size(x), size(y)) + 4.0
     if n_nodes is None:
-        units += np.abs(np.subtract.outer(x, y)) / a + 4.0
+        units += np.abs(np.subtract.outer(x, y)) / a
     else:
-        units += np.add.outer(x, y) / a + n_nodes + 4.0
+        units += 5.0 * np.add.outer(x, y) / a + 2.5 * n_nodes
     return EPS * units * sinc_envelope(ctx, m, x, y, mass)
 
 
@@ -717,6 +721,39 @@ class TestNoiseConvolution:
     def test_direct_paths(self, paper_params, s, cells, grid_max):
         # past the rank limits the paired density is a grid
         self.check(paper_params, s, np.linspace(0.0, grid_max, cells), factored=False)
+
+
+class TestGaussLegendre:
+    @staticmethod
+    def refined(n, x):
+        """The rule refined in long double: three Newton steps on P_n from
+        the given nodes, then ``w = 2 (1 - x^2) / (n P_{n-1}(x))^2``; the
+        three-term recurrence is stable, so the reference is good to a few
+        long-double units, far below a double's."""
+        def pair(x):
+            p0, p1 = np.ones_like(x), x.copy()
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            return p0, p1
+
+        x = x.astype(np.longdouble)
+        for _ in range(3):
+            p0, p1 = pair(x)
+            x = x - p1 * (x * x - 1) / (n * (x * p1 - p0))
+        return x, 2 * (1 - x * x) / (n * pair(x)[0]) ** 2
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 53, 100, 400])
+    def test_against_long_double_refinement(self, n):
+        # the allowances sinc_tolerance takes.  The eigenvalues of a
+        # symmetric matrix of norm below 1 are backward stable, within a few
+        # u.  The weights are squared first components of eigenvectors,
+        # whose accuracy falls with the eigenvalue gaps, of order 1/n; their
+        # errors summed to at most 2n eps for every n up to 300 on one
+        # LAPACK build, and 3n eps is allowed
+        nodes, weights = qdii._gauss_legendre(n)
+        x, w = self.refined(n, nodes)
+        assert np.all(np.abs(nodes - x) <= 8 * EPS)
+        assert np.sum(np.abs(weights - w)) <= 3 * n * EPS
 
 
 class TestSincQuadrature:
