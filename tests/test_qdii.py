@@ -618,8 +618,9 @@ def sinc_tolerance(ctx, m, n_nodes, x, y, mass):
 
 
 def sinc_nodes(ctx, x, y):
-    """The node count the grid on axes x, y runs the quadrature with, or
-    None when it takes the direct path; w = 0 is dropped for m > 1."""
+    """The node count a grid runs the quadrature with, or None when it takes
+    the direct path; x and y are the points the density evaluates, which
+    leave out w = 0 for m > 1."""
     a = math.sqrt(-ctx.k_p_s)
     omega = max(x.max() - y.min(), y.max() - x.min()) / (2.0 * a)
     return qdii._quadrature_nodes(omega, min((x.size + y.size) // 3, qdii._SINC_MAX_RANK) // 2)
