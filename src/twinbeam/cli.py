@@ -246,10 +246,11 @@ def cmd_moments(args) -> int:
         "dark_moments": asdict(dmom),
         "detected_moments": asdict(detected),
         "efficiencies": {"eta_s": args.eta_s, "eta_i": args.eta_i},
-        "feasibility_margin": feasibility(detected, args.eta_s, args.eta_i),
+        "feasibility_margin": None,
         "var_p_interval": None,
     }
     try:
+        report["feasibility_margin"] = feasibility(detected, args.eta_s, args.eta_i)
         lo, hi = inversion_family(detected, args.eta_s, args.eta_i).var_p_range
         report["var_p_interval"] = {"low_exclusive": lo, "high": hi}
     except InfeasibleMomentsError as exc:

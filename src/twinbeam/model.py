@@ -168,14 +168,6 @@ class PhotocountMoments:
         _require(self.mean_sq_i >= self.mean_i**2 - slack,
                  "PhotocountMoments: mean_sq_i < mean_i^2 (negative variance)")
 
-    @property
-    def var_s(self) -> float:
-        return self.mean_sq_s - self.mean_s**2
-
-    @property
-    def var_i(self) -> float:
-        return self.mean_sq_i - self.mean_i**2
-
 
 @dataclass(frozen=True)
 class DetectedIntensityMoments:

@@ -150,19 +150,16 @@ def joint_photon_distribution(params: TwinBeamParams,
 class DetectorResponseTable:
     """Tabulated response probabilities table[m, n] for one detector arm.
 
-    ``column_mass[n]`` is the captured probability of each photon-number
-    column; it reaches 1 whenever ``m_max`` covers the column support.
+    Column n sums to the captured probability of n photons; it reaches 1
+    whenever ``m_max`` covers the column support.
     """
 
-    detector: DetectorModel
     table: np.ndarray
-    column_mass: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "table", _readonly(self.table))
-        object.__setattr__(self, "column_mass", _readonly(self.column_mass))
-        if self.table.ndim != 2 or self.column_mass.shape != (self.table.shape[1],):
-            raise ValidationError("DetectorResponseTable: inconsistent shapes")
+        if self.table.ndim != 2:
+            raise ValidationError("DetectorResponseTable: table must be 2-D")
 
     @property
     def m_max(self) -> int:
@@ -174,7 +171,7 @@ class DetectorResponseTable:
 
     def check_completeness(self) -> None:
         """Raise unless every column captures all but 1e-8 of its mass."""
-        worst = float(np.max(1.0 - self.column_mass))
+        worst = float(np.max(1.0 - self.table.sum(axis=0)))
         if worst > 1e-8:
             raise GridResolutionError(
                 f"response table m_max={self.m_max} misses up to {worst:.3g} "
@@ -231,7 +228,7 @@ def response_table(d: DetectorModel, m_max: int, n_max: int) -> DetectorResponse
         raise DomainError("response_table: n_max must be >= 0")
     occ = _occupancy_matrix(d.efficiency, d.pixels, m_max, n_max)
     table = _dark_kernel(d.dark_rate, d.pixels, m_max) @ occ
-    return DetectorResponseTable(d, table, table.sum(axis=0))
+    return DetectorResponseTable(table)
 
 
 def detector_response(d: DetectorModel, m: int, n: int) -> float:

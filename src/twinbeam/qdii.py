@@ -24,26 +24,30 @@ per axis, with one column per separable term:
   points on the two axes and at most 1,000, otherwise the closed form is
   evaluated per cell.
 
-The sinc form is a closed-form interference expression, not an exact
-Fourier inversion; as printed it is not normalized, so every grid divides
-it by its total mass, itself a closed form.  Only the pointwise
-``paired_qdii`` takes ``normalized=False`` for the raw expression.  The
-full-field QDII is the convolution of the paired density with one
-multi-thermal noise density per arm.  It needs uniform axes: each noise
-measure is binned onto the grid lattice, and the convolution is one
-product of lower-triangular Toeplitz matrices per arm, ``T_s @ paired @
-T_i^T``; a factored density is convolved as ``(T_s @ L) @ (T_i @ R).T``
-instead when that needs fewer multiply-adds, which it does while the rank
-is well below the number of lattice points.  Without pairs the QDII is the
-product of the two noise densities.  One gamma-density routine serves
-``thermal_qdii``, that noise-only grid and the uncorrelated limit of the
-paired density.  Every grid ends in the same check: its trapezoid
-integral, ``QdiiGrid.normalization``, must lie within 5 % of 1.
+Each branch hands ``_paired_values`` a per-axis factor function, or None
+past its rank limit, and that function alone picks the factored or the
+per-cell path.  The sinc form is a closed-form interference expression, not
+an exact Fourier inversion: ``sqrt(g(x) g(y))`` times the kernel, g the
+pair field's gamma density, whose half log both sinc paths take from one
+routine.  As printed it is not normalized, so every value is divided by its
+total mass, itself a closed form.  The full-field QDII is the convolution
+of the paired density with one multi-thermal noise density per arm.  It
+needs uniform axes: each noise measure is binned onto the grid lattice, and
+the convolution is one product of lower-triangular Toeplitz matrices per
+arm, ``T_s @ paired @ T_i^T``; a factored density is convolved as ``(T_s @
+L) @ (T_i @ R).T`` instead when that needs fewer multiply-adds, which it
+does while the rank is well below the number of lattice points.  Without
+pairs the QDII is the product of the two noise densities.  One
+gamma-density routine serves ``thermal_qdii``, that noise-only grid and the
+uncorrelated limit of the paired density.  Every grid ends in the same
+check: its trapezoid integral, ``QdiiGrid.normalization``, must lie within
+5 % of 1.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +70,9 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 0.05
-# most terms of the Bessel series a grid is evaluated with (see _bessel_branch)
+# most terms of the Bessel series a grid is evaluated with (see _bessel_factor)
 _SERIES_MAX_TERMS = 2000
-# largest rank, twice the node count, of the sinc quadrature (see _sinc_branch)
+# largest rank, twice the node count, of the sinc quadrature (see _sinc_factor)
 _SINC_MAX_RANK = 1000
 
 
@@ -250,24 +254,22 @@ def _bessel_distinct(ctx: OrderingContext, m: float,
     return np.exp(ln)
 
 
-def _bessel_branch(ctx: OrderingContext, m: float, x: np.ndarray,
-                   y: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Bessel-branch density as factors ``(F_s, F_i)`` of the series, or as
-    ``(grid, None)`` from ``_bessel_distinct``."""
+def _bessel_factor(ctx: OrderingContext, m: float, x: np.ndarray,
+                   y: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Per-axis factor F of the Bessel-branch density on the grid of axes
+    ``x``, ``y``, the grid being ``F(x) @ F(y).T``; None when the series
+    needs more terms than the grid's limit."""
     if ctx.d_p == 0.0:
         # uncorrelated limit b_pairs -> 0: product of two gamma densities
-        return (_thermal_values(m, ctx.b_p_s, x)[:, None],
-                _thermal_values(m, ctx.b_p_s, y)[:, None])
+        return lambda w: _thermal_values(m, ctx.b_p_s, w)[:, None]
     # the series while it needs no more terms than the grid has points, and
     # at most _SERIES_MAX_TERMS, below the crossovers the README lists
     log_corner = math.log(x.max()) + math.log(y.max())
     half_a = _series_half_log_coefficients(
         ctx, m, log_corner, min(x.size + y.size, _SERIES_MAX_TERMS))
     if half_a is None:
-        return _bessel_distinct(ctx, m, x, y), None
-    f_s = _series_factors(ctx, m, half_a, x)
-    # equal axes give F @ F.T, which BLAS forms as a symmetric product
-    return f_s, f_s if np.array_equal(x, y) else _series_factors(ctx, m, half_a, y)
+        return None
+    return lambda w: _series_factors(ctx, m, half_a, w)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,28 +302,31 @@ def _quadrature_nodes(omega: float, max_nodes: int) -> int | None:
     return int(n[fits[0]]) if fits.size else None
 
 
-def _sinc_direct(ctx: OrderingContext, m: float,
-                 x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Raw sinc-branch density on the grid of axes ``x``, ``y``, evaluated
-    per cell."""
+def _half_log_gamma(m: float, b: float, w: np.ndarray) -> np.ndarray:
+    """``log sqrt(g(w))`` for the gamma density g of shape m and scale b: the
+    sinc-branch density is ``sqrt(g(x) g(y))`` times its kernel."""
     from scipy import special as sp
 
-    kt = -ctx.k_p_s
+    return (m - 1.0) / 2.0 * np.log(w) - (sp.gammaln(m) + m * math.log(b)) / 2.0 - w / (2.0 * b)
+
+
+def _sinc_direct(ctx: OrderingContext, m: float,
+                 x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sinc-branch density on the grid of axes ``x``, ``y``, evaluated per
+    cell and divided by its closed-form total mass."""
     b = ctx.b_p_s
-    a = math.sqrt(kt)
-    ws, wi = x[:, None], y[None, :]
-    log_prod = np.log(ws) + np.log(wi)
-    ln = ((m - 1.0) / 2.0 * log_prod - sp.gammaln(m) - m * math.log(b)
-          - (ws + wi) / (2.0 * b))
-    return np.exp(ln) * a * sinc((ws - wi) / a) / math.pi
+    a = math.sqrt(-ctx.k_p_s)
+    scale = a / (math.pi * _sinc_normalization(m, b, -ctx.k_p_s))
+    envelope = np.exp(np.add.outer(_half_log_gamma(m, b, x), _half_log_gamma(m, b, y)))
+    return envelope * sinc(np.subtract.outer(x, y) / a) * scale
 
 
-def _sinc_branch(ctx: OrderingContext, m: float, x: np.ndarray, y: np.ndarray,
-                 normalized: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sinc-branch density as factors ``(L, R)`` of a Gauss-Legendre rule,
-    or as ``(grid, None)`` from ``_sinc_direct`` when the rule needs a rank
-    above the limit; divided by its closed-form total mass unless
-    ``normalized`` is false.
+def _sinc_factor(ctx: OrderingContext, m: float, x: np.ndarray,
+                 y: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Per-axis factor F of the sinc-branch density on the grid of axes
+    ``x``, ``y``, the grid being ``F(x) @ F(y).T``, from a Gauss-Legendre
+    rule; None when the rule needs a rank above the grid's limit.  The
+    density is divided by its closed-form total mass.
 
     The kernel is the Fourier integral ``a sinc(v/a)/pi = (a^2/pi)
     int_0^{1/a} cos(t v) dt``.  With ``t = (1 + tau)/(2a)`` and n nodes it
@@ -330,30 +335,25 @@ def _sinc_branch(ctx: OrderingContext, m: float, x: np.ndarray, y: np.ndarray,
     separable terms.  ``cos(t v)`` is ``cos(omega (1 + tau))`` in tau with
     ``omega = |v| / (2a)``, so n comes from the largest ``|x - y|``.
     """
-    from scipy import special as sp
-
     b = ctx.b_p_s
     a = math.sqrt(-ctx.k_p_s)
-    mass = _sinc_normalization(m, b, -ctx.k_p_s) if normalized else 1.0
     omega = max(x.max() - y.min(), y.max() - x.min()) / (2.0 * a)
     # the quadrature while its rank is at most a third of the points on the
     # two axes, and at most _SINC_MAX_RANK, near the crossovers the README lists
     n = _quadrature_nodes(omega, min((x.size + y.size) // 3, _SINC_MAX_RANK) // 2)
     if n is None:
-        return _sinc_direct(ctx, m, x, y) / mass, None
+        return None
+    mass = _sinc_normalization(m, b, -ctx.k_p_s)
     tau, weights = _gauss_legendre(n)
     t = (1.0 + tau) / (2.0 * a)
     root_w = np.tile(np.sqrt(weights * a / (2.0 * math.pi * mass)), 2)
-    half_log_scale = -(sp.gammaln(m) + m * math.log(b)) / 2.0
 
     def factor(w: np.ndarray) -> np.ndarray:
-        gauss = np.exp((m - 1.0) / 2.0 * np.log(w) + half_log_scale - w / (2.0 * b))
         phase = np.multiply.outer(w, t)
-        return np.hstack((np.cos(phase), np.sin(phase))) * np.outer(gauss, root_w)
+        return (np.hstack((np.cos(phase), np.sin(phase)))
+                * np.outer(np.exp(_half_log_gamma(m, b, w)), root_w))
 
-    f_s = factor(x)
-    # equal axes give F @ F.T, which BLAS forms as a symmetric product
-    return f_s, f_s if np.array_equal(x, y) else factor(y)
+    return factor
 
 
 def _sinc_normalization(m: float, b: float, kt: float) -> float:
@@ -386,19 +386,20 @@ def _axis_factor(f: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _paired_values(ctx: OrderingContext, m_pairs: float,
-                   ws: np.ndarray, wi: np.ndarray,
-                   normalized: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _paired_values(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
+                   wi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Paired density on the grid of the 1-D axes ``ws`` (rows) and ``wi``
     (columns); cells with a negative coordinate are 0.
 
     Both branches are products of per-axis factors: the result is ``(L,
-    R)`` with the grid ``L @ R.T``, from ``_bessel_branch`` (a series, rank
-    K) or ``_sinc_branch`` (a quadrature, rank 2n), unless the rank would
-    exceed the limit of that branch; then the direct path of the branch
-    runs and the result is ``(grid, None)``.  A point the density drops (w
-    = 0 when m_pairs > 1) is a zero row of its factor.  The sinc branch is
-    divided by its closed-form total mass unless ``normalized`` is false.
+    R)`` with the grid ``L @ R.T``, from the factor of ``_bessel_factor`` (a
+    series, rank K) or ``_sinc_factor`` (a quadrature, rank 2n), unless the
+    rank would exceed the limit of that branch; then ``_bessel_distinct`` or
+    ``_sinc_direct`` evaluates the grid and the result is ``(grid, None)``.
+    Equal axes give ``(L, L)``, which BLAS multiplies as a symmetric
+    product.  A point the density drops (w = 0 when m_pairs > 1) is a zero
+    row of its factor.  The sinc branch is divided by its closed-form total
+    mass.
     """
     ws = np.atleast_1d(np.asarray(ws, dtype=float))
     wi = np.atleast_1d(np.asarray(wi, dtype=float))
@@ -414,37 +415,33 @@ def _paired_values(ctx: OrderingContext, m_pairs: float,
         return np.zeros((ws.size, wi.size)), None
     x = np.maximum(ws[rows], 1e-300)
     y = np.maximum(wi[cols], 1e-300)
-    if ctx.k_p_s > 0:
-        left, right = _bessel_branch(ctx, m_pairs, x, y)
-    else:
-        left, right = _sinc_branch(ctx, m_pairs, x, y, normalized)
-    if right is None:
+    bessel = ctx.k_p_s > 0
+    factor = (_bessel_factor if bessel else _sinc_factor)(ctx, m_pairs, x, y)
+    if factor is None:
         out = np.zeros((ws.size, wi.size))
-        out[np.ix_(rows, cols)] = left
+        out[np.ix_(rows, cols)] = (_bessel_distinct if bessel else _sinc_direct)(
+            ctx, m_pairs, x, y)
         return out, None
-    f_s = _axis_factor(left, rows)
-    if right is left and np.array_equal(rows, cols):
+    f_s = _axis_factor(factor(x), rows)
+    if np.array_equal(ws, wi):
         return f_s, f_s
-    return f_s, _axis_factor(right, cols)
+    return f_s, _axis_factor(factor(y), cols)
 
 
 def _paired_grid(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
-                 wi: np.ndarray, normalized: bool = True) -> np.ndarray:
+                 wi: np.ndarray) -> np.ndarray:
     """The paired density of ``_paired_values`` as a grid."""
-    left, right = _paired_values(ctx, m_pairs, ws, wi, normalized)
+    left, right = _paired_values(ctx, m_pairs, ws, wi)
     return left if right is None else left @ right.T
 
 
-def paired_qdii(ctx: OrderingContext, m_pairs: float,
-                w_s: float, w_i: float, *, normalized: bool = True) -> float:
+def paired_qdii(ctx: OrderingContext, m_pairs: float, w_s: float, w_i: float) -> float:
     """Paired-field quasi-distribution value at one intensity point.
 
     Dispatches on the sign of ``ctx.k_p_s``: the non-negative Bessel form
-    below the threshold ordering, the signed sinc form above it.  The branch
+    below the threshold ordering, the signed sinc form above it, divided by
+    its total mass, ``|K| I_x(1/2, m/2)`` in closed form.  The branch
     boundary itself is excluded (both closed forms are singular there).
-    With ``normalized=True`` (default) the sinc branch is divided by its
-    total mass, ``|K| I_x(1/2, m/2)`` in closed form; the raw printed
-    expression is available with ``normalized=False``.
     """
     if m_pairs <= 0:
         raise DomainError(f"paired_qdii: m_pairs must be > 0, got {m_pairs}")
@@ -454,7 +451,7 @@ def paired_qdii(ctx: OrderingContext, m_pairs: float,
         raise DomainError(
             "paired_qdii: evaluation at the branch boundary s = s_th is "
             "singular; use a one-sided offset")
-    value = float(_paired_grid(ctx, m_pairs, w_s, w_i, normalized)[0, 0])
+    value = float(_paired_grid(ctx, m_pairs, w_s, w_i)[0, 0])
     if math.isinf(value):
         raise NumericsError(
             f"paired_qdii overflow at (w_s={w_s}, w_i={w_i})")
@@ -611,8 +608,8 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
     onto a point mass at zero, which keeps the nearly-empty noise arms
     well-behaved.  The convolution needs uniform axes and raises
     ``DomainError`` otherwise; paired-only and noise-free grids accept any
-    increasing axes.  A sinc-branch density is always divided by its
-    closed-form total mass.
+    increasing axes.  Above the threshold ordering the paired density is
+    the sinc form divided by its closed-form total mass.
     """
     _check_ordering(s)
     ws = np.asarray(w_s_axis, dtype=float)

@@ -60,6 +60,13 @@ class TestHistogramIO:
             load_histogram(path)
         assert "3" in str(err.value)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("\n# frames: 6\n\n1,2\n  \n3,0\n\n")
+        h = load_histogram(path)
+        assert np.array_equal(h.counts, [[1.0, 2.0], [3.0, 0.0]])
+        assert h.total_frames == 6.0
+
     def test_ragged_rows_padded(self, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("# frames: 6\n1,2,3\n0\n")
@@ -178,6 +185,48 @@ class TestInputChecks:
         assert main([*argv, *args, "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("# frames: many\n1,2\n", "bad frames header"),
+        ("# frames: 10\n\n", "no data rows"),
+    ], ids=["bad-frames-header", "header-only"])
+    def test_bad_histogram_exit_code(self, text, message, tmp_path, capsys):
+        hist = tmp_path / "h.txt"
+        hist.write_text(text)
+        out = tmp_path / "out"
+        assert main(["reconstruct", str(hist), str(hist), "--eta-s", "0.3",
+                     "--eta-i", "0.28", "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_params_field_exit_code(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(
+            {k: v for k, v in PAPER_PARAMS_DICT.items() if k != "b_noise_i"}))
+        out = tmp_path / "grid"
+        assert main(["qdii", str(params), "--out-dir", str(out)]) == 2
+        assert "missing parameter field 'b_noise_i'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_moments_rejects_efficiency(self, tmp_path, capsys):
+        hist = tmp_path / "h.txt"
+        save_histogram(hist, Histogram2D(np.array([[3.0, 1.0], [1.0, 2.0]]), 7.0))
+        out = tmp_path / "report.json"
+        assert main(["moments", str(hist), str(hist), "--eta-s", "1.3",
+                     "--eta-i", "0.28", "--out", str(out)]) == 2
+        assert "eta_s must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_paired_only_without_pairs_exit_code(self, tmp_path, capsys):
+        # the noise-only grid succeeds; its paired part does not exist
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"m_pairs": 0.0, "b_pairs": 0.0,
+                                      "m_noise_s": 2.0, "b_noise_s": 1.0,
+                                      "m_noise_i": 2.0, "b_noise_i": 1.0}))
+        out = tmp_path / "grid"
+        assert main(["qdii", str(params), "--paired-only", "--out-dir", str(out)]) == 2
+        assert "no paired component" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--grid-max", "0"), ("--grid-max", "-5"), ("--grid-max", "nan"),
         ("--grid-max", "inf"), ("--grid-cells", "0"), ("--grid-cells", "1"),
@@ -227,6 +276,20 @@ class TestMomentsCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["feasibility_margin"] < 0
         assert report["var_p_interval"] is None
+
+    def test_zero_mean_reports_null_margin(self, tmp_path, capsys):
+        # no counts above zero: the dark-corrected means are 0, which leaves
+        # the efficiency inequality without a margin; the report still
+        # prints, with both fields null
+        hist = tmp_path / "h.txt"
+        save_histogram(hist, Histogram2D(np.array([[100.0]]), 100.0))
+        assert main(["moments", str(hist), str(hist), "--eta-s", "0.5",
+                     "--eta-i", "0.25"]) == 3
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["feasibility_margin"] is None
+        assert report["var_p_interval"] is None
+        assert "must be positive" in captured.err
 
     def test_anti_correlated_counts_are_infeasible(self, tmp_path, capsys):
         # a negative covariance passes the efficiency inequality (margin

@@ -193,11 +193,15 @@ class TestPairedQdii:
         assert val < 0.0
 
     def test_raw_form_scales_by_total_mass(self):
+        # the printed expression in 30 digits, divided by the same double
+        # closed-form mass; one point takes the per-cell path, which rounds
+        # as sinc_tolerance states
+        m, w_s, w_i = 10.0, 5.2, 4.8
         ctx = OrderingContext.for_params(0.5, 1.0)
-        raw = paired_qdii(ctx, 10.0, 5.2, 4.8, normalized=False)
-        norm = paired_qdii(ctx, 10.0, 5.2, 4.8, normalized=True)
-        assert norm != raw
-        assert math.copysign(1, norm) == math.copysign(1, raw)
+        mass = qdii._sinc_normalization(m, ctx.b_p_s, -ctx.k_p_s)
+        want = TestSincQuadrature.mp_density(ctx, m, w_s, w_i, mass)
+        tol = sinc_tolerance(ctx, m, None, np.array([w_s]), np.array([w_i]), mass)[0, 0]
+        assert abs(paired_qdii(ctx, m, w_s, w_i) - want) <= tol
 
     def test_branch_boundary_excluded(self):
         ctx = OrderingContext.for_params(0.055, 0.62823242118216382)
@@ -336,19 +340,13 @@ def series_tolerance(ctx, m, n_terms, x, y):
     return EPS * (2.0 * scale + n_terms)
 
 
-def series_terms(ctx, m, x, y, max_terms):
-    log_corner = math.log(x[-1]) + math.log(y[-1])
-    half_a = qdii._series_half_log_coefficients(ctx, m, log_corner, max_terms)
-    return None if half_a is None else half_a.size
-
-
-def series_limit(m, x, y):
-    """The most terms the grid of axes x, y runs the series with: the points
-    the paired density evaluates, which leave out w = 0 unless m = 1, up to
-    a fixed cap."""
-    def kept(w):
-        return np.count_nonzero((w > 0) | ((w == 0) & (m == 1.0)))
-    return min(kept(x) + kept(y), qdii._SERIES_MAX_TERMS)
+def series_terms(ctx, m, x, y):
+    """The term count a grid runs the series with, read from its factor, or
+    None when it evaluates the Bessel function per distinct argument; x and
+    y are the points the density evaluates, which leave out w = 0 unless
+    m = 1, where it is 1e-300."""
+    factor = qdii._bessel_factor(ctx, m, x, y)
+    return None if factor is None else factor(x[:1]).shape[1]
 
 
 class TestBesselSeries:
@@ -373,7 +371,8 @@ class TestBesselSeries:
         params = TwinBeamParams(m, b_pairs, 0, 0, 0, 0)
         axis = np.linspace(0.0, _auto_grid_max(params, s), 200)
         ctx = OrderingContext.for_params(b_pairs, s)
-        n_terms = series_terms(ctx, m, axis, axis, series_limit(m, axis, axis))
+        points = np.maximum(axis, 1e-300) if m == 1.0 else axis[1:]
+        n_terms = series_terms(ctx, m, points, points)
         assert n_terms is not None  # the grid takes the series
         grid = joint_qdii_grid(params, s, axis, axis, paired_only=True).values
         tol = series_tolerance(ctx, m, n_terms, np.maximum(axis, 1e-300),
@@ -424,8 +423,7 @@ class TestBesselSeries:
             monkeypatch.setattr(qdii, "_SERIES_MAX_TERMS", cap)
         axis = np.linspace(0.0, _auto_grid_max(paper_params, s), 200)
         ctx = OrderingContext.for_params(paper_params.b_pairs, s)
-        n_terms = series_terms(ctx, paper_params.m_pairs, axis, axis, 10000)
-        assert (n_terms <= series_limit(paper_params.m_pairs, axis, axis)) == series
+        assert (series_terms(ctx, paper_params.m_pairs, axis[1:], axis[1:]) is not None) == series
         calls = []
         distinct = qdii._bessel_distinct
         monkeypatch.setattr(qdii, "_bessel_distinct",
@@ -617,13 +615,12 @@ def sinc_tolerance(ctx, m, n_nodes, x, y, mass):
     return EPS * units * sinc_envelope(ctx, m, x, y, mass)
 
 
-def sinc_nodes(ctx, x, y):
-    """The node count a grid runs the quadrature with, or None when it takes
-    the direct path; x and y are the points the density evaluates, which
-    leave out w = 0 for m > 1."""
-    a = math.sqrt(-ctx.k_p_s)
-    omega = max(x.max() - y.min(), y.max() - x.min()) / (2.0 * a)
-    return qdii._quadrature_nodes(omega, min((x.size + y.size) // 3, qdii._SINC_MAX_RANK) // 2)
+def sinc_nodes(ctx, m, x, y):
+    """The node count a grid runs the quadrature with, read from its factor,
+    or None when it takes the direct path; x and y are the points the
+    density evaluates, which leave out w = 0 for m > 1."""
+    factor = qdii._sinc_factor(ctx, m, x, y)
+    return None if factor is None else factor(x[:1]).shape[1] // 2
 
 
 class TestNoiseConvolution:
@@ -693,7 +690,7 @@ class TestNoiseConvolution:
         # lattice points; w = 0 is a zero row for m > 1
         w = lat[lat > 0]
         mass = qdii._sinc_normalization(m, ctx.b_p_s, -ctx.k_p_s)
-        direct = qdii._sinc_direct(ctx, m, w, w) / mass
+        direct = qdii._sinc_direct(ctx, m, w, w)
         tol = (sinc_tolerance(ctx, m, n_nodes, w, w, mass)
                + sinc_tolerance(ctx, m, None, w, w, mass))
         normal = sinc_envelope(ctx, m, w, w, mass) > 1e-290
@@ -782,7 +779,7 @@ class TestSincQuadrature:
         params = replace(paper_params, b_pairs=b_pairs)
         ctx = OrderingContext.for_params(b_pairs, 1.0)
         axis = np.linspace(0.0, _auto_grid_max(params, 1.0), cells)
-        n_nodes = sinc_nodes(ctx, axis[1:], axis[1:])
+        n_nodes = sinc_nodes(ctx, params.m_pairs, axis[1:], axis[1:])
         assert (n_nodes is not None) == quadrature
         grid = joint_qdii_grid(params, 1.0, axis, axis, paired_only=True).values
         mass = qdii._sinc_normalization(params.m_pairs, ctx.b_p_s, -ctx.k_p_s)
@@ -805,7 +802,8 @@ class TestSincQuadrature:
             monkeypatch.setattr(qdii, "_SINC_MAX_RANK", cap)
         axis = np.linspace(0.0, 25.0, cells)
         ctx = OrderingContext.for_params(paper_params.b_pairs, 1.0)
-        assert (sinc_nodes(ctx, axis[1:], axis[1:]) is not None) == quadrature
+        n_nodes = sinc_nodes(ctx, paper_params.m_pairs, axis[1:], axis[1:])
+        assert (n_nodes is not None) == quadrature
         calls = []
         direct = qdii._sinc_direct
         monkeypatch.setattr(qdii, "_sinc_direct", lambda *a: calls.append(1) or direct(*a))
@@ -828,15 +826,15 @@ class TestSincQuadrature:
                    100.0 * math.sqrt(-ctx.k_p_s))
         start = max(m * ctx.b_p_s - span / 2.0, span / 200.0)
         axis = np.linspace(start, start + span, 200)
-        n_nodes = sinc_nodes(ctx, axis, axis)
+        n_nodes = sinc_nodes(ctx, m, axis, axis)
         assert n_nodes is not None
-        left, right = qdii._sinc_branch(ctx, m, axis, axis, normalized=True)
+        factor = qdii._sinc_factor(ctx, m, axis, axis)(axis)
         mass = qdii._sinc_normalization(m, ctx.b_p_s, -ctx.k_p_s)
-        direct = qdii._sinc_direct(ctx, m, axis, axis) / mass
+        direct = qdii._sinc_direct(ctx, m, axis, axis)
         tol = (sinc_tolerance(ctx, m, n_nodes, axis, axis, mass)
                + sinc_tolerance(ctx, m, None, axis, axis, mass))
         normal = sinc_envelope(ctx, m, axis, axis, mass) > 1e-290
-        assert np.all((np.abs(left @ right.T - direct) <= tol)[normal])
+        assert np.all((np.abs(factor @ factor.T - direct) <= tol)[normal])
 
 
 @pytest.mark.xfail(
