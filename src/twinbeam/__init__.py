@@ -40,7 +40,6 @@ from .moments import (
     photocount_moments,
 )
 from .photostat import (
-    DetectorResponseTable,
     default_cutoffs,
     detector_response,
     joint_photon_distribution,

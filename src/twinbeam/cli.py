@@ -190,6 +190,9 @@ def _write_report(report: dict, fmt: str, out_file: Path | None) -> None:
 
 
 def _csv_cell(v) -> str:
+    # the spellings of the json report
+    if v is None:
+        return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):

@@ -12,24 +12,23 @@ of logs of positive ratios: no term cancels and no special function is used.
 
 The closed-form pixel response is an alternating sum that cancels
 catastrophically for more than a few counts.  Every response value is
-instead computed from an all-positive occupancy recurrence over photons,
-which is the same response without cancellation; the tests check it against
-the closed form in extended precision.
+instead computed from an all-positive occupancy recurrence over photons
+that starts from the binomial law of dark-fired pixels, which is the same
+response without cancellation; the tests check it against the closed form
+in extended precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, GridResolutionError, ValidationError
-from .model import DetectorModel, FieldMoments, JointDistribution, TwinBeamParams, _readonly
+from .model import DetectorModel, FieldMoments, JointDistribution, TwinBeamParams
 
 __all__ = [
-    "DetectorResponseTable",
     "mandel_rice",
     "mandel_rice_pmf",
     "default_cutoffs",
@@ -146,119 +145,79 @@ def joint_photon_distribution(params: TwinBeamParams,
 # detector response
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DetectorResponseTable:
-    """Tabulated response probabilities table[m, n] for one detector arm.
+def _log_dark_binomial(m_max: int, npix: int, dark: float) -> np.ndarray:
+    """Log Binomial(npix, dark) probabilities for j = 0..m_max (0 < dark < 1).
 
-    Column n sums to the captured probability of n photons; it reaches 1
-    whenever ``m_max`` covers the column support.
+    A cumulative sum of log ratios, as in ``_log_mandel_rice``: ``npix
+    log1p(-dark)`` at j = 0, then ``log((npix - j + 1)/j * dark/(1 - dark))``
+    per step, each ratio positive and formed directly.
     """
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", _readonly(self.table))
-        if self.table.ndim != 2:
-            raise ValidationError("DetectorResponseTable: table must be 2-D")
-
-    @property
-    def m_max(self) -> int:
-        return self.table.shape[0] - 1
-
-    @property
-    def n_max(self) -> int:
-        return self.table.shape[1] - 1
-
-    def check_completeness(self) -> None:
-        """Raise unless every column captures all but 1e-8 of its mass."""
-        worst = float(np.max(1.0 - self.table.sum(axis=0)))
-        if worst > 1e-8:
-            raise GridResolutionError(
-                f"response table m_max={self.m_max} misses up to {worst:.3g} "
-                "of a photon-number column")
+    j = np.arange(1, m_max + 1, dtype=float)
+    steps = np.log((npix - j + 1.0) / j * (dark / (1.0 - dark)))
+    return np.cumsum(np.concatenate(([npix * math.log1p(-dark)], steps)))
 
 
-def _occupancy_matrix(eta: float, npix: int, m_max: int, n_max: int) -> np.ndarray:
-    """O[j, n]: probability that n photons light exactly j distinct pixels.
+def response_table(d: DetectorModel, m_max: int, n_max: int) -> np.ndarray:
+    """Read-only table[m, n]: probability of m fired pixels given n incident
+    photons, for m = 0..m_max, n = 0..n_max.
 
-    Forward recurrence over photons; each photon is detected with probability
-    eta and then lands on a fresh pixel with probability 1 - j/npix.  All
-    terms are non-negative, so the recurrence is stable.
+    A pixel fires if it holds a detected photon or a dark event, and the
+    number fired does not depend on which comes first.  So column 0 is the
+    binomial law of dark-fired pixels, and each further photon is detected
+    with probability eta and then fires a new pixel with probability
+    ``1 - j/npix``.  Every term of this occupancy recurrence is
+    non-negative, so nothing cancels; the tests check it against the
+    closed-form alternating sum in extended precision.  Column n sums to the
+    captured probability of n photons, 1 when m_max covers its support.
     """
+    if not (0 <= m_max <= d.pixels):
+        raise DomainError(f"response_table: m_max must lie in [0, {d.pixels}], got {m_max}")
+    if n_max < 0:
+        raise DomainError(f"response_table: n_max must be >= 0, got {n_max}")
+    eta, npix = d.efficiency, d.pixels
     js = np.arange(m_max + 1, dtype=float)
     stay = (1.0 - eta) + eta * js / npix
     up = eta * (1.0 - js / npix)
-    out = np.zeros((m_max + 1, n_max + 1))
-    col = np.zeros(m_max + 1)
-    col[0] = 1.0
+    out = np.empty((m_max + 1, n_max + 1))
+    if d.dark_rate == 0.0:
+        col = np.zeros(m_max + 1)
+        col[0] = 1.0
+    else:
+        col = np.exp(_log_dark_binomial(m_max, npix, d.dark_rate))
     out[:, 0] = col
     for n in range(1, n_max + 1):
         nxt = col * stay
         nxt[1:] += col[:-1] * up[:-1]
         col = nxt
         out[:, n] = col
+    out.setflags(write=False)
     return out
-
-
-def _dark_kernel(dark: float, npix: int, m_max: int) -> np.ndarray:
-    """K[m, j]: probability that dark events raise j lit pixels to m fired,
-    the binomial ``log K = F[m] - F[j] - log (m-j)! + (m-j) log d
-    + (npix-m) log1p(-d)`` with F[m] = log npix!/(npix-m)!; both factorial
-    terms are cumulative sums of logs of positive integers."""
-    if dark == 0.0:
-        return np.eye(m_max + 1)
-    i = np.arange(m_max + 1)
-    log_fall = np.concatenate(([0.0], np.cumsum(np.log(npix - i[:-1]))))
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(i[1:]))))
-    k = i[:, None] - i
-    log_k = (log_fall[:, None] - log_fall - log_fact[np.maximum(k, 0)]
-             + k * math.log(dark) + (npix - i[:, None]) * math.log1p(-dark))
-    return np.exp(np.where(k >= 0, log_k, -np.inf))
-
-
-def response_table(d: DetectorModel, m_max: int, n_max: int) -> DetectorResponseTable:
-    """Response probabilities for m = 0..m_max, n = 0..n_max.
-
-    Built from the all-positive occupancy recurrence (no cancellation); equal
-    to the closed-form response within round-off.
-    """
-    if not (0 <= m_max <= d.pixels):
-        raise DomainError(f"response_table: m_max must lie in [0, {d.pixels}]")
-    if n_max < 0:
-        raise DomainError("response_table: n_max must be >= 0")
-    occ = _occupancy_matrix(d.efficiency, d.pixels, m_max, n_max)
-    table = _dark_kernel(d.dark_rate, d.pixels, m_max) @ occ
-    return DetectorResponseTable(table)
 
 
 def detector_response(d: DetectorModel, m: int, n: int) -> float:
     """Probability of m photocounts given n incident photons: the ``[m, n]``
     entry of :func:`response_table`."""
-    if not (0 <= m <= d.pixels):
-        raise DomainError(f"detector_response: m must lie in [0, {d.pixels}], got {m}")
-    if n < 0:
-        raise DomainError(f"detector_response: n must be >= 0, got {n}")
-    m, n = int(m), int(n)
-    return float(response_table(d, m, n).table[m, n])
+    return float(response_table(d, m, n)[m, n])
 
 
-def photocount_distribution(p: JointDistribution,
-                            d_s: DetectorResponseTable,
-                            d_i: DetectorResponseTable) -> JointDistribution:
-    """Push the photon-number table through both detector responses.
+def photocount_distribution(p: JointDistribution, table_s: np.ndarray,
+                            table_i: np.ndarray) -> JointDistribution:
+    """Push the photon-number table through both arms' response tables
+    (``response_table``).
 
     The output truncation mass combines the photon-level truncation with the
-    count mass lost above the tables' m_max rows.  The three-factor product
+    count mass lost above the tables' last rows.  The three-factor product
     is taken in whichever order needs fewer multiplications.
     """
     n_s = p.probs.shape[0] - 1
     n_i = p.probs.shape[1] - 1
-    if d_s.n_max < n_s or d_i.n_max < n_i:
+    if table_s.shape[1] <= n_s or table_i.shape[1] <= n_i:
         raise ValidationError(
             f"photocount_distribution: response tables cover n <= "
-            f"({d_s.n_max}, {d_i.n_max}) but the distribution needs ({n_s}, {n_i})")
-    ts = d_s.table[:, :n_s + 1]
-    ti = d_i.table[:, :n_i + 1]
+            f"({table_s.shape[1] - 1}, {table_i.shape[1] - 1}) but the "
+            f"distribution needs ({n_s}, {n_i})")
+    ts = table_s[:, :n_s + 1]
+    ti = table_i[:, :n_i + 1]
     rows_s, rows_i = ts.shape[0], ti.shape[0]
     if rows_s * (n_s + 1 + rows_i) * (n_i + 1) <= rows_i * (n_i + 1 + rows_s) * (n_s + 1):
         counts = (ts @ p.probs) @ ti.T

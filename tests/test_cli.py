@@ -280,16 +280,20 @@ class TestMomentsCommand:
     def test_zero_mean_reports_null_margin(self, tmp_path, capsys):
         # no counts above zero: the dark-corrected means are 0, which leaves
         # the efficiency inequality without a margin; the report still
-        # prints, with both fields null
+        # prints, with both fields null, in either format
         hist = tmp_path / "h.txt"
         save_histogram(hist, Histogram2D(np.array([[100.0]]), 100.0))
-        assert main(["moments", str(hist), str(hist), "--eta-s", "0.5",
-                     "--eta-i", "0.25"]) == 3
+        args = ["moments", str(hist), str(hist), "--eta-s", "0.5", "--eta-i", "0.25"]
+        assert main(args) == 3
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report["feasibility_margin"] is None
         assert report["var_p_interval"] is None
         assert "must be positive" in captured.err
+        assert main([*args, "--format", "csv"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert "feasibility_margin,null" in lines
+        assert "var_p_interval,null" in lines
 
     def test_anti_correlated_counts_are_infeasible(self, tmp_path, capsys):
         # a negative covariance passes the efficiency inequality (margin

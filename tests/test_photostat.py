@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import twinbeam
 from twinbeam import (
     DetectorModel,
-    DetectorResponseTable,
     DomainError,
     GridResolutionError,
     TwinBeamParams,
@@ -30,6 +29,8 @@ from twinbeam import (
     response_table,
     sum_distribution,
 )
+
+EPS = np.finfo(float).eps
 
 # frozen with mpmath at 50 digits
 MR_3_TINY_M = 2.6417318329987021910341406268581775871e-06
@@ -289,69 +290,83 @@ class TestDetectorResponse:
             detector_response(self.D, 0, -2)
 
 
+def dark_rtol(d, m_max):
+    """Relative round-off bound of the dark column, rows 0..m_max.
+
+    log K[m, 0] is s_m, the running sum of l_0 = npix log1p(-d) and
+    l_k = log((npix - k + 1)/k * d/(1 - d)).  The ratio takes 4 roundings
+    and its log one more of |l_k|, so l_k is good to eps (|l_k| + 4) (l_0,
+    from two roundings of |l_0|, to 2 eps |l_0|); the addition that forms
+    s_k adds eps |s_k|.  That absolute error in s_m is the relative error of
+    exp(s_m), whose own rounding adds one eps.  Every rounding is counted
+    as eps, twice the unit roundoff, which also covers a reference's own
+    rounding to double.
+    """
+    k = np.arange(1, m_max + 1)
+    logs = np.concatenate(([d.pixels * math.log1p(-d.dark_rate)],
+                           np.log((d.pixels - k + 1) / k * (d.dark_rate / (1 - d.dark_rate)))))
+    return EPS * (np.cumsum(np.abs(np.cumsum(logs)) + np.abs(logs) + 4) + 1)
+
+
 class TestResponseTable:
     def test_columns_sum_to_one_when_support_covered(self):
         d = DetectorModel(efficiency=0.3, pixels=30, dark_rate=0.01)
         tab = response_table(d, 30, 40)
-        assert np.abs(tab.table.sum(axis=0) - 1.0).max() < 1e-8
-        tab.check_completeness()
+        assert np.abs(tab.sum(axis=0) - 1.0).max() < 1e-8
 
-    def test_incomplete_table_detected(self):
-        d = DetectorModel(efficiency=0.5, pixels=1000, dark_rate=0.0)
-        tab = response_table(d, 3, 40)  # mean counts ~20 at n=40
-        with pytest.raises(GridResolutionError):
-            tab.check_completeness()
+    def test_read_only(self):
+        tab = response_table(DetectorModel(efficiency=0.3, pixels=30), 5, 5)
+        with pytest.raises(ValueError):
+            tab[0, 0] = 0.5
 
     def test_matches_closed_form_response(self):
+        # the whole table against the closed-form alternating sum in 120
+        # digits.  Column 0 is the dark law, good to dark_rtol.  Each photon
+        # step forms a cell as col[m] stay[m] + col[m-1] up[m-1] from
+        # non-negative terms: stay = (1 - eta) + eta m/npix is good to 3 eps
+        # and up = eta (1 - m/npix) to about 2 eps while m << npix; each
+        # product adds one eps and the addition one more, so each step adds
+        # at most 5 eps to the relative error of the rows it mixes, which
+        # are rows <= m with dark bounds <= dark_rtol[m]
         d = DetectorModel(efficiency=0.243, pixels=1000, dark_rate=0.001)
-        tab = response_table(d, 14, 40)
-        for m in (0, 2, 5, 9, 14):
-            for n in (0, 1, 7, 23, 40):
-                assert tab.table[m, n] == pytest.approx(
-                    mp_detector_response(d, m, n), rel=1e-10, abs=1e-300)
+        m_max, n_max = 14, 40
+        tab = response_table(d, m_max, n_max)
+        want = np.array([[mp_detector_response(d, m, n) for n in range(n_max + 1)]
+                         for m in range(m_max + 1)])
+        rtol = dark_rtol(d, m_max)[:, None] + 5 * np.arange(n_max + 1) * EPS
+        assert np.all(np.abs(tab / want - 1) <= rtol)
 
     def test_dark_column_against_extended_precision(self):
-        # the README detector, no photons: the dark binomial law.  log K[m, 0]
-        # is F[m] - log m! + m log d + (npix - m) log1p(-d), where F[m] and
-        # log m! are running sums of m logs each.  Every rounding (the logs
-        # together, the m - 1 additions of each sum, the 6 of the final
-        # combination) carries eps of a value no larger than T(m), the sum of
-        # the four magnitudes, so log K is good to (m + 6) eps T(m); exp adds
-        # one eps of its own
+        # the README detector, no photons: the dark binomial law, whose log
+        # is a running sum of log ratios good to dark_rtol
         d = DetectorModel(efficiency=0.243, pixels=10_000, dark_rate=1e-4)
         m = np.arange(61)
-        log_fall = np.array([math.lgamma(d.pixels + 1) - math.lgamma(d.pixels - k + 1)
-                             for k in m])
-        log_fact = np.array([math.lgamma(k + 1) for k in m])
-        total = (log_fall + log_fact + m * abs(math.log(d.dark_rate))
-                 - (d.pixels - m) * math.log1p(-d.dark_rate))
-        rtol = np.finfo(float).eps * ((m + 6) * total + 1)
         with mp.workdps(50):
             dark = mp.mpf(d.dark_rate)
             want = np.array([float(mp.binomial(d.pixels, k) * dark**k
                                    * (1 - dark) ** (d.pixels - k)) for k in m])
-        got = response_table(d, 60, 0).table[:, 0]
-        assert np.all(np.abs(got / want - 1) <= rtol)
+        got = response_table(d, 60, 0)[:, 0]
+        assert np.all(np.abs(got / want - 1) <= dark_rtol(d, 60))
 
     def test_weak_efficiency_first_order(self):
         d = DetectorModel(efficiency=1e-3, pixels=10**4, dark_rate=0.0)
         tab = response_table(d, 3, 1)
-        assert tab.table[1, 1] == pytest.approx(1e-3, rel=1e-3)
-        assert tab.table[0, 1] == pytest.approx(1 - 1e-3, rel=1e-6)
+        assert tab[1, 1] == pytest.approx(1e-3, rel=1e-3)
+        assert tab[0, 1] == pytest.approx(1 - 1e-3, rel=1e-6)
 
     def test_mean_count_reduction_by_efficiency(self):
         d = DetectorModel(efficiency=0.37, pixels=10**4, dark_rate=0.0)
         tab = response_table(d, 60, 20)
         m = np.arange(61)
         for n in (1, 5, 20):
-            mean = float(m @ tab.table[:, n])
+            mean = float(m @ tab[:, n])
             assert mean == pytest.approx(0.37 * n, rel=1e-3)
 
 
 class TestPhotocountDistribution:
     def test_identity_response_passthrough(self, paper_params):
         jd = joint_photon_distribution(paper_params, (40, 40))
-        eye = DetectorResponseTable(np.eye(41))
+        eye = np.eye(41)
         out = photocount_distribution(jd, eye, eye)
         assert np.allclose(out.probs, jd.probs, rtol=0, atol=0)
 

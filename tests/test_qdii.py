@@ -230,6 +230,17 @@ class TestPairedQdii:
         with pytest.raises(DomainError):
             paired_qdii(ctx, 1.0, -1.0, 1.0)
 
+    def test_axis_rules(self):
+        # on an axis the Bessel form carries (x y)^((m-1)/2): it vanishes for
+        # m > 1, is exp(-b y/k)/k for one mode, and diverges for m < 1
+        ctx = OrderingContext.for_params(0.055, 0.0)
+        assert paired_qdii(ctx, 2.0, 0.0, 1.0) == 0.0
+        want = math.exp(-ctx.b_p_s / ctx.k_p_s) / ctx.k_p_s
+        assert want == pytest.approx(0.4344, abs=1e-4)
+        assert paired_qdii(ctx, 1.0, 0.0, 1.0) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(DomainError):
+            paired_qdii(ctx, 0.5, 0.0, 1.0)
+
 
 class TestSincNormalization:
     """The closed-form mass ``kt I_x(1/2, m/2)`` of the raw sinc branch
@@ -548,6 +559,12 @@ class TestJointGrid:
         p = paper_params
         assert mean == pytest.approx(p.mean_pairs + p.mean_noise_s, rel=0.01)
         assert m2 - mean**2 == pytest.approx(p.m_pairs * p.b_pairs**2, rel=0.015)
+
+    def test_pairs_absent_with_empty_arm_rejected(self):
+        # an arm with neither pairs nor noise is a point mass at 0
+        g = np.linspace(0.0, 14.0, 40)
+        with pytest.raises(DomainError):
+            joint_qdii_grid(TwinBeamParams(0.0, 0.0, 2.0, 0.6, 0.0, 0.0), 0.0, g, g)
 
     def test_coarse_grid_rejected(self, paper_params):
         g = np.linspace(0.0, 3.0, 30)  # covers almost none of the mass
