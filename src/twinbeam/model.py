@@ -44,8 +44,13 @@ def _finite(name: str, *values: float) -> None:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
+    """A read-only float array with ``a``'s values: ``a`` itself when it is
+    already a read-only float array that owns its memory (no view can write
+    to it), otherwise a copy."""
+    if not (isinstance(a, np.ndarray) and a.dtype == float
+            and not a.flags.writeable and a.flags.owndata):
+        a = np.array(a, dtype=float, copy=True)
+        a.setflags(write=False)
     return a
 
 

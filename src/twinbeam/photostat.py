@@ -138,6 +138,7 @@ def joint_photon_distribution(params: TwinBeamParams,
         raise GridResolutionError(
             f"joint_photon_distribution: cutoffs {cutoffs} leave "
             f"{truncation:.3f} of the probability outside the table")
+    probs.setflags(write=False)  # handed over, not copied
     return JointDistribution(probs, truncation)
 
 
@@ -223,6 +224,7 @@ def photocount_distribution(p: JointDistribution, table_s: np.ndarray,
         counts = (ts @ p.probs) @ ti.T
     else:
         counts = ts @ (p.probs @ ti.T)
+    counts.setflags(write=False)  # handed over, not copied
     return JointDistribution(counts, 1.0 - float(counts.sum()))
 
 

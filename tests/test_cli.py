@@ -157,6 +157,14 @@ class TestInputChecks:
         assert "malformed" in capsys.readouterr().err
 
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({**SIM_CONFIG, "seed": -3}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out-dir", str(out)]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, args", [
         ("simulate", ["--frames", "0"]),
         ("reconstruct", ["--scan-points", "1"]),
@@ -581,3 +589,23 @@ class TestImportContract:
         assert report["diagnose"] == []
         assert "scipy.signal" not in report["qdii"]
         assert "scipy.fft" not in report["qdii"]
+
+    def test_only_simulate_loads_the_thread_pool(self, tmp_path):
+        # concurrent.futures (and the logging it loads) is imported by the
+        # simulator when it starts its worker thread, not by the package
+        (tmp_path / "sim.json").write_text(json.dumps(dict(SIM_CONFIG, frames=200)))
+        script = textwrap.dedent("""
+            import sys
+            import twinbeam.cli
+            before = "concurrent.futures" in sys.modules
+            assert twinbeam.cli.main(["simulate", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+            print(before, "concurrent.futures" in sys.modules)
+        """)
+        src = str(Path(twinbeam.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sim.json"),
+                               str(tmp_path / "run")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]

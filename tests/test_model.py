@@ -100,6 +100,29 @@ def test_joint_distribution_tolerates_tiny_negative_roundoff():
         JointDistribution(np.array([[1.0, -1e-3]]), 1e-3)
 
 
+def test_joint_distribution_copies_unless_handed_a_private_table():
+    # a caller's writable array is copied, so writing to it later changes
+    # nothing; so is a read-only view, whose base may still be written
+    probs = np.full((2, 2), 0.25)
+    jd = JointDistribution(probs, 0.0)
+    assert jd.probs is not probs
+    probs[0, 0] = 0.5
+    assert jd.probs[0, 0] == 0.25
+    assert not jd.probs.flags.writeable
+    view = np.full((2, 2), 0.25)[:, :]
+    view.setflags(write=False)
+    assert JointDistribution(view, 0.0).probs is not view
+    # a read-only float array that owns its memory is taken as it is
+    owned = np.full((2, 2), 0.25)
+    owned.setflags(write=False)
+    assert JointDistribution(owned, 0.0).probs is owned
+    # and is still checked
+    bad = np.full((2, 2), 0.5)
+    bad.setflags(write=False)
+    with pytest.raises(ValidationError):
+        JointDistribution(bad, 0.0)
+
+
 def test_qdii_grid_axes_must_increase():
     ax = np.array([0.0, 1.0, 0.5])
     with pytest.raises(ValidationError):

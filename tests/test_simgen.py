@@ -1,8 +1,9 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twinbeam import (
@@ -64,6 +65,33 @@ def masked_detect_counts(rng, photons, d):
     return lit
 
 
+def sequential_histograms(cfg):
+    """The whole stream drawn in order on one generator: the three
+    components, both arms through ``masked_detect_counts``, then the dark
+    tallies.  The reference for ``simulate_histogram``."""
+    rng = np.random.default_rng(cfg.seed)
+    p, frames = cfg.params, cfg.frames
+
+    def component(m, b):
+        if m == 0 or b == 0:
+            return np.zeros(frames, dtype=np.int64)
+        return rng.poisson(rng.gamma(m, b, frames))
+
+    pairs = component(p.m_pairs, p.b_pairs)
+    n_s = pairs + component(p.m_noise_s, p.b_noise_s)
+    n_i = pairs + component(p.m_noise_i, p.b_noise_i)
+    m_s = masked_detect_counts(rng, n_s, cfg.detector_s)
+    m_i = masked_detect_counts(rng, n_i, cfg.detector_i)
+    dark = [rng.binomial(d.pixels, d.dark_rate, frames) for d in (cfg.detector_s, cfg.detector_i)]
+
+    def table(a, b):
+        counts = np.zeros((a.max() + 1, b.max() + 1))
+        np.add.at(counts, (a, b), 1.0)
+        return counts
+
+    return table(m_s, m_i), table(*dark)
+
+
 class TestRandomStream:
     @given(photons=st.lists(st.integers(0, 300), min_size=1, max_size=200),
            pixels=st.integers(1, 400),
@@ -97,6 +125,96 @@ class TestRandomStream:
         ]
 
 
+README_PARAMS = TwinBeamParams(179.0, 0.055, 8e-6, 320.0, 8e-3, 12.0)
+README_DET_S = DetectorModel(0.243, 10000, 1e-4)
+README_DET_I = DetectorModel(0.235, 10000, 1e-4)
+BRIGHT_PARAMS = TwinBeamParams(10.0, 3.0, 1.0, 5.0, 1.0, 5.0)  # about 35 photons per frame
+
+detectors = st.builds(
+    DetectorModel,
+    efficiency=st.floats(0.05, 0.95),
+    # few pixels saturate an arm; 2,000 pixels at dark rate 0.05 or 0.6
+    # put the dark binomials outside numpy's inversion range
+    pixels=st.sampled_from([1, 3, 40, 2000]),
+    dark_rate=st.sampled_from([0.0, 1e-3, 0.05, 0.6]))
+
+
+class TestOverlappedSchedule:
+    """``simulate_histogram`` runs the idler arm and the dark tallies at
+    predicted stream offsets; whichever path runs, the histograms are those
+    of one sequential pass."""
+
+    @given(params=st.builds(TwinBeamParams,
+                            m_pairs=st.floats(0.5, 30.0), b_pairs=st.floats(0.0, 3.0),
+                            m_noise_s=st.sampled_from([0.0, 0.01, 2.0]),
+                            b_noise_s=st.floats(0.0, 40.0),
+                            m_noise_i=st.sampled_from([0.0, 0.01, 2.0]),
+                            b_noise_i=st.floats(0.0, 40.0)),
+           detector_s=detectors, detector_i=detectors,
+           frames=st.integers(1, 3000), seed=st.integers(0, 2**63))
+    # zero dark rate; a saturated signal arm; pixels x dark rate >= 30;
+    # efficiency > 0.5; and the README state
+    @example(SMALL_PARAMS, DetectorModel(0.3, 1000, 0.0), DetectorModel(0.3, 1000, 0.0),
+             2000, 1)
+    @example(TwinBeamParams(10.0, 0.3, 0.01, 50.0, 0.02, 20.0), DetectorModel(0.3, 200, 0.01),
+             DetectorModel(0.25, 150, 0.005), 5000, 2024)
+    @example(SMALL_PARAMS, DetectorModel(0.3, 1000, 0.05), DetectorModel(0.3, 1000, 0.05),
+             2000, 3)
+    @example(BRIGHT_PARAMS, DetectorModel(0.9, 40, 0.01), DetectorModel(0.7, 40, 0.01), 2000, 4)
+    @example(README_PARAMS, README_DET_S, README_DET_I, 3000, 1)
+    def test_matches_sequential_reference(self, params, detector_s, detector_i, frames, seed):
+        cfg = SimConfig(params, detector_s, detector_i, frames=frames, seed=seed)
+        h, dark = simulate_histogram(cfg)
+        want_h, want_dark = sequential_histograms(cfg)
+        assert np.array_equal(h.counts, want_h)
+        assert np.array_equal(dark.counts, want_dark)
+
+    @pytest.mark.parametrize("cfg, redrawn", [
+        (SimConfig(README_PARAMS, README_DET_S, README_DET_I, frames=100_000, seed=1), []),
+        # a frame may light all 40 signal pixels: the idler offset is not predicted
+        (SimConfig(BRIGHT_PARAMS, DetectorModel(0.9, 40, 0.01), DET, frames=2000, seed=4),
+         ["idler arm"]),
+        # 2,000 pixels at dark rate 0.05: the signal dark binomial leaves inversion
+        (SimConfig(SMALL_PARAMS, DetectorModel(0.3, 2000, 0.05), DET, frames=2000, seed=5),
+         ["idler arm"]),
+        # only the idler arm may saturate: it overlaps, the dark tallies do not
+        (SimConfig(BRIGHT_PARAMS, DET, DetectorModel(0.9, 40, 0.01), frames=2000, seed=6),
+         ["dark tallies"]),
+    ], ids=["readme", "saturated-signal", "btpe-dark", "saturated-idler"])
+    def test_path_taken(self, monkeypatch, cfg, redrawn):
+        from twinbeam import simgen
+        seen = []
+        redraw = simgen._redraw
+
+        def sequential(rng, cfg, photons_i=None):
+            seen.append("dark tallies" if photons_i is None else "idler arm")
+            return redraw(rng, cfg, photons_i)
+
+        monkeypatch.setattr(simgen, "_redraw", sequential)
+        h, dark = simulate_histogram(cfg)
+        assert seen == redrawn
+        want_h, want_dark = sequential_histograms(cfg)
+        assert np.array_equal(h.counts, want_h)
+        assert np.array_equal(dark.counts, want_dark)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        from twinbeam import simgen
+        fire = simgen._fire
+        main = threading.main_thread()
+
+        def failing_in_worker(*args):
+            if threading.current_thread() is not main:
+                raise RuntimeError("idler arm failed")
+            return fire(*args)
+
+        monkeypatch.setattr(simgen, "_fire", failing_in_worker)
+        before = threading.active_count()
+        cfg = SimConfig(README_PARAMS, README_DET_S, README_DET_I, frames=2000, seed=1)
+        with pytest.raises(RuntimeError, match="idler arm failed"):
+            simulate_histogram(cfg)
+        assert threading.active_count() == before  # the worker was joined
+
+
 class TestDegenerateConfigs:
     def test_vacuum_without_dark_is_always_zero(self):
         cfg = SimConfig(TwinBeamParams(1.0, 0, 0, 0, 0, 0),
@@ -125,6 +243,12 @@ class TestDegenerateConfigs:
     def test_frames_validation(self):
         with pytest.raises(ValidationError):
             SimConfig(SMALL_PARAMS, DET, DET, frames=0, seed=1)
+
+    @pytest.mark.parametrize("frames, seed", [(10, -3), (10, True), (True, 1), (10, 2.0)],
+                             ids=["negative-seed", "bool-seed", "bool-frames", "float-seed"])
+    def test_seed_and_frames_validation(self, frames, seed):
+        with pytest.raises(ValidationError):
+            SimConfig(SMALL_PARAMS, DET, DET, frames=frames, seed=seed)
 
 
 class TestAgainstForwardModel:
