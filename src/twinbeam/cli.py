@@ -149,6 +149,15 @@ def load_params(path: Path) -> TwinBeamParams:
         raise ValidationError(f"{path}: malformed state parameters ({exc})") from exc
 
 
+def _json_integer(raw: dict, key: str) -> int:
+    """The integer in ``raw[key]``.  A bool, or a float that is not a whole
+    number (inf and NaN included), is malformed rather than truncated."""
+    value = raw[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_sim_config(path: Path) -> SimConfig:
     raw = _load_json(path)
     try:
@@ -158,12 +167,12 @@ def load_sim_config(path: Path) -> SimConfig:
             spec = raw[arm]
             det[arm] = DetectorModel(
                 efficiency=float(spec["efficiency"]),
-                pixels=int(spec["pixels"]),
+                pixels=_json_integer(spec, "pixels"),
                 dark_rate=float(spec.get("dark_rate", 0.0)),
             )
         return SimConfig(params=params, detector_s=det["detector_s"],
                          detector_i=det["detector_i"],
-                         frames=int(raw["frames"]), seed=int(raw["seed"]))
+                         frames=_json_integer(raw, "frames"), seed=_json_integer(raw, "seed"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed simulation config ({exc})") from exc
 

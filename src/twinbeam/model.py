@@ -223,11 +223,12 @@ class JointDistribution:
     """Truncated joint probability table over photon or photocount numbers.
 
     ``probs[n_s, n_i]`` covers ``[0, n_s_max] x [0, n_i_max]``;
-    ``truncation_mass`` is the probability lying outside the table.
+    ``truncation_mass`` is the probability lying outside the table, by
+    default ``1 - total``, summed once with the checks.
     """
 
     probs: np.ndarray
-    truncation_mass: float
+    truncation_mass: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _readonly(self.probs))
@@ -236,6 +237,8 @@ class JointDistribution:
         _require(float(self.probs.min(initial=0.0)) >= -_JOINT_NEG_TOL,
                  "JointDistribution: entry below round-off tolerance")
         total = float(self.probs.sum())
+        if self.truncation_mass is None:
+            object.__setattr__(self, "truncation_mass", 1.0 - total)
         _require(abs(total + self.truncation_mass - 1.0) <= _JOINT_MASS_TOL,
                  f"JointDistribution: total {total} + truncation {self.truncation_mass} != 1")
 

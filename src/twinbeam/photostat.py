@@ -133,13 +133,13 @@ def joint_photon_distribution(params: TwinBeamParams,
     t_s = _toeplitz(noise_s, n_pair_max + 1)
     t_i = _toeplitz(noise_i, n_pair_max + 1)
     probs = (t_s * pair) @ t_i.T
-    truncation = 1.0 - float(probs.sum())
-    if truncation > 0.5:
+    probs.setflags(write=False)  # handed over, not copied
+    p = JointDistribution(probs)
+    if p.truncation_mass > 0.5:
         raise GridResolutionError(
             f"joint_photon_distribution: cutoffs {cutoffs} leave "
-            f"{truncation:.3f} of the probability outside the table")
-    probs.setflags(write=False)  # handed over, not copied
-    return JointDistribution(probs, truncation)
+            f"{p.truncation_mass:.3f} of the probability outside the table")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def photocount_distribution(p: JointDistribution, table_s: np.ndarray,
     else:
         counts = ts @ (p.probs @ ti.T)
     counts.setflags(write=False)  # handed over, not copied
-    return JointDistribution(counts, 1.0 - float(counts.sum()))
+    return JointDistribution(counts)
 
 
 def sum_distribution(p: JointDistribution) -> np.ndarray:

@@ -42,10 +42,18 @@ gamma-density routine serves ``thermal_qdii``, that noise-only grid and the
 uncorrelated limit of the paired density.  Every grid ends in the same
 check: its trapezoid integral, ``QdiiGrid.normalization``, must lie within
 5 % of 1.
+
+Work that depends only on its inputs is done once.  A Gauss-Legendre rule
+is computed once per node count.  The last paired density is kept, keyed
+by state, ordering, both axes and the rank limits, so the paired-only grid
+and the noise-convolved grid of one state and axes evaluate it once.  The
+convolution lattice of an axis that starts at 0 is that axis itself, which
+is what lets the two grids share it.  Kept arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -272,16 +280,21 @@ def _bessel_factor(ctx: OrderingContext, m: float, x: np.ndarray,
     return lambda w: _series_factors(ctx, m, half_a, w)
 
 
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
     Golub & Welsch (Math. Comp. 23, 1969): the eigenvalues of the Jacobi
     matrix of the Legendre polynomials, whose off-diagonal is ``k /
     sqrt(4k^2 - 1)``, and twice the squared first components of its
-    eigenvectors."""
+    eigenvectors.  Computed once per n, as read-only arrays; the grids ask
+    for n <= _SINC_MAX_RANK / 2, so the kept rules take at most 2 MB."""
     k = np.arange(1.0, n)
     beta = k / np.sqrt(4.0 * k * k - 1.0)
     nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    return nodes, 2.0 * vectors[0] ** 2
+    weights = 2.0 * vectors[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _quadrature_nodes(omega: float, max_nodes: int) -> int | None:
@@ -400,9 +413,34 @@ def _paired_values(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
     product.  A point the density drops (w = 0 when m_pairs > 1) is a zero
     row of its factor.  The sinc branch is divided by its closed-form total
     mass.
+
+    The last result is kept, as read-only arrays, and returned again for the
+    same state, ordering and axes under the same rank limits: a paired-only
+    grid and the noise convolution of the same axes share one evaluation.
     """
     ws = np.atleast_1d(np.asarray(ws, dtype=float))
     wi = np.atleast_1d(np.asarray(wi, dtype=float))
+    return _last_paired_values(ctx, float(m_pairs), ws.tobytes(), wi.tobytes(),
+                               (_SERIES_MAX_TERMS, _SINC_MAX_RANK))
+
+
+@functools.lru_cache(maxsize=1)
+def _last_paired_values(ctx: OrderingContext, m_pairs: float, ws_bytes: bytes,
+                        wi_bytes: bytes,
+                        limits: tuple[int, int]) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_paired_values`` on the axes held in ``ws_bytes`` and
+    ``wi_bytes``; ``limits``, the rank limits in force, only keys the
+    cache."""
+    values = _evaluate_paired(ctx, m_pairs, np.frombuffer(ws_bytes), np.frombuffer(wi_bytes))
+    for a in values:
+        if a is not None:
+            a.setflags(write=False)
+    return values
+
+
+def _evaluate_paired(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
+                     wi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The uncached body of ``_paired_values``."""
     if ((ws == 0).any() and (wi >= 0).any()) or ((wi == 0).any() and (ws >= 0).any()):
         if m_pairs < 1.0:
             raise DomainError(
@@ -529,7 +567,9 @@ def _noise_only_grid(params: TwinBeamParams, s: float,
 
 def _checked_grid(ws: np.ndarray, wi: np.ndarray, values: np.ndarray,
                   s: float) -> QdiiGrid:
-    """The grid, once its trapezoid integral is within 5 % of 1."""
+    """The grid, once its trapezoid integral is within 5 % of 1.  ``values``
+    is handed over: it is set read-only, so the grid keeps it uncopied."""
+    values.setflags(write=False)
     grid = QdiiGrid(ws, wi, values, s)
     mass = grid.normalization
     if abs(mass - 1.0) > NORMALIZATION_TOL:
@@ -557,28 +597,33 @@ def _noise_toeplitz(m_modes: float, b_scaled: float, h: float,
     return _toeplitz(kernel, n_bins)
 
 
+def _lattice(axis: np.ndarray) -> tuple[int, float, np.ndarray]:
+    """The convolution lattice of a uniform axis of pitch h: the axis itself,
+    after the ``lo`` points ``axis[0] - k h`` (k = lo, ..., 1, at most four
+    times the axis length) that reach down toward zero, clipped at 0.
+    Returns ``(lo, h, lattice)``; an axis from 0 is its own lattice, so its
+    paired density is the one a paired-only grid of that axis evaluates."""
+    h = float(axis[1] - axis[0])
+    lo = min(int(round(axis[0] / h)), axis.size * 4)
+    return lo, h, np.maximum(np.concatenate((axis[0] - h * np.arange(lo, 0, -1), axis)), 0.0)
+
+
 def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
                       ws: np.ndarray, wi: np.ndarray) -> np.ndarray:
     """Convolution with the noise measures binned onto the grid lattice.
 
-    The paired density is sampled on a lattice extended down toward zero so
-    that noise shifts can move mass into the requested window.  The noise
-    kernel is the outer product of the two arms' per-bin masses, so the
-    convolution separates into ``T_s @ paired @ T_i^T``; only the rows of
-    each Toeplitz matrix that fall in the window are formed.  A paired
-    density given as factors ``L @ R.T`` is convolved as ``(T_s @ L) @ (T_i
-    @ R).T`` or as ``T_s @ (L @ R.T) @ T_i.T``, whichever needs fewer
+    The paired density is sampled on ``_lattice``, the axes extended down
+    toward zero so that noise shifts can move mass into the requested
+    window.  The noise kernel is the outer product of the two arms' per-bin
+    masses, so the convolution separates into ``T_s @ paired @ T_i^T``; only
+    the rows of each Toeplitz matrix that fall in the window are formed.  A
+    paired density given as factors ``L @ R.T`` is convolved as ``(T_s @ L)
+    @ (T_i @ R).T`` or as ``T_s @ (L @ R.T) @ T_i.T``, whichever needs fewer
     multiply-adds.
     """
     sigma = (1.0 - ctx.s) / 2.0
-    h_s = float(ws[1] - ws[0])
-    h_i = float(wi[1] - wi[0])
-    lo_s = min(int(round(ws[0] / h_s)), len(ws) * 4)
-    lo_i = min(int(round(wi[0] / h_i)), len(wi) * 4)
-    lat_s = ws[0] + h_s * np.arange(-lo_s, len(ws))
-    lat_i = wi[0] + h_i * np.arange(-lo_i, len(wi))
-    lat_s = np.maximum(lat_s, 0.0)
-    lat_i = np.maximum(lat_i, 0.0)
+    lo_s, h_s, lat_s = _lattice(ws)
+    lo_i, h_i, lat_i = _lattice(wi)
     left, right = _paired_values(ctx, params.m_pairs, lat_s, lat_i)
     t_s = _noise_toeplitz(params.m_noise_s, params.b_noise_s + sigma, h_s, lat_s.size)[lo_s:]
     t_i = _noise_toeplitz(params.m_noise_i, params.b_noise_i + sigma, h_i, lat_i.size)[lo_i:]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from twinbeam import DetectedIntensityMoments, TwinBeamParams
+from twinbeam import DetectedIntensityMoments, TwinBeamParams, qdii
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -32,3 +32,12 @@ def paper_params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(autouse=True)
+def fresh_qdii_caches():
+    """Every test starts without a kept paired density or quadrature rule,
+    so a test that patches a rank limit or a path function evaluates the
+    density afresh."""
+    qdii._last_paired_values.cache_clear()
+    qdii._gauss_legendre.cache_clear()

@@ -148,7 +148,18 @@ class TestInputChecks:
         ("simulate", '{"params": {"m_pairs": "x"}}'),
         ("qdii", "[1, 2]"),
         ("diagnose", '{"m_pairs": "x"}'),
-    ], ids=["simulate-list", "simulate-string", "qdii-list", "diagnose-string"])
+        # integer fields are never truncated or read from a bool
+        ("simulate", json.dumps({**SIM_CONFIG, "seed": True})),
+        ("simulate", json.dumps({**SIM_CONFIG, "seed": 1.7})),
+        ("simulate", json.dumps({**SIM_CONFIG, "frames": 2.5})),
+        ("simulate", json.dumps({**SIM_CONFIG, "frames": float("inf")})),
+        ("simulate", json.dumps({**SIM_CONFIG, "detector_i": {
+            **SIM_CONFIG["detector_i"], "pixels": 999.5}})),
+        ("simulate", json.dumps({**SIM_CONFIG, "detector_s": {
+            **SIM_CONFIG["detector_s"], "pixels": True}})),
+    ], ids=["simulate-list", "simulate-string", "qdii-list", "diagnose-string",
+            "seed-bool", "seed-fraction", "frames-fraction", "frames-infinite",
+            "pixels-fraction", "pixels-bool"])
     def test_malformed_field_exit_code(self, command, text, tmp_path, capsys):
         # valid JSON of the wrong shape is a validation error, not a traceback
         bad = tmp_path / "bad.json"

@@ -91,6 +91,8 @@ def test_joint_distribution_mass_accounting():
     assert jd.total == pytest.approx(0.8)
     with pytest.raises(ValidationError):
         JointDistribution(probs, 0.3)
+    # without a truncation mass, the mass outside the table is 1 - total
+    assert JointDistribution(probs).truncation_mass == 1.0 - float(probs.sum())
 
 
 def test_joint_distribution_tolerates_tiny_negative_roundoff():

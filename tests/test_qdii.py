@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath as mp
@@ -664,9 +666,11 @@ class TestNoiseConvolution:
 
     @staticmethod
     def lattice(axis):
+        # the axis, after the points below it down toward 0 at its pitch
         h = axis[1] - axis[0]
         lo = min(int(round(axis[0] / h)), axis.size * 4)
-        return lo, h, np.maximum(axis[0] + h * np.arange(-lo, axis.size), 0.0)
+        below = axis[0] - h * np.arange(lo, 0, -1)
+        return lo, h, np.maximum(np.concatenate((below, axis)), 0.0)
 
     def check(self, params, s, axis, factored=True):
         ctx = OrderingContext.for_params(params.b_pairs, s)
@@ -852,6 +856,141 @@ class TestSincQuadrature:
                + sinc_tolerance(ctx, m, None, axis, axis, mass))
         normal = sinc_envelope(ctx, m, axis, axis, mass) > 1e-290
         assert np.all((np.abs(factor @ factor.T - direct) <= tol)[normal])
+
+
+class TestSharedWork:
+    """A state's paired density and each Gauss-Legendre rule are evaluated
+    once.  The autouse fixture in conftest.py clears both caches before
+    every test."""
+
+    @pytest.mark.parametrize("s, cells, path", [
+        (0.0, 200, "_bessel_factor"), (0.6, 200, "_bessel_distinct"),
+        (1.0, 200, "_sinc_factor"), (1.0, 100, "_sinc_direct"),
+    ])
+    @pytest.mark.parametrize("paired_first", [True, False], ids=["paired-first", "full-first"])
+    def test_paired_and_full_grid_evaluate_the_density_once(self, paper_params, s, cells,
+                                                            path, paired_first, monkeypatch):
+        # on an axis from 0 the convolution lattice is the axis itself, so
+        # the second grid finds the density the first evaluated, whichever
+        # comes first (the benchmark asks paired first, the CLI full first)
+        axis = np.linspace(0.0, _auto_grid_max(paper_params, s), cells)
+        calls = []
+        original = getattr(qdii, path)
+        monkeypatch.setattr(qdii, path, lambda *a: calls.append(1) or original(*a))
+        for paired in (True, False) if paired_first else (False, True):
+            joint_qdii_grid(paper_params, s, axis, axis, paired_only=paired)
+        assert len(calls) == 1
+
+    def test_interleaved_requests_match_a_cleared_cache(self, paper_params, monkeypatch):
+        # consecutive requests differ in one of state, ordering, m_pairs,
+        # axes, grid kind or rank limit; each must give the grid it gives
+        # alone, bit for bit
+        def axis(s, cells=200, start=0.0):
+            top = _auto_grid_max(paper_params, s)
+            return np.linspace(start * top, top, cells)
+
+        more_pairs = replace(paper_params, m_pairs=150.0)
+        wider = replace(paper_params, b_pairs=0.06)
+        limits = {"_SERIES_MAX_TERMS": qdii._SERIES_MAX_TERMS,
+                  "_SINC_MAX_RANK": qdii._SINC_MAX_RANK}
+        requests = [
+            (paper_params, 1.0, axis(1.0), axis(1.0), True, {}),
+            (paper_params, 1.0, axis(1.0), axis(1.0), False, {}),
+            (more_pairs, 1.0, axis(1.0), axis(1.0), True, {}),
+            (paper_params, 1.0, axis(1.0), axis(1.0), True, {"_SINC_MAX_RANK": 80}),
+            (paper_params, 1.0, axis(1.0), axis(1.0), False, {}),
+            (wider, 1.0, axis(1.0), axis(1.0), False, {}),
+            (paper_params, 1.0, axis(1.0), axis(1.0, 201), False, {}),
+            (paper_params, 1.0, axis(1.0, 200, 0.1), axis(1.0, 200, 0.1), False, {}),
+            (paper_params, 0.0, axis(0.0), axis(0.0), True, {}),
+            (paper_params, 0.0, axis(0.0), axis(0.0), True, {"_SERIES_MAX_TERMS": 100}),
+            (paper_params, 0.0, axis(0.0), axis(0.0), False, {}),
+            (paper_params, 0.0, axis(0.0, 201), axis(0.0), True, {}),
+            (paper_params, 0.6, axis(0.6), axis(0.6), True, {}),
+        ]
+
+        def run(request):
+            params, s, ws, wi, paired, caps = request
+            for name, value in {**limits, **caps}.items():
+                monkeypatch.setattr(qdii, name, value)
+            return joint_qdii_grid(params, s, ws, wi, paired_only=paired).values
+
+        alone = []
+        for request in requests:
+            qdii._last_paired_values.cache_clear()
+            alone.append(run(request))
+        qdii._last_paired_values.cache_clear()
+        for order in (range(len(requests)), reversed(range(len(requests)))):
+            for k in order:
+                assert np.array_equal(run(requests[k]), alone[k]), k
+
+    def test_threads_get_the_grid_of_their_own_request(self, paper_params):
+        # more threads than cores, switching often, each cycling through
+        # two states and both grid kinds: a cache that kept its key and its
+        # value apart could hand one thread another's density
+        axis = np.linspace(0.0, 25.0, 60)
+        requests = [(params, paired) for params in (paper_params,
+                                                    replace(paper_params, m_pairs=150.0))
+                    for paired in (True, False)]
+        want = [joint_qdii_grid(p, 1.0, axis, axis, paired_only=paired).values
+                for p, paired in requests]
+
+        def work(offset):
+            for j in range(40):
+                k = (offset + j) % len(requests)
+                params, paired = requests[k]
+                got = joint_qdii_grid(params, 1.0, axis, axis, paired_only=paired).values
+                if not np.array_equal(got, want[k]):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(work, offset) for offset in range(6)]
+                assert all(f.result(timeout=120) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("s, cells, factored", [
+        (0.0, 200, True), (0.6, 200, False), (1.0, 200, True), (1.0, 100, False)])
+    def test_kept_arrays_refuse_writes(self, paper_params, s, cells, factored):
+        axis = np.linspace(0.0, _auto_grid_max(paper_params, s), cells)
+        ctx = OrderingContext.for_params(paper_params.b_pairs, s)
+        left, right = qdii._paired_values(ctx, paper_params.m_pairs, axis, axis)
+        assert (right is not None) == factored
+        for a in (left, right) if factored else (left,):
+            with pytest.raises(ValueError):
+                a[1, 0] = 1.0
+        # a paired-only grid keeps the kept grid as it is, without a copy
+        grid = joint_qdii_grid(paper_params, s, axis, axis, paired_only=True)
+        assert (grid.values is left) == (not factored)
+        for a in qdii._gauss_legendre(5):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_one_eigendecomposition_per_node_count(self, paper_params, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+        for n in (5, 7, 5, 7, 5):
+            qdii._gauss_legendre(n)
+        assert calls == [5, 7]
+        # two sinc-branch states on one axis need the same node count
+        axis = np.linspace(0.0, 25.0, 200)
+        for m_pairs in (179.0, 150.0):
+            joint_qdii_grid(replace(paper_params, m_pairs=m_pairs), 1.0, axis, axis)
+        assert len(calls) == 3
+
+    def test_axis_from_zero_is_its_own_lattice(self):
+        axis = np.linspace(0.0, 25.0, 200)
+        lo, h, lattice = qdii._lattice(axis)
+        assert lo == 0 and lattice.tobytes() == axis.tobytes()
+        # an axis above 0 ends its lattice, after lo points below it
+        axis = np.linspace(4.0, 40.0, 150)
+        lo, h, lattice = qdii._lattice(axis)
+        assert lo == 17 and lattice[lo:].tobytes() == axis.tobytes()
 
 
 @pytest.mark.xfail(
