@@ -112,6 +112,19 @@ def _toeplitz(pmf: np.ndarray, columns: int) -> np.ndarray:
     return sliding_window_view(padded, columns)[:, ::-1]
 
 
+def _chain_madds(p: int, q: int, r: int, t: int) -> tuple[int, int]:
+    """Multiply-adds of ``(A @ M) @ C`` and of ``A @ (M @ C)``, for A of
+    shape (p, q), M of shape (q, r) and C of shape (r, t)."""
+    return p * r * (q + t), q * t * (p + r)
+
+
+def _chain_product(a: np.ndarray, m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``a @ m @ c`` in the order that needs fewer multiply-adds, left to
+    right on a tie."""
+    left, right = _chain_madds(a.shape[0], *m.shape, c.shape[1])
+    return (a @ m) @ c if left <= right else a @ (m @ c)
+
+
 def joint_photon_distribution(params: TwinBeamParams,
                               cutoffs: tuple[int, int]) -> JointDistribution:
     """Joint signal-idler photon-number table on [0, n_s_max] x [0, n_i_max].
@@ -208,7 +221,7 @@ def photocount_distribution(p: JointDistribution, table_s: np.ndarray,
 
     The output truncation mass combines the photon-level truncation with the
     count mass lost above the tables' last rows.  The three-factor product
-    is taken in whichever order needs fewer multiplications.
+    is taken by ``_chain_product``.
     """
     n_s = p.probs.shape[0] - 1
     n_i = p.probs.shape[1] - 1
@@ -217,13 +230,7 @@ def photocount_distribution(p: JointDistribution, table_s: np.ndarray,
             f"photocount_distribution: response tables cover n <= "
             f"({table_s.shape[1] - 1}, {table_i.shape[1] - 1}) but the "
             f"distribution needs ({n_s}, {n_i})")
-    ts = table_s[:, :n_s + 1]
-    ti = table_i[:, :n_i + 1]
-    rows_s, rows_i = ts.shape[0], ti.shape[0]
-    if rows_s * (n_s + 1 + rows_i) * (n_i + 1) <= rows_i * (n_i + 1 + rows_s) * (n_s + 1):
-        counts = (ts @ p.probs) @ ti.T
-    else:
-        counts = ts @ (p.probs @ ti.T)
+    counts = _chain_product(table_s[:, :n_s + 1], p.probs, table_i[:, :n_i + 1].T)
     counts.setflags(write=False)  # handed over, not copied
     return JointDistribution(counts)
 

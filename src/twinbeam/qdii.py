@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
 from .model import FieldMoments, QdiiGrid, TwinBeamParams
-from .photostat import _toeplitz
+from .photostat import _chain_madds, _chain_product, _toeplitz
 from .specfun import _ascending_log_coefficients, log_bessel_i_array, sinc
 
 __all__ = [
@@ -82,6 +82,8 @@ NORMALIZATION_TOL = 0.05
 _SERIES_MAX_TERMS = 2000
 # largest rank, twice the node count, of the sinc quadrature (see _sinc_factor)
 _SINC_MAX_RANK = 1000
+# factor-table entries below tiny/eps = 2^-970 are set to 0 (see _axis_factor)
+_FACTOR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _check_ordering(s: float) -> None:
@@ -237,11 +239,12 @@ def _series_factors(ctx: OrderingContext, m: float, half_a: np.ndarray,
     return np.exp(expo)
 
 
-def _flush_subnormal(a: np.ndarray) -> np.ndarray:
-    """``a`` with its subnormal entries set to 0.  A subnormal entry of a
-    matrix product's operand slows the product several-fold; it adds less
-    than ``2.3e-308`` times the other operand's entries to a result."""
-    a[np.abs(a) < np.finfo(float).tiny] = 0.0
+def _flush_below(a: np.ndarray, floor: float) -> np.ndarray:
+    """``a`` with its entries of magnitude below ``floor`` set to 0, in
+    place.  A subnormal operand or product makes an OpenBLAS matrix
+    product up to twice as slow; an entry below ``floor`` adds less than
+    ``floor`` times the other operand's entries to a result."""
+    a[np.abs(a) < floor] = 0.0
     return a
 
 
@@ -390,8 +393,23 @@ def _sinc_normalization(m: float, b: float, kt: float) -> float:
 
 def _axis_factor(f: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """A factor table on a whole axis, from its rows at the ``keep`` points:
-    the other rows are 0, and so are subnormal entries."""
-    f = _flush_subnormal(f)
+    the other rows are 0, and so are the entries below ``_FACTOR_FLOOR``.
+
+    The floor is ``tiny/eps``, not ``tiny``: the noise convolution
+    multiplies every entry by binned noise masses, and a kept entry times a
+    mass of at least eps is a normal double.  Only masses below eps can
+    still make a subnormal product, which is correct, only slower.  With a
+    floor of ``tiny`` the Bessel series kept entries down to 2.2e-308, and
+    their subnormal products with the noise masses made ``T @ L`` up to
+    twice as slow.
+
+    Dropping the entries below a floor f moves a paired cell ``sum_j L[x,
+    j] R[y, j]`` by at most ``f (sum_j |R[y, j]| + sum_j |L[x, j]|)``, and a
+    convolved cell by at most that bound summed over the cells it collects,
+    weighted by their noise masses, which sum to at most 1 per Toeplitz
+    row.
+    """
+    f = _flush_below(f, _FACTOR_FLOOR)
     if keep.all():
         return f
     out = np.zeros((keep.size, f.shape[1]))
@@ -415,22 +433,22 @@ def _paired_values(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
     mass.
 
     The last result is kept, as read-only arrays, and returned again for the
-    same state, ordering and axes under the same rank limits: a paired-only
+    same state, ordering and axes under the same limits: a paired-only
     grid and the noise convolution of the same axes share one evaluation.
     """
     ws = np.atleast_1d(np.asarray(ws, dtype=float))
     wi = np.atleast_1d(np.asarray(wi, dtype=float))
     return _last_paired_values(ctx, float(m_pairs), ws.tobytes(), wi.tobytes(),
-                               (_SERIES_MAX_TERMS, _SINC_MAX_RANK))
+                               (_SERIES_MAX_TERMS, _SINC_MAX_RANK, _FACTOR_FLOOR))
 
 
 @functools.lru_cache(maxsize=1)
 def _last_paired_values(ctx: OrderingContext, m_pairs: float, ws_bytes: bytes,
                         wi_bytes: bytes,
-                        limits: tuple[int, int]) -> tuple[np.ndarray, np.ndarray | None]:
+                        limits: tuple[int, int, float]) -> tuple[np.ndarray, np.ndarray | None]:
     """``_paired_values`` on the axes held in ``ws_bytes`` and
-    ``wi_bytes``; ``limits``, the rank limits in force, only keys the
-    cache."""
+    ``wi_bytes``; ``limits``, the rank limits and the factor floor in
+    force, only keys the cache."""
     values = _evaluate_paired(ctx, m_pairs, np.frombuffer(ws_bytes), np.frombuffer(wi_bytes))
     for a in values:
         if a is not None:
@@ -619,7 +637,8 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     the rows of each Toeplitz matrix that fall in the window are formed.  A
     paired density given as factors ``L @ R.T`` is convolved as ``(T_s @ L)
     @ (T_i @ R).T`` or as ``T_s @ (L @ R.T) @ T_i.T``, whichever needs fewer
-    multiply-adds.
+    multiply-adds, the three-factor product in the order ``_chain_product``
+    picks.  The cells of ``L @ R.T`` below ``tiny`` are set to 0.
     """
     sigma = (1.0 - ctx.s) / 2.0
     lo_s, h_s, lat_s = _lattice(ws)
@@ -631,10 +650,10 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
         (rows_s, n_s), (rows_i, n_i) = t_s.shape, t_i.shape
         rank = left.shape[1]
         if (rank * (rows_s * n_s + rows_i * n_i + rows_s * rows_i)
-                <= n_s * n_i * rank + rows_s * n_i * (n_s + rows_i)):
+                <= n_s * n_i * rank + min(_chain_madds(rows_s, n_s, n_i, rows_i))):
             return (t_s @ left) @ (t_i @ right).T
-        left = _flush_subnormal(left @ right.T)
-    return t_s @ left @ t_i.T
+        left = _flush_below(left @ right.T, np.finfo(float).tiny)
+    return _chain_product(t_s, left, t_i.T)
 
 
 def joint_qdii_grid(params: TwinBeamParams, s: float,

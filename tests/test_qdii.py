@@ -23,11 +23,12 @@ from twinbeam import (
     paired_qdii,
     thermal_qdii,
 )
-from twinbeam import qdii
+from twinbeam import photostat, qdii
 from twinbeam.cli import _auto_grid_max
 from twinbeam.specfun import log_bessel_i, log_bessel_i_array
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 
 class TestCharacteristicFunction:
@@ -740,6 +741,98 @@ class TestNoiseConvolution:
     def test_direct_paths(self, paper_params, s, cells, grid_max):
         # past the rank limits the paired density is a grid
         self.check(paper_params, s, np.linspace(0.0, grid_max, cells), factored=False)
+
+
+class TestFactorFloor:
+    """Factor-table entries below ``tiny/eps`` are 0, so that no product of
+    a kept entry and a noise mass of at least eps is subnormal.
+    ``_axis_factor`` states what that moves: a paired cell by at most
+    ``f (sum_j |R[y, j]| + sum_j |L[x, j]|)`` with f the floor, and a
+    convolved cell by at most that bound summed over the cells it collects,
+    weighted by their noise masses."""
+
+    FLOOR = TINY / EPS
+
+    @staticmethod
+    def axis(params, s, cells):
+        return np.linspace(0.0, _auto_grid_max(params, s), cells)
+
+    @pytest.mark.parametrize("cells", [200, 400])
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_no_entry_below_the_floor(self, paper_params, s, cells):
+        # README state, Bessel series on the automatic axis: the series
+        # factors reach 2.2e-308 near the origin and in the far tail
+        axis = self.axis(paper_params, s, cells)
+        ctx = OrderingContext.for_params(paper_params.b_pairs, s)
+        left, right = qdii._paired_values(ctx, paper_params.m_pairs, axis, axis)
+        assert right is not None
+        for factor in (left, right):
+            assert np.all(np.abs(factor[factor != 0]) >= self.FLOOR)
+
+    @pytest.mark.parametrize("cells", [200, 400])
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_full_grid_within_the_flush_bound(self, paper_params, s, cells, monkeypatch):
+        # the grid against the one built from factors flushed only below
+        # tiny.  Both are (T_s L)(T_i R)^T, each within gamma_n |T_s| |L|
+        # |R|^T |T_i|^T of its exact value (see TestNoiseConvolution), and
+        # the exact values differ by at most the flush bound.  An axis from
+        # 0 is its own convolution lattice
+        axis = self.axis(paper_params, s, cells)
+        ctx = OrderingContext.for_params(paper_params.b_pairs, s)
+        got = qdii._convolve_uniform(paper_params, ctx, axis, axis)
+        monkeypatch.setattr(qdii, "_FACTOR_FLOOR", TINY)
+        left, right = qdii._paired_values(ctx, paper_params.m_pairs, axis, axis)
+        assert right is not None
+        want = qdii._convolve_uniform(paper_params, ctx, axis, axis)
+        sigma = (1.0 - s) / 2.0
+        t_s, t_i = (linalg.toeplitz(k, np.eye(1, axis.size)[0] * k[0])
+                    for k in (qdii._binned_thermal_kernel(m, b + sigma, axis[1], axis.size)
+                              for m, b in ((paper_params.m_noise_s, paper_params.b_noise_s),
+                                           (paper_params.m_noise_i, paper_params.b_noise_i))))
+        flush = self.FLOOR * (np.outer(t_s @ np.abs(left).sum(axis=1), t_i.sum(axis=1))
+                              + np.outer(t_s.sum(axis=1), t_i @ np.abs(right).sum(axis=1)))
+        n = 2 * axis.size + left.shape[1] + 1
+        u = EPS / 2
+        higham = 2.0 * n * u / (1 - n * u) * (t_s @ np.abs(left) @ np.abs(right).T @ t_i.T)
+        assert np.all(np.abs(got - want) <= flush + higham)
+
+
+class TestChainProduct:
+    """``photostat._chain_product``, the product order of the forward model
+    and of the noise convolution: ``(a @ m) @ c`` or ``a @ (m @ c)``,
+    whichever needs fewer multiply-adds, the first on a tie."""
+
+    class Shape:
+        """A matrix reduced to its shape; each product records its
+        multiply-adds."""
+
+        def __init__(self, rows, cols, log):
+            self.shape, self.log = (rows, cols), log
+
+        def __matmul__(self, other):
+            self.log.append(self.shape[0] * self.shape[1] * other.shape[1])
+            return type(self)(self.shape[0], other.shape[1], self.log)
+
+    @pytest.mark.parametrize("p, q, r, t", [
+        (126, 513, 218, 46),   # forward model: a long photon table, short count tables
+        (46, 218, 513, 126),   # the same, transposed
+        (150, 167, 200, 180),  # convolution: windows above 0 on two different axes
+        (200, 180, 167, 150),
+        (30, 30, 50, 50),      # a tie between two different orders
+        (1, 400, 400, 1),
+    ])
+    def test_picks_the_cheaper_order(self, p, q, r, t):
+        log = []
+        out = photostat._chain_product(self.Shape(p, q, log), self.Shape(q, r, log),
+                                       self.Shape(r, t, log))
+        assert out.shape == (p, t)
+        left, right = p * q * r + p * r * t, q * r * t + p * q * t
+        assert sum(log) == min(left, right)
+        assert log[0] == (p * q * r if left <= right else q * r * t)
+
+    def test_value(self, rng):
+        a, m, c = rng.random((40, 90)), rng.random((90, 60)), rng.random((60, 10))
+        assert np.allclose(photostat._chain_product(a, m, c), a @ m @ c, rtol=1e-13)
 
 
 class TestGaussLegendre:
