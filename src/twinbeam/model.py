@@ -43,6 +43,10 @@ def _finite(name: str, *values: float) -> None:
             raise ValidationError(f"{name}: non-finite value {v!r}")
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """A read-only float array with ``a``'s values: ``a`` itself when it is
     already a read-only float array that owns its memory (no view can write
@@ -109,7 +113,7 @@ class DetectorModel:
         _finite("DetectorModel", self.efficiency, self.dark_rate)
         _require(0.0 < self.efficiency < 1.0,
                  f"DetectorModel: efficiency must lie in (0, 1), got {self.efficiency}")
-        _require(isinstance(self.pixels, (int, np.integer)) and self.pixels >= 1,
+        _require(_is_integer(self.pixels) and self.pixels >= 1,
                  f"DetectorModel: pixels must be an integer >= 1, got {self.pixels!r}")
         _require(0.0 <= self.dark_rate < 1.0,
                  f"DetectorModel: dark_rate must lie in [0, 1), got {self.dark_rate}")

@@ -36,8 +36,9 @@ needs uniform axes: each noise measure is binned onto the grid lattice, and
 the convolution is one product of lower-triangular Toeplitz matrices per
 arm, ``T_s @ paired @ T_i^T``; a factored density is convolved as ``(T_s @
 L) @ (T_i @ R).T`` instead when that needs fewer multiply-adds, which it
-does while the rank is well below the number of lattice points.  Without
-pairs the QDII is the product of the two noise densities.  One
+does while the rank is well below the number of lattice points.  Every
+operand of that product is set to 0 below ``tiny/eps`` (``_flush_below``).
+Without pairs the QDII is the product of the two noise densities.  One
 gamma-density routine serves ``thermal_qdii``, that noise-only grid and the
 uncorrelated limit of the paired density.  Every grid ends in the same
 check: its trapezoid integral, ``QdiiGrid.normalization``, must lie within
@@ -82,8 +83,8 @@ NORMALIZATION_TOL = 0.05
 _SERIES_MAX_TERMS = 2000
 # largest rank, twice the node count, of the sinc quadrature (see _sinc_factor)
 _SINC_MAX_RANK = 1000
-# factor-table entries below tiny/eps = 2^-970 are set to 0 (see _axis_factor)
-_FACTOR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# convolution operands are set to 0 below tiny/eps = 2^-970 (see _flush_below)
+_FLUSH_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _check_ordering(s: float) -> None:
@@ -239,12 +240,23 @@ def _series_factors(ctx: OrderingContext, m: float, half_a: np.ndarray,
     return np.exp(expo)
 
 
-def _flush_below(a: np.ndarray, floor: float) -> np.ndarray:
-    """``a`` with its entries of magnitude below ``floor`` set to 0, in
-    place.  A subnormal operand or product makes an OpenBLAS matrix
-    product up to twice as slow; an entry below ``floor`` adds less than
-    ``floor`` times the other operand's entries to a result."""
-    a[np.abs(a) < floor] = 0.0
+def _flush_below(a: np.ndarray) -> np.ndarray:
+    """``a`` with its entries of magnitude below ``_FLUSH_FLOOR`` set to 0,
+    in place: every operand of the noise convolution, the factor tables,
+    the per-cell grids and the ``L @ R.T`` that ``_convolve_uniform`` forms.
+
+    The floor is ``tiny/eps``, not ``tiny``: a kept entry times a binned
+    noise mass of at least eps is a normal double, and OpenBLAS multiplies
+    subnormal numbers far more slowly (README, numerical notes); smaller
+    masses can still give subnormal products, correct but slower.
+
+    A flushed grid cell moves by less than the floor f, a paired cell
+    ``sum_j L[x, j] R[y, j]`` of flushed factors by at most ``f (sum_j
+    |R[y, j]| + sum_j |L[x, j]|)``, and a convolved cell by at most that
+    bound summed over the cells it collects, weighted by their noise
+    masses, which sum to at most 1 per Toeplitz row.
+    """
+    a[np.abs(a) < _FLUSH_FLOOR] = 0.0
     return a
 
 
@@ -393,23 +405,8 @@ def _sinc_normalization(m: float, b: float, kt: float) -> float:
 
 def _axis_factor(f: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """A factor table on a whole axis, from its rows at the ``keep`` points:
-    the other rows are 0, and so are the entries below ``_FACTOR_FLOOR``.
-
-    The floor is ``tiny/eps``, not ``tiny``: the noise convolution
-    multiplies every entry by binned noise masses, and a kept entry times a
-    mass of at least eps is a normal double.  Only masses below eps can
-    still make a subnormal product, which is correct, only slower.  With a
-    floor of ``tiny`` the Bessel series kept entries down to 2.2e-308, and
-    their subnormal products with the noise masses made ``T @ L`` up to
-    twice as slow.
-
-    Dropping the entries below a floor f moves a paired cell ``sum_j L[x,
-    j] R[y, j]`` by at most ``f (sum_j |R[y, j]| + sum_j |L[x, j]|)``, and a
-    convolved cell by at most that bound summed over the cells it collects,
-    weighted by their noise masses, which sum to at most 1 per Toeplitz
-    row.
-    """
-    f = _flush_below(f, _FACTOR_FLOOR)
+    the other rows are 0, and so are the entries ``_flush_below`` drops."""
+    f = _flush_below(f)
     if keep.all():
         return f
     out = np.zeros((keep.size, f.shape[1]))
@@ -439,7 +436,7 @@ def _paired_values(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
     ws = np.atleast_1d(np.asarray(ws, dtype=float))
     wi = np.atleast_1d(np.asarray(wi, dtype=float))
     return _last_paired_values(ctx, float(m_pairs), ws.tobytes(), wi.tobytes(),
-                               (_SERIES_MAX_TERMS, _SINC_MAX_RANK, _FACTOR_FLOOR))
+                               (_SERIES_MAX_TERMS, _SINC_MAX_RANK, _FLUSH_FLOOR))
 
 
 @functools.lru_cache(maxsize=1)
@@ -447,7 +444,7 @@ def _last_paired_values(ctx: OrderingContext, m_pairs: float, ws_bytes: bytes,
                         wi_bytes: bytes,
                         limits: tuple[int, int, float]) -> tuple[np.ndarray, np.ndarray | None]:
     """``_paired_values`` on the axes held in ``ws_bytes`` and
-    ``wi_bytes``; ``limits``, the rank limits and the factor floor in
+    ``wi_bytes``; ``limits``, the rank limits and the flush floor in
     force, only keys the cache."""
     values = _evaluate_paired(ctx, m_pairs, np.frombuffer(ws_bytes), np.frombuffer(wi_bytes))
     for a in values:
@@ -477,17 +474,16 @@ def _evaluate_paired(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
         out = np.zeros((ws.size, wi.size))
         out[np.ix_(rows, cols)] = (_bessel_distinct if bessel else _sinc_direct)(
             ctx, m_pairs, x, y)
-        return out, None
+        return _flush_below(out), None
     f_s = _axis_factor(factor(x), rows)
     if np.array_equal(ws, wi):
         return f_s, f_s
     return f_s, _axis_factor(factor(y), cols)
 
 
-def _paired_grid(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
-                 wi: np.ndarray) -> np.ndarray:
-    """The paired density of ``_paired_values`` as a grid."""
-    left, right = _paired_values(ctx, m_pairs, ws, wi)
+def _as_grid(values: tuple[np.ndarray, np.ndarray | None]) -> np.ndarray:
+    """A paired density ``(L, R)`` or ``(grid, None)`` as a grid."""
+    left, right = values
     return left if right is None else left @ right.T
 
 
@@ -507,7 +503,9 @@ def paired_qdii(ctx: OrderingContext, m_pairs: float, w_s: float, w_i: float) ->
         raise DomainError(
             "paired_qdii: evaluation at the branch boundary s = s_th is "
             "singular; use a one-sided offset")
-    value = float(_paired_grid(ctx, m_pairs, w_s, w_i)[0, 0])
+    # uncached, so that a point does not evict the density a grid keeps
+    point = np.array([[w_s], [w_i]], dtype=float)
+    value = float(_as_grid(_evaluate_paired(ctx, m_pairs, *point))[0, 0])
     if math.isinf(value):
         raise NumericsError(
             f"paired_qdii overflow at (w_s={w_s}, w_i={w_i})")
@@ -518,6 +516,7 @@ def thermal_qdii(m_modes: float, b_mean: float, s: float, w: float) -> float:
     """Multi-thermal noise density at ordering ``s`` (a gamma density with
     shape ``m_modes`` and scale ``b_mean + (1-s)/2``); the scalar form of
     ``_thermal_values``."""
+    _check_ordering(s)
     if m_modes <= 0:
         raise DomainError(f"thermal_qdii: m_modes must be > 0, got {m_modes}")
     if w < 0:
@@ -638,7 +637,7 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     paired density given as factors ``L @ R.T`` is convolved as ``(T_s @ L)
     @ (T_i @ R).T`` or as ``T_s @ (L @ R.T) @ T_i.T``, whichever needs fewer
     multiply-adds, the three-factor product in the order ``_chain_product``
-    picks.  The cells of ``L @ R.T`` below ``tiny`` are set to 0.
+    picks.  ``L @ R.T`` is flushed as every operand is (``_flush_below``).
     """
     sigma = (1.0 - ctx.s) / 2.0
     lo_s, h_s, lat_s = _lattice(ws)
@@ -652,7 +651,7 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
         if (rank * (rows_s * n_s + rows_i * n_i + rows_s * rows_i)
                 <= n_s * n_i * rank + min(_chain_madds(rows_s, n_s, n_i, rows_i))):
             return (t_s @ left) @ (t_i @ right).T
-        left = _flush_below(left @ right.T, np.finfo(float).tiny)
+        left = _flush_below(left @ right.T)
     return _chain_product(t_s, left, t_i.T)
 
 
@@ -687,7 +686,7 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
         raise DomainError("joint_qdii_grid: s equals the paired branch boundary")
 
     if paired_only or (params.m_noise_s == 0 and params.m_noise_i == 0):
-        values = _paired_grid(ctx, params.m_pairs, ws, wi)
+        values = _as_grid(_paired_values(ctx, params.m_pairs, ws, wi))
     elif _is_uniform(ws) and _is_uniform(wi):
         values = _convolve_uniform(params, ctx, ws, wi)
     else:

@@ -37,17 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import DetectorModel, Histogram2D, TwinBeamParams
+from .model import DetectorModel, Histogram2D, TwinBeamParams, _is_integer
 
 __all__ = ["SimConfig", "sample_frame", "simulate_histogram"]
 
 # numpy's binomial uses inversion, one output per draw, while n·min(p, 1-p)
 # is at most this
 _INVERSION_LIMIT = 30.0
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

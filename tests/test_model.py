@@ -51,6 +51,14 @@ def test_detector_dark_rate_range():
         DetectorModel(efficiency=0.2, pixels=0)
 
 
+@pytest.mark.parametrize("pixels", [True, 2.0, 100.5], ids=["bool", "float", "fraction"])
+def test_detector_pixels_must_be_an_integer(pixels):
+    # the integer rule SimConfig applies to frames and seed
+    with pytest.raises(ValidationError):
+        DetectorModel(efficiency=0.3, pixels=pixels)
+    DetectorModel(efficiency=0.3, pixels=np.int64(100))  # a numpy integer is fine
+
+
 def test_histogram_negative_cell_rejected():
     with pytest.raises(ValidationError):
         Histogram2D(np.array([[1.0, -1.0], [0.0, 2.0]]), 2.0)

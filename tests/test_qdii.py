@@ -499,6 +499,13 @@ class TestThermalQdii:
         with pytest.raises(DomainError):
             thermal_qdii(0.5, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("s", [2.5, -1.0, 1.5])
+    def test_ordering_outside_its_range_rejected(self, s):
+        # the effective scale b + (1 - s)/2 stays positive at s = 2.5 with
+        # b = 5, but no ordering above 1 or at or below -1 is defined
+        with pytest.raises(DomainError):
+            thermal_qdii(1.0, 5.0, s, 1.0)
+
 
 class TestJointGrid:
     def test_noise_free_grid_equals_paired_density(self):
@@ -658,10 +665,13 @@ class TestNoiseConvolution:
     with n the sum of the inner dimensions, since ``(1 + gamma_a)(1 +
     gamma_b)(1 + gamma_c) <= 1 + gamma_(a+b+c)``; a direct grid is K = 0
     with ``|P|`` for ``|L||R|^T``.  The reference adds one rounding, to
-    double.  In the second order the subnormal cells of ``L R^T`` are set
-    to 0, which moves each by less than the smallest normal double; the
-    binned kernels' masses sum to at most 1, so that moves a convolved cell
-    by less than the same amount, which the bound adds.  Sinc-branch
+    double.  In the second order the cells of ``L R^T`` below the floor
+    ``tiny/eps`` of ``qdii._flush_below`` are set to 0, which moves each by
+    less than the floor; the binned kernels' masses sum to at most 1 per
+    Toeplitz row, so that moves a convolved cell by less than the floor
+    too, which the bound adds.  The factors and the per-cell grids are
+    flushed before the reference sees them, so they need no slack of their
+    own.  Sinc-branch
     factors are also checked against the direct expression, so a rule with
     too few nodes fails here, not only the convolution of its factors."""
 
@@ -702,7 +712,7 @@ class TestNoiseConvolution:
         scale = t_s @ magnitude @ t_i.T
         n = 2 * lat.size + rank + 1
         u = np.finfo(float).eps / 2
-        bound = n * u / (1 - n * u) * scale + np.finfo(float).tiny
+        bound = n * u / (1 - n * u) * scale + TINY / EPS
         assert np.all(np.abs(got - want) <= bound)
         return got
 
@@ -744,12 +754,13 @@ class TestNoiseConvolution:
 
 
 class TestFactorFloor:
-    """Factor-table entries below ``tiny/eps`` are 0, so that no product of
-    a kept entry and a noise mass of at least eps is subnormal.
-    ``_axis_factor`` states what that moves: a paired cell by at most
-    ``f (sum_j |R[y, j]| + sum_j |L[x, j]|)`` with f the floor, and a
-    convolved cell by at most that bound summed over the cells it collects,
-    weighted by their noise masses."""
+    """Entries below ``tiny/eps`` of every operand of the noise convolution
+    are 0, so that no product of a kept entry and a noise mass of at least
+    eps is subnormal.  ``_flush_below`` states what that moves: a grid cell
+    by less than the floor f, a paired cell of factors by at most ``f
+    (sum_j |R[y, j]| + sum_j |L[x, j]|)``, and a convolved cell by at most
+    that bound summed over the cells it collects, weighted by their noise
+    masses."""
 
     FLOOR = TINY / EPS
 
@@ -780,7 +791,7 @@ class TestFactorFloor:
         axis = self.axis(paper_params, s, cells)
         ctx = OrderingContext.for_params(paper_params.b_pairs, s)
         got = qdii._convolve_uniform(paper_params, ctx, axis, axis)
-        monkeypatch.setattr(qdii, "_FACTOR_FLOOR", TINY)
+        monkeypatch.setattr(qdii, "_FLUSH_FLOOR", TINY)
         left, right = qdii._paired_values(ctx, paper_params.m_pairs, axis, axis)
         assert right is not None
         want = qdii._convolve_uniform(paper_params, ctx, axis, axis)
@@ -794,6 +805,64 @@ class TestFactorFloor:
         n = 2 * axis.size + left.shape[1] + 1
         u = EPS / 2
         higham = 2.0 * n * u / (1 - n * u) * (t_s @ np.abs(left) @ np.abs(right).T @ t_i.T)
+        assert np.all(np.abs(got - want) <= flush + higham)
+
+
+    @pytest.mark.parametrize("b_pairs, s, grid_max, factored, formed", [
+        (0.055, 0.0, None, True, False),
+        (0.055, 0.6, None, False, False),
+        (0.055, 1.0, 25.0, True, False),
+        (0.005, 1.0, None, False, False),
+        (0.055, 0.3, None, True, True),
+    ], ids=["bessel-series", "bessel-distinct", "sinc-quadrature", "sinc-direct",
+            "formed-grid"])
+    def test_no_operand_below_the_floor(self, paper_params, b_pairs, s, grid_max, factored,
+                                        formed, monkeypatch):
+        # every array the convolution multiplies by a Toeplitz matrix: the
+        # factors or the per-cell grid it is handed, and the L R^T it forms
+        # when that is cheaper (K = 325 on 200 points at s = 0.3).  The
+        # per-cell grids were not flushed at all, and L R^T only below tiny
+        params = replace(paper_params, b_pairs=b_pairs)
+        axis = np.linspace(0.0, grid_max or _auto_grid_max(params, s), 200)
+        ctx = OrderingContext.for_params(params.b_pairs, s)
+        operands = []
+        chain = photostat._chain_product
+        monkeypatch.setattr(qdii, "_chain_product",
+                            lambda a, m, c: operands.append(m) or chain(a, m, c))
+        qdii._convolve_uniform(params, ctx, axis, axis)
+        left, right = qdii._paired_values(ctx, params.m_pairs, axis, axis)
+        assert (right is not None) == factored
+        assert len(operands) == (0 if factored and not formed else 1)
+        for a in [left, right, *operands] if factored else [left, *operands]:
+            assert np.all(np.abs(a[a != 0]) >= self.FLOOR)
+
+    @pytest.mark.parametrize("b_pairs, s", [(0.055, 0.6), (0.005, 1.0)],
+                             ids=["bessel-distinct", "sinc-direct"])
+    def test_per_cell_grid_within_the_flush_bound(self, paper_params, b_pairs, s, monkeypatch):
+        # the full grid against the one built from the unflushed per-cell
+        # grid P.  Both are T_s P T_i^T in the same order, each within
+        # gamma_n |T_s| |P| |T_i|^T of its exact value, n = 2 cells + 1 (see
+        # TestNoiseConvolution), and the exact values differ by at most the
+        # floor times the Toeplitz row sums.  The unflushed products that
+        # underflow add at most n units of 2^-1075 each, far below the floor
+        params = replace(paper_params, b_pairs=b_pairs)
+        axis = np.linspace(0.0, _auto_grid_max(params, s), 200)
+        ctx = OrderingContext.for_params(params.b_pairs, s)
+        got = qdii._convolve_uniform(params, ctx, axis, axis)
+        flushed, _ = qdii._paired_values(ctx, params.m_pairs, axis, axis)
+        monkeypatch.setattr(qdii, "_FLUSH_FLOOR", 0.0)
+        paired, right = qdii._paired_values(ctx, params.m_pairs, axis, axis)
+        assert right is None and np.any(paired != flushed)
+        want = qdii._convolve_uniform(params, ctx, axis, axis)
+        sigma = (1.0 - s) / 2.0
+        t_s, t_i = (linalg.toeplitz(k, np.eye(1, axis.size)[0] * k[0])
+                    for k in (qdii._binned_thermal_kernel(m, b + sigma, axis[1], axis.size)
+                              for m, b in ((params.m_noise_s, params.b_noise_s),
+                                           (params.m_noise_i, params.b_noise_i))))
+        flush = self.FLOOR * np.outer(t_s.sum(axis=1), t_i.sum(axis=1))
+        n = 2 * axis.size + 1
+        u = EPS / 2
+        higham = 2.0 * n * u / (1 - n * u) * (t_s @ np.abs(paired) @ t_i.T)
         assert np.all(np.abs(got - want) <= flush + higham)
 
 
@@ -1058,6 +1127,21 @@ class TestSharedWork:
         for a in qdii._gauss_legendre(5):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_point_evaluation_keeps_the_grid_density(self, paper_params, monkeypatch):
+        # paired_qdii between the paired-only and the full grid of one state
+        # evaluates its point without the cache, so the full grid still
+        # finds the density the paired-only grid kept
+        axis = np.linspace(0.0, _auto_grid_max(paper_params, 0.0), 200)
+        calls = []
+        evaluate = qdii._evaluate_paired
+        monkeypatch.setattr(qdii, "_evaluate_paired",
+                            lambda *a: calls.append(1) or evaluate(*a))
+        joint_qdii_grid(paper_params, 0.0, axis, axis, paired_only=True)
+        ctx = OrderingContext.for_params(paper_params.b_pairs, 0.0)
+        paired_qdii(ctx, paper_params.m_pairs, 9.8, 9.8)
+        joint_qdii_grid(paper_params, 0.0, axis, axis)
+        assert len(calls) == 2
 
     def test_one_eigendecomposition_per_node_count(self, paper_params, monkeypatch):
         calls = []
