@@ -14,10 +14,10 @@ reads any input.  A command creates its ``--out-dir`` only after its
 computation has succeeded, just before the first write, so a run that exits
 with 2, 3 or 4 creates none.
 
-Histogram files are plain text: a first line ``# frames: <number>`` followed
-by comma-separated rows indexed by m_s (rows) and m_i (columns).  Results are
-JSON; grids and curves are CSV with ``#``-prefixed header lines.  All numbers
-are serialized with full round-trip precision and outputs carry no
+Histogram files are plain text: one header line ``# frames: <number>``, then
+comma-separated rows indexed by m_s (rows) and m_i (columns).  Results are
+JSON; grids and curves are CSV with ``#``-prefixed header lines.  All
+numbers are serialized with full round-trip precision and outputs carry no
 timestamps, so identical inputs give byte-identical files.
 """
 
@@ -94,6 +94,8 @@ def load_histogram(path: Path) -> Histogram2D:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("frames:"):
+                    if frames is not None:
+                        raise ValidationError(f"{path}:{lineno}: second frames header: {line!r}")
                     try:
                         frames = float(body.split(":", 1)[1])
                     except ValueError as exc:

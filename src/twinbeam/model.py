@@ -47,6 +47,15 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_axis(name: str, ax: np.ndarray) -> None:
+    """An intensity axis of a QDII grid: a 1-D float array of at least two
+    finite points, starting at or above 0 and strictly increasing."""
+    _require(ax.ndim == 1 and ax.size >= 2, f"{name} must be a 1D grid")
+    _require(np.all(np.isfinite(ax)), f"{name} has non-finite entries")
+    _require(float(ax[0]) >= 0.0, f"{name} must be non-negative")
+    _require(np.all(np.diff(ax) > 0), f"{name} must be strictly increasing")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """A read-only float array with ``a``'s values: ``a`` itself when it is
     already a read-only float array that owns its memory (no view can write
@@ -268,11 +277,8 @@ class QdiiGrid:
         object.__setattr__(self, "w_s_axis", _readonly(self.w_s_axis))
         object.__setattr__(self, "w_i_axis", _readonly(self.w_i_axis))
         object.__setattr__(self, "values", _readonly(self.values))
-        for name, ax in (("w_s_axis", self.w_s_axis), ("w_i_axis", self.w_i_axis)):
-            _require(ax.ndim == 1 and ax.size >= 2, f"QdiiGrid: {name} must be a 1D grid")
-            _require(np.all(np.isfinite(ax)), f"QdiiGrid: {name} has non-finite entries")
-            _require(float(ax[0]) >= 0.0, f"QdiiGrid: {name} must be non-negative")
-            _require(np.all(np.diff(ax) > 0), f"QdiiGrid: {name} must be strictly increasing")
+        _check_axis("QdiiGrid: w_s_axis", self.w_s_axis)
+        _check_axis("QdiiGrid: w_i_axis", self.w_i_axis)
         _require(self.values.shape == (self.w_s_axis.size, self.w_i_axis.size),
                  "QdiiGrid: values shape does not match axes")
         _require(np.all(np.isfinite(self.values)), "QdiiGrid: non-finite value")

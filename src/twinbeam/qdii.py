@@ -28,21 +28,24 @@ Each branch hands ``_paired_values`` a per-axis factor function, or None
 past its rank limit, and that function alone picks the factored or the
 per-cell path.  The sinc form is a closed-form interference expression, not
 an exact Fourier inversion: ``sqrt(g(x) g(y))`` times the kernel, g the
-pair field's gamma density, whose half log both sinc paths take from one
-routine.  As printed it is not normalized, so every value is divided by its
-total mass, itself a closed form.  The full-field QDII is the convolution
-of the paired density with one multi-thermal noise density per arm.  It
-needs uniform axes: each noise measure is binned onto the grid lattice, and
+pair field's gamma density.  As printed it is not normalized, so every value
+is divided by its total mass, itself a closed form.  The full-field QDII is
+the convolution of the paired density with one multi-thermal noise density
+per arm.  It needs uniform axes: each noise measure is binned onto the grid lattice, and
 the convolution is one product of lower-triangular Toeplitz matrices per
 arm, ``T_s @ paired @ T_i^T``; a factored density is convolved as ``(T_s @
 L) @ (T_i @ R).T`` instead when that needs fewer multiply-adds, which it
 does while the rank is well below the number of lattice points.  Every
 operand of that product is set to 0 below ``tiny/eps`` (``_flush_below``).
-Without pairs the QDII is the product of the two noise densities.  One
-gamma-density routine serves ``thermal_qdii``, that noise-only grid and the
-uncorrelated limit of the paired density.  Every grid ends in the same
-check: its trapezoid integral, ``QdiiGrid.normalization``, must lie within
-5 % of 1.
+Without pairs the QDII is the product of the two noise densities.  Every
+grid ends in the same check: its trapezoid integral,
+``QdiiGrid.normalization``, must lie within 5 % of 1.
+
+Each input rule is stated once.  ``joint_qdii_grid`` checks both axes by
+the rule of ``QdiiGrid`` (``model._check_axis``) before any evaluation.
+Every density here, of shape (mode count) m, carries ``w^(m-1)``: at w = 0
+it is 0 for m > 1, finite for m = 1 and divergent for m < 1, which raises
+``DomainError``, as m <= 0 does (``_gamma_support``).
 
 Work that depends only on its inputs is done once.  A Gauss-Legendre rule
 is computed once per node count.  The last paired density is kept, keyed
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
-from .model import FieldMoments, QdiiGrid, TwinBeamParams
+from .model import FieldMoments, QdiiGrid, TwinBeamParams, _check_axis
 from .photostat import _chain_madds, _chain_product, _toeplitz
 from .specfun import _ascending_log_coefficients, log_bessel_i_array, sinc
 
@@ -115,7 +118,6 @@ class OrderingContext:
 
     @classmethod
     def for_params(cls, b_pairs: float, s: float) -> "OrderingContext":
-        _check_ordering(s)
         if b_pairs < 0:
             raise DomainError(f"b_pairs must be >= 0, got {b_pairs}")
         b = b_pairs + (1.0 - s) / 2.0
@@ -284,7 +286,7 @@ def _bessel_factor(ctx: OrderingContext, m: float, x: np.ndarray,
     needs more terms than the grid's limit."""
     if ctx.d_p == 0.0:
         # uncorrelated limit b_pairs -> 0: product of two gamma densities
-        return lambda w: _thermal_values(m, ctx.b_p_s, w)[:, None]
+        return lambda w: np.exp(_log_gamma_density(m, ctx.b_p_s, w))[:, None]
     # the series while it needs no more terms than the grid has points, and
     # at most _SERIES_MAX_TERMS, below the crossovers the README lists
     log_corner = math.log(x.max()) + math.log(y.max())
@@ -330,12 +332,29 @@ def _quadrature_nodes(omega: float, max_nodes: int) -> int | None:
     return int(n[fits[0]]) if fits.size else None
 
 
-def _half_log_gamma(m: float, b: float, w: np.ndarray) -> np.ndarray:
-    """``log sqrt(g(w))`` for the gamma density g of shape m and scale b: the
-    sinc-branch density is ``sqrt(g(x) g(y))`` times its kernel."""
+def _gamma_support(m: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points ``w >= 0`` at which a density of shape m, carrying
+    ``w^(m-1)``, is evaluated, as a mask and their values: w = 0 is dropped
+    for m > 1 (density 0), kept for m = 1 (finite; taken at 1e-300 for a
+    finite log) and raises for m < 1 (divergent), as m <= 0 does."""
+    if not m > 0:
+        raise DomainError(f"mode count must be > 0, got {m}: a field of no modes "
+                          "is a point mass at w = 0, not representable as a density")
+    zero = w == 0
+    if m < 1 and zero.any():
+        raise DomainError(f"a density of {m} < 1 modes diverges at w = 0; "
+                          "use strictly positive grid points")
+    keep = ~zero if m > 1 else np.ones(w.shape, dtype=bool)
+    return keep, np.where(zero, 1e-300, w)[keep]
+
+
+def _log_gamma_density(m: float, b: float, w: np.ndarray) -> np.ndarray:
+    """``log g(w)`` for the gamma density g of shape m and scale b on points
+    ``w > 0``: a multi-thermal noise density is g, and the sinc-branch
+    density is ``sqrt(g(x) g(y))`` times its kernel."""
     from scipy import special as sp
 
-    return (m - 1.0) / 2.0 * np.log(w) - (sp.gammaln(m) + m * math.log(b)) / 2.0 - w / (2.0 * b)
+    return (m - 1.0) * np.log(w) - (sp.gammaln(m) + m * math.log(b)) - w / b
 
 
 def _sinc_direct(ctx: OrderingContext, m: float,
@@ -345,7 +364,8 @@ def _sinc_direct(ctx: OrderingContext, m: float,
     b = ctx.b_p_s
     a = math.sqrt(-ctx.k_p_s)
     scale = a / (math.pi * _sinc_normalization(m, b, -ctx.k_p_s))
-    envelope = np.exp(np.add.outer(_half_log_gamma(m, b, x), _half_log_gamma(m, b, y)))
+    envelope = np.exp(np.add.outer(0.5 * _log_gamma_density(m, b, x),
+                                   0.5 * _log_gamma_density(m, b, y)))
     return envelope * sinc(np.subtract.outer(x, y) / a) * scale
 
 
@@ -379,7 +399,7 @@ def _sinc_factor(ctx: OrderingContext, m: float, x: np.ndarray,
     def factor(w: np.ndarray) -> np.ndarray:
         phase = np.multiply.outer(w, t)
         return (np.hstack((np.cos(phase), np.sin(phase)))
-                * np.outer(np.exp(_half_log_gamma(m, b, w)), root_w))
+                * np.outer(np.exp(0.5 * _log_gamma_density(m, b, w)), root_w))
 
     return factor
 
@@ -417,7 +437,7 @@ def _axis_factor(f: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def _paired_values(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
                    wi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Paired density on the grid of the 1-D axes ``ws`` (rows) and ``wi``
-    (columns); cells with a negative coordinate are 0.
+    (columns), both non-negative.
 
     Both branches are products of per-axis factors: the result is ``(L,
     R)`` with the grid ``L @ R.T``, from the factor of ``_bessel_factor`` (a
@@ -425,16 +445,13 @@ def _paired_values(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
     rank would exceed the limit of that branch; then ``_bessel_distinct`` or
     ``_sinc_direct`` evaluates the grid and the result is ``(grid, None)``.
     Equal axes give ``(L, L)``, which BLAS multiplies as a symmetric
-    product.  A point the density drops (w = 0 when m_pairs > 1) is a zero
-    row of its factor.  The sinc branch is divided by its closed-form total
-    mass.
+    product.  A point ``_gamma_support`` drops is a zero row of its factor.
+    The sinc branch is divided by its closed-form total mass.
 
     The last result is kept, as read-only arrays, and returned again for the
     same state, ordering and axes under the same limits: a paired-only
     grid and the noise convolution of the same axes share one evaluation.
     """
-    ws = np.atleast_1d(np.asarray(ws, dtype=float))
-    wi = np.atleast_1d(np.asarray(wi, dtype=float))
     return _last_paired_values(ctx, float(m_pairs), ws.tobytes(), wi.tobytes(),
                                (_SERIES_MAX_TERMS, _SINC_MAX_RANK, _FLUSH_FLOOR))
 
@@ -456,19 +473,14 @@ def _last_paired_values(ctx: OrderingContext, m_pairs: float, ws_bytes: bytes,
 def _evaluate_paired(ctx: OrderingContext, m_pairs: float, ws: np.ndarray,
                      wi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The uncached body of ``_paired_values``."""
-    if ((ws == 0).any() and (wi >= 0).any()) or ((wi == 0).any() and (ws >= 0).any()):
-        if m_pairs < 1.0:
-            raise DomainError(
-                "paired density diverges on the axes for m_pairs < 1; "
-                "use strictly positive grid points")
-    # on the axes the density vanishes for m_pairs > 1 and is finite for 1
-    rows = (ws > 0) | ((ws == 0) & (m_pairs == 1.0))
-    cols = (wi > 0) | ((wi == 0) & (m_pairs == 1.0))
+    if ctx.k_p_s == 0.0:
+        raise DomainError("paired density at the branch boundary s = s_th is "
+                          "singular (both closed forms are); use a one-sided offset")
+    bessel = ctx.k_p_s > 0
+    rows, x = _gamma_support(m_pairs, ws)
+    cols, y = _gamma_support(m_pairs, wi)
     if not (rows.any() and cols.any()):
         return np.zeros((ws.size, wi.size)), None
-    x = np.maximum(ws[rows], 1e-300)
-    y = np.maximum(wi[cols], 1e-300)
-    bessel = ctx.k_p_s > 0
     factor = (_bessel_factor if bessel else _sinc_factor)(ctx, m_pairs, x, y)
     if factor is None:
         out = np.zeros((ws.size, wi.size))
@@ -495,14 +507,8 @@ def paired_qdii(ctx: OrderingContext, m_pairs: float, w_s: float, w_i: float) ->
     its total mass, ``|K| I_x(1/2, m/2)`` in closed form.  The branch
     boundary itself is excluded (both closed forms are singular there).
     """
-    if m_pairs <= 0:
-        raise DomainError(f"paired_qdii: m_pairs must be > 0, got {m_pairs}")
     if w_s < 0 or w_i < 0:
         raise DomainError("paired_qdii: intensities must be >= 0")
-    if ctx.k_p_s == 0.0:
-        raise DomainError(
-            "paired_qdii: evaluation at the branch boundary s = s_th is "
-            "singular; use a one-sided offset")
     # uncached, so that a point does not evict the density a grid keeps
     point = np.array([[w_s], [w_i]], dtype=float)
     value = float(_as_grid(_evaluate_paired(ctx, m_pairs, *point))[0, 0])
@@ -517,13 +523,12 @@ def thermal_qdii(m_modes: float, b_mean: float, s: float, w: float) -> float:
     shape ``m_modes`` and scale ``b_mean + (1-s)/2``); the scalar form of
     ``_thermal_values``."""
     _check_ordering(s)
-    if m_modes <= 0:
-        raise DomainError(f"thermal_qdii: m_modes must be > 0, got {m_modes}")
     if w < 0:
         raise DomainError(f"thermal_qdii: intensity must be >= 0, got {w}")
     b_s = b_mean + (1.0 - s) / 2.0
-    if b_s <= 0:
-        raise DomainError(f"thermal_qdii: effective scale {b_s} must be > 0")
+    if not (b_mean >= 0 and b_s > 0):
+        raise DomainError(f"thermal_qdii: b_mean {b_mean} must be >= 0 and the "
+                          f"effective scale b_mean + (1-s)/2 = {b_s} > 0")
     return float(_thermal_values(m_modes, b_s, np.array([w], dtype=float))[0])
 
 
@@ -551,31 +556,17 @@ def _binned_thermal_kernel(m_modes: float, b_scaled: float, h: float,
 
 def _thermal_values(m_modes: float, b_scaled: float, w: np.ndarray) -> np.ndarray:
     """Gamma density of shape ``m_modes`` and scale ``b_scaled`` on an array
-    of intensities.  At ``w = 0`` it is 0 for ``m_modes > 1``, ``1/b_scaled``
-    for ``m_modes = 1``, and divergent (``DomainError``) below."""
-    from scipy import special as sp
-
+    of intensities ``w >= 0``, 0 at the points ``_gamma_support`` drops."""
+    keep, x = _gamma_support(m_modes, w)
     out = np.zeros(w.shape)
-    pos = w > 0
-    out[pos] = np.exp((m_modes - 1.0) * np.log(w[pos]) - w[pos] / b_scaled
-                      - sp.gammaln(m_modes) - m_modes * math.log(b_scaled))
-    if (w == 0).any():
-        if m_modes == 1:
-            out[w == 0] = 1.0 / b_scaled
-        elif m_modes < 1:
-            raise DomainError(
-                "thermal density diverges at w = 0 for m_modes < 1; "
-                "use strictly positive grid points")
+    out[keep] = np.exp(_log_gamma_density(m_modes, b_scaled, x))
     return out
 
 
 def _noise_only_grid(params: TwinBeamParams, s: float,
                      ws: np.ndarray, wi: np.ndarray) -> QdiiGrid:
-    """Pairs absent: the QDII factorizes into two thermal densities."""
-    if params.m_noise_s == 0 or params.m_noise_i == 0:
-        raise DomainError(
-            "joint_qdii_grid: an arm with no field is a point mass, "
-            "not representable as a density grid")
+    """Pairs absent: the QDII factorizes into two thermal densities; an arm
+    with no field is a point mass, which ``_gamma_support`` rejects."""
     sigma = (1.0 - s) / 2.0
     f_s = _thermal_values(params.m_noise_s, params.b_noise_s + sigma, ws)
     f_i = _thermal_values(params.m_noise_i, params.b_noise_i + sigma, wi)
@@ -598,7 +589,7 @@ def _checked_grid(ws: np.ndarray, wi: np.ndarray, values: np.ndarray,
 
 def _is_uniform(axis: np.ndarray) -> bool:
     d = np.diff(axis)
-    return bool(d.size and d.max() - d.min() <= 1e-9 * d.mean())
+    return bool(d.max() - d.min() <= 1e-9 * d.mean())
 
 
 def _noise_toeplitz(m_modes: float, b_scaled: float, h: float,
@@ -669,7 +660,8 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
     to their product, whichever needs fewer multiply-adds.  The
     unresolvably-small noise shifts of reconstructed states thus collapse
     onto a point mass at zero, which keeps the nearly-empty noise arms
-    well-behaved.  The convolution needs uniform axes and raises
+    well-behaved.  Both axes are checked before any evaluation
+    (``ValidationError``).  The convolution needs uniform axes and raises
     ``DomainError`` otherwise; paired-only and noise-free grids accept any
     increasing axes.  Above the threshold ordering the paired density is
     the sinc form divided by its closed-form total mass.
@@ -677,14 +669,13 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
     _check_ordering(s)
     ws = np.asarray(w_s_axis, dtype=float)
     wi = np.asarray(w_i_axis, dtype=float)
+    _check_axis("joint_qdii_grid: w_s_axis", ws)
+    _check_axis("joint_qdii_grid: w_i_axis", wi)
     if params.m_pairs == 0:
         if paired_only:
             raise DomainError("joint_qdii_grid: no paired component to isolate")
         return _noise_only_grid(params, s, ws, wi)
     ctx = OrderingContext.for_params(params.b_pairs, s)
-    if ctx.k_p_s == 0.0:
-        raise DomainError("joint_qdii_grid: s equals the paired branch boundary")
-
     if paired_only or (params.m_noise_s == 0 and params.m_noise_i == 0):
         values = _as_grid(_paired_values(ctx, params.m_pairs, ws, wi))
     elif _is_uniform(ws) and _is_uniform(wi):

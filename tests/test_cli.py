@@ -207,7 +207,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("text, message", [
         ("# frames: many\n1,2\n", "bad frames header"),
         ("# frames: 10\n\n", "no data rows"),
-    ], ids=["bad-frames-header", "header-only"])
+        ("# frames: 3\n# frames: 4\n1,2\n", "h.txt:2: second frames header"),
+    ], ids=["bad-frames-header", "header-only", "second-frames-header"])
     def test_bad_histogram_exit_code(self, text, message, tmp_path, capsys):
         hist = tmp_path / "h.txt"
         hist.write_text(text)

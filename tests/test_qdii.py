@@ -15,6 +15,7 @@ from twinbeam import (
     GridResolutionError,
     OrderingContext,
     TwinBeamParams,
+    ValidationError,
     characteristic_function,
     field_moments_from_params,
     joint_qdii_grid,
@@ -74,6 +75,12 @@ class TestOrderingContext:
     def test_vacuum_normal_ordering_rejected(self):
         with pytest.raises(Exception):
             OrderingContext.for_params(0.0, 1.0)
+
+    @pytest.mark.parametrize("s", [1.5, -1.0, math.nan])
+    def test_ordering_outside_its_range_rejected(self, s):
+        # the constructor's check, which for_params does not repeat
+        with pytest.raises(DomainError):
+            OrderingContext.for_params(0.5, s)
 
 
 class TestOrderingThreshold:
@@ -216,12 +223,14 @@ class TestPairedQdii:
     @pytest.mark.parametrize("s", [0.0, 0.5])
     def test_uncorrelated_limit_is_product_of_gamma_densities(self, s):
         # b_pairs = 0: both arms carry independent thermal light of scale
-        # (1 - s)/2, so the density factorizes; the log-densities stay below
-        # ~200 in magnitude, so both sides agree to ~1e-13
+        # (1 - s)/2, so the density factorizes; the log-densities of the
+        # cells that do not underflow stay below ~300 in magnitude, so both
+        # sides agree to ~1e-13.  A subnormal coordinate is taken as it is
         ctx = OrderingContext.for_params(0.0, s)
         scale = (1.0 - s) / 2.0
         for m in (0.6, 1.0, 2.5, 40.0):
-            for w_s, w_i in ((0.05, 0.3), (1.0, 1.0), (0.9, 3.7), (m * scale, 2.0 * m * scale)):
+            for w_s, w_i in ((0.05, 0.3), (1.0, 1.0), (0.9, 3.7), (m * scale, 2.0 * m * scale),
+                             (1e-310, 0.3)):
                 want = (gamma_dist.pdf(w_s, a=m, scale=scale)
                         * gamma_dist.pdf(w_i, a=m, scale=scale))
                 assert paired_qdii(ctx, m, w_s, w_i) == pytest.approx(want, rel=1e-12)
@@ -498,6 +507,9 @@ class TestThermalQdii:
             thermal_qdii(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             thermal_qdii(0.5, 1.0, 1.0, 0.0)
+        # photons per mode are >= 0, as TwinBeamParams requires
+        with pytest.raises(DomainError):
+            thermal_qdii(1.0, -0.1, 0.0, 1.0)
 
     @pytest.mark.parametrize("s", [2.5, -1.0, 1.5])
     def test_ordering_outside_its_range_rejected(self, s):
@@ -586,6 +598,29 @@ class TestJointGrid:
         g = np.linspace(0.0, 20.0, 50)
         with pytest.raises(DomainError):
             joint_qdii_grid(paper_params, ctx.s_th_paired, g, g)
+
+    @pytest.mark.parametrize("route", ["convolved", "paired-only", "noise-only"])
+    @pytest.mark.parametrize("axis", [
+        np.float64(5.0),
+        np.linspace(0.0, 20.0, 40).reshape(2, 20),
+        np.where(np.arange(40) == 7, np.nan, np.linspace(0.0, 20.0, 40)),
+        np.linspace(-1.0, 20.0, 40),
+        np.linspace(20.0, 0.0, 40),
+    ], ids=["scalar", "2-D", "NaN", "negative-start", "decreasing"])
+    def test_axes_checked_before_evaluation(self, paper_params, axis, route, monkeypatch):
+        # a malformed axis, on either side, is a ValidationError raised
+        # before any density is evaluated
+        params = (replace(paper_params, m_pairs=0.0, b_pairs=0.0) if route == "noise-only"
+                  else paper_params)
+        calls = []
+        for name in ("_evaluate_paired", "_thermal_values"):
+            original = getattr(qdii, name)
+            monkeypatch.setattr(qdii, name, lambda *a, f=original: calls.append(1) or f(*a))
+        good = np.linspace(0.0, 20.0, 40)
+        for ws, wi in ((axis, good), (good, axis)):
+            with pytest.raises(ValidationError):
+                joint_qdii_grid(params, 1.0, ws, wi, paired_only=route == "paired-only")
+        assert not calls
 
     def test_noise_convolution_needs_uniform_axes(self, paper_params):
         # pitch 0.1 up to 10, then 0.075: increasing but not uniform
