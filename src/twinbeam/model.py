@@ -50,6 +50,12 @@ def _is_integer(x) -> bool:
 def _check_axis(name: str, ax: np.ndarray) -> None:
     """An intensity axis of a QDII grid: a 1-D float array of at least two
     finite points, starting at or above 0 and strictly increasing."""
+    # a first point >= 0, a finite last point and every point above the one
+    # before leave every point finite: one pass accepts the axis, and the
+    # checks below only pick the message of a rejected one
+    if (ax.ndim == 1 and ax.size >= 2 and 0.0 <= ax[0] and math.isfinite(ax[-1])
+            and (ax[1:] > ax[:-1]).all()):
+        return
     _require(ax.ndim == 1 and ax.size >= 2, f"{name} must be a 1D grid")
     _require(np.all(np.isfinite(ax)), f"{name} has non-finite entries")
     _require(float(ax[0]) >= 0.0, f"{name} must be non-negative")

@@ -28,6 +28,24 @@ reaches there; otherwise, and wherever the offset is not known in advance
 inversion range), the rest is drawn in stream order from the true state.
 So the histograms are bit-identical to one sequential pass for every
 configuration, whichever path runs.
+
+Every stage runs over blocks of ``_BLOCK`` frames, in stream order: a
+sampler called block by block takes the same outputs as one call, and a
+throw pass draws each block's uniforms in turn.  Per-frame results are kept
+in full-length arrays of the narrowest type that holds them: photon and
+detected counts int32 (a block whose counts do not fit raises
+``DomainError``), fired counts the type that holds both the pixel count and
+the most detected photons (int16 at 10,000 pixels), and the signal arm's
+dark counts the type that holds the pixel count; the idler arm's dark
+counts are tallied block by block.  The gamma draws of a component come
+before its Poisson draws, so they are the one full-length float64 array.
+That sets the working memory at 16 bytes per frame: one component's gamma
+draws (8) beside both arms' photon counts (4 + 4).  Later stages hold less:
+the two arms overlapped hold the signal arm's detected counts, the idler
+arm's photons and detected counts (4 + 4 + 4) and the signal arm's fired
+counts; after them, fired counts, the idler's detected counts and the
+signal arm's dark counts.  Every other temporary is block-sized, a few
+8-byte elements per frame of a block on each thread.
 """
 
 from __future__ import annotations
@@ -36,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .model import DetectorModel, Histogram2D, TwinBeamParams, _is_integer
 
 __all__ = ["SimConfig", "sample_frame", "simulate_histogram"]
@@ -44,6 +62,10 @@ __all__ = ["SimConfig", "sample_frame", "simulate_histogram"]
 # numpy's binomial uses inversion, one output per draw, while n·min(p, 1-p)
 # is at most this
 _INVERSION_LIMIT = 30.0
+
+# frames per block: a block temporary of 8-byte elements is 512 kB, and each
+# numpy call still spans 65,536 elements, so the Python loops add little
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,52 +85,81 @@ class SimConfig:
             raise ValidationError(f"SimConfig: seed must be an integer >= 0, got {self.seed!r}")
 
 
-def _component_counts(rng: np.random.Generator, m_modes: float, b_mean: float,
-                      size: int) -> np.ndarray:
+def _int_type(largest: int) -> type[np.signedinteger]:
+    """The narrowest signed integer type that holds 0 to ``largest``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if largest <= np.iinfo(t).max)
+
+
+def _split(a: np.ndarray) -> list[np.ndarray]:
+    """Views of ``a`` in consecutive blocks of ``_BLOCK`` frames."""
+    return [a[i:i + _BLOCK] for i in range(0, a.size, _BLOCK)]
+
+
+def _add_component(rng: np.random.Generator, m_modes: float, b_mean: float,
+                   counts: np.ndarray) -> None:
+    """Add one gamma-Poisson component's photons per frame to ``counts``; a
+    sum that ``counts``' type cannot hold raises instead of wrapping."""
     if m_modes == 0 or b_mean == 0:
-        return np.zeros(size, dtype=np.int64)
-    return rng.poisson(rng.gamma(m_modes, b_mean, size))
+        return
+    most = np.iinfo(counts.dtype).max
+    for c, mean in zip(_split(counts), _split(rng.gamma(m_modes, b_mean, counts.size))):
+        n = c + rng.poisson(mean)
+        if n.max() > most:
+            raise DomainError(f"simulate_histogram: a frame holds {n.max()} photons; "
+                              f"at most {most} are supported")
+        c[...] = n
 
 
 def _photon_counts(rng: np.random.Generator, p: TwinBeamParams,
                    size: int) -> tuple[np.ndarray, np.ndarray]:
     """Incident photons per frame on each arm: the shared pairs plus that
     arm's noise."""
-    pairs = _component_counts(rng, p.m_pairs, p.b_pairs, size)
-    n_s = _component_counts(rng, p.m_noise_s, p.b_noise_s, size)
-    n_s += pairs
-    n_i = _component_counts(rng, p.m_noise_i, p.b_noise_i, size)
-    n_i += pairs
+    pairs = np.zeros(size, dtype=np.int32)
+    _add_component(rng, p.m_pairs, p.b_pairs, pairs)
+    n_s = pairs.copy()
+    _add_component(rng, p.m_noise_s, p.b_noise_s, n_s)
+    n_i = pairs  # the pairs are not needed again
+    _add_component(rng, p.m_noise_i, p.b_noise_i, n_i)
     return n_s, n_i
 
 
 def _detected(rng: np.random.Generator, photons: np.ndarray,
               d: DetectorModel) -> np.ndarray:
-    return rng.binomial(photons, d.efficiency)
+    todo = np.empty_like(photons)  # no more than the photons
+    for t, n in zip(_split(todo), _split(photons)):
+        t[...] = rng.binomial(n, d.efficiency)
+    return todo
 
 
 def _fire(rng: np.random.Generator, todo: np.ndarray, d: DetectorModel) -> np.ndarray:
     """Fired-pixel counts of frames holding ``todo`` detected photons each."""
     # Pass k throws the k-th photon of every frame holding at least k, one
     # uniform per frame in frame order, as a masked pass over all frames
-    # would.  The photon lands on a fresh pixel when its uniform is
+    # would; a pass runs block by block, so each block draws the uniforms of
+    # its own frames.  The photon lands on a fresh pixel when its uniform is
     # >= lit/pixels.  Before pass k, lit <= k - 1, and rounded division is
     # monotone, so a uniform >= (k - 1)/pixels is a sure hit: ``lit`` starts
-    # as if every photon hit, and only the few uniforms below that bound are
-    # resolved against their frame's count.
-    lit = todo.copy()
-    holding = np.cumsum(np.bincount(todo)[::-1])[::-1]  # frames with >= k photons
-    frames = None  # the frames holding >= k photons at the last pass that needed them
-    for k in range(1, holding.size):
-        u = rng.random(holding[k])
-        near = np.flatnonzero(u < (k - 1) / d.pixels)
-        if near.size:
-            frames = np.flatnonzero(todo >= k) if frames is None else frames[todo[frames] >= k]
-            f = frames[near]
-            # k - 1 less the misses so far: the pixels this frame has lit
-            lit[f[u[near] < (k - 1 - todo[f] + lit[f]) / d.pixels]] -= 1
+    # as if every photon hit (so its type holds the most photons, as well as
+    # the pixels), and only the few uniforms below that bound are resolved
+    # against their frame's count.
+    top = int(todo.max())
+    lit = todo.astype(_int_type(max(d.pixels, top)))
+    # holding[b, k]: the frames of block b holding >= k photons
+    holding = np.array([np.bincount(t, minlength=top + 1) for t in _split(todo)])
+    holding = holding[:, ::-1].cumsum(axis=1)[:, ::-1]
+    for k in range(1, top + 1):
+        for b in np.flatnonzero(holding[:, k]):
+            u = rng.random(holding[b, k])
+            near = np.flatnonzero(u < (k - 1) / d.pixels)
+            if near.size:
+                start = b * _BLOCK
+                f = start + np.flatnonzero(todo[start:start + _BLOCK] >= k)[near]
+                # k - 1 less the misses so far: the pixels this frame has lit
+                lit[f[u[near] < (k - 1 - todo[f] + lit[f]) / d.pixels]] -= 1
     if d.dark_rate > 0:
-        lit += rng.binomial(d.pixels - lit, d.dark_rate)
+        for m in _split(lit):
+            m += rng.binomial(d.pixels - m, d.dark_rate)
     return lit
 
 
@@ -132,8 +183,14 @@ def _fire_draws(todo: np.ndarray, d: DetectorModel) -> int | None:
 
 
 def _dark_tallies(rng: np.random.Generator, cfg: SimConfig) -> Histogram2D:
-    return _tally(*(rng.binomial(d.pixels, d.dark_rate, cfg.frames)
-                    for d in (cfg.detector_s, cfg.detector_i)), cfg.frames)
+    d_s, d_i = cfg.detector_s, cfg.detector_i
+    dark_s = np.empty(cfg.frames, dtype=_int_type(d_s.pixels))
+    for m in _split(dark_s):
+        m[...] = rng.binomial(d_s.pixels, d_s.dark_rate, m.size)
+    # every signal-arm draw comes first; the idler arm's are drawn block by
+    # block as the tally reaches them
+    return _tally(((m, rng.binomial(d_i.pixels, d_i.dark_rate, m.size))
+                   for m in _split(dark_s)), cfg.frames)
 
 
 def _ahead(rng: np.random.Generator, skip: int | None) -> np.random.Generator | None:
@@ -166,10 +223,20 @@ def _sample_batch(cfg: SimConfig, rng: np.random.Generator,
     return _detect_counts(rng, n_s, cfg.detector_s), _detect_counts(rng, n_i, cfg.detector_i)
 
 
-def _tally(m_s: np.ndarray, m_i: np.ndarray, frames: int) -> Histogram2D:
-    rows, cols = int(m_s.max()) + 1, int(m_i.max()) + 1
-    counts = np.bincount(m_s.astype(np.intp) * cols + m_i, minlength=rows * cols)
-    return Histogram2D(counts.reshape(rows, cols), float(frames))
+def _tally(blocks, frames: int) -> Histogram2D:
+    """Histogram of the (m_s, m_i) count pairs of ``blocks``, one block at a
+    time: rows 0 to the largest m_s, columns 0 to the largest m_i."""
+    counts = np.zeros((1, 1), dtype=np.int64)
+    for m_s, m_i in blocks:
+        shape = (max(counts.shape[0], int(m_s.max()) + 1),
+                 max(counts.shape[1], int(m_i.max()) + 1))
+        if shape != counts.shape:
+            counts = np.pad(counts, [(0, n - c) for n, c in zip(shape, counts.shape)])
+        cell = m_s.astype(np.intp)
+        cell *= shape[1]
+        cell += m_i
+        counts += np.bincount(cell, minlength=counts.size).reshape(shape)
+    return Histogram2D(counts, float(frames))
 
 
 def simulate_histogram(cfg: SimConfig) -> tuple[Histogram2D, Histogram2D]:
@@ -212,4 +279,4 @@ def simulate_histogram(cfg: SimConfig) -> tuple[Histogram2D, Histogram2D]:
             m_i = fired.result()
             if dark_rng is None or idler_rng.bit_generator.state != dark_start:
                 _, dark = _redraw(idler_rng, cfg)
-    return _tally(m_s, m_i, cfg.frames), dark
+    return _tally(zip(_split(m_s), _split(m_i)), cfg.frames), dark

@@ -139,6 +139,21 @@ def test_qdii_grid_axes_must_increase():
         QdiiGrid(ax, ax, np.zeros((3, 3)), 0.0)
 
 
+@given(st.lists(st.sampled_from([0.0, 5e-324, 0.5, 1.0, 2.0, 1e308, -0.5,
+                                 np.inf, -np.inf, np.nan]), max_size=6))
+def test_axis_check_accepts_exactly_finite_increasing_axes(points):
+    # the one-pass acceptance agrees with the four checks it stands for
+    from twinbeam.model import _check_axis
+    ax = np.array(points)
+    valid = (ax.size >= 2 and np.all(np.isfinite(ax)) and ax[0] >= 0
+             and np.all(np.diff(ax) > 0))
+    if valid:
+        _check_axis("axis", ax)
+    else:
+        with pytest.raises(ValidationError):
+            _check_axis("axis", ax)
+
+
 def test_qdii_grid_ordering_range():
     ax = np.array([0.0, 1.0, 2.0])
     with pytest.raises(ValidationError):

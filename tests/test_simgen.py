@@ -96,14 +96,17 @@ class TestRandomStream:
     @given(photons=st.lists(st.integers(0, 300), min_size=1, max_size=200),
            pixels=st.integers(1, 400),
            dark_rate=st.sampled_from([0.0, 1e-3, 0.2]),
-           seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1),
+           block=st.sampled_from([1, 2, 7, 1 << 16]))  # frames per block
     def test_detection_matches_masked_loop_bit_for_bit(self, photons, pixels,
-                                                       dark_rate, seed):
-        from twinbeam.simgen import _detect_counts
+                                                       dark_rate, seed, block):
+        from twinbeam import simgen
         d = DetectorModel(efficiency=0.4, pixels=pixels, dark_rate=dark_rate)
         photons = np.array(photons, dtype=np.int64)
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _detect_counts(rng_new, photons, d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simgen, "_BLOCK", block)
+            got = simgen._detect_counts(rng_new, photons, d)
         want = masked_detect_counts(rng_ref, photons, d)
         assert np.array_equal(got, want)
         # both consumed the same stream
@@ -138,19 +141,18 @@ detectors = st.builds(
     pixels=st.sampled_from([1, 3, 40, 2000]),
     dark_rate=st.sampled_from([0.0, 1e-3, 0.05, 0.6]))
 
+states = st.builds(TwinBeamParams,
+                   m_pairs=st.floats(0.5, 30.0), b_pairs=st.floats(0.0, 3.0),
+                   m_noise_s=st.sampled_from([0.0, 0.01, 2.0]), b_noise_s=st.floats(0.0, 40.0),
+                   m_noise_i=st.sampled_from([0.0, 0.01, 2.0]), b_noise_i=st.floats(0.0, 40.0))
+
 
 class TestOverlappedSchedule:
     """``simulate_histogram`` runs the idler arm and the dark tallies at
     predicted stream offsets; whichever path runs, the histograms are those
     of one sequential pass."""
 
-    @given(params=st.builds(TwinBeamParams,
-                            m_pairs=st.floats(0.5, 30.0), b_pairs=st.floats(0.0, 3.0),
-                            m_noise_s=st.sampled_from([0.0, 0.01, 2.0]),
-                            b_noise_s=st.floats(0.0, 40.0),
-                            m_noise_i=st.sampled_from([0.0, 0.01, 2.0]),
-                            b_noise_i=st.floats(0.0, 40.0)),
-           detector_s=detectors, detector_i=detectors,
+    @given(params=states, detector_s=detectors, detector_i=detectors,
            frames=st.integers(1, 3000), seed=st.integers(0, 2**63))
     # zero dark rate; a saturated signal arm; pixels x dark rate >= 30;
     # efficiency > 0.5; and the README state
@@ -213,6 +215,75 @@ class TestOverlappedSchedule:
         with pytest.raises(RuntimeError, match="idler arm failed"):
             simulate_histogram(cfg)
         assert threading.active_count() == before  # the worker was joined
+
+
+class TestBlocks:
+    """Every stage runs over blocks of ``simgen._BLOCK`` frames.  At a few
+    frames per block every stage, and every throw pass, crosses block
+    boundaries; the draws are still those of one sequential pass."""
+
+    @given(params=states, detector_s=detectors, detector_i=detectors,
+           frames=st.integers(1, 300), seed=st.integers(0, 2**63),
+           block=st.sampled_from([2, 7]))
+    # a saturated signal arm; the README state
+    @example(BRIGHT_PARAMS, DetectorModel(0.9, 40, 0.01), DetectorModel(0.7, 40, 0.01),
+             300, 4, 7)
+    @example(README_PARAMS, README_DET_S, README_DET_I, 300, 1, 7)
+    def test_small_blocks_match_sequential_reference(self, params, detector_s, detector_i,
+                                                     frames, seed, block):
+        from twinbeam import simgen
+        cfg = SimConfig(params, detector_s, detector_i, frames=frames, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simgen, "_BLOCK", block)
+            h, dark = simulate_histogram(cfg)
+        want_h, want_dark = sequential_histograms(cfg)
+        assert np.array_equal(h.counts, want_h)
+        assert np.array_equal(dark.counts, want_dark)
+
+    def test_working_memory_per_frame(self):
+        # the module docstring's bound: 16 bytes per frame, plus block-sized
+        # temporaries, a few 8-byte elements per frame of a block on each
+        # thread (six blocks allowed)
+        import tracemalloc
+
+        from twinbeam import simgen
+        frames = 200_000
+        cfg = SimConfig(README_PARAMS, README_DET_S, README_DET_I, frames=frames, seed=1)
+        simulate_histogram(SimConfig(README_PARAMS, README_DET_S, README_DET_I,
+                                     frames=100, seed=1))  # first-call set-up
+        tracemalloc.start()
+        try:
+            simulate_histogram(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * frames + 6 * 8 * simgen._BLOCK
+
+    def test_per_frame_types(self):
+        from twinbeam import simgen
+        assert [simgen._int_type(n) for n in (1, 127, 128, 32767, 32768, 2**31 - 1, 2**31)] == [
+            np.int8, np.int8, np.int16, np.int16, np.int32, np.int32, np.int64]
+        n_s, n_i = simgen._photon_counts(np.random.default_rng(1), README_PARAMS, 1000)
+        assert n_s.dtype == n_i.dtype == np.int32
+        todo = simgen._detected(np.random.default_rng(2), n_s, README_DET_S)
+        assert todo.dtype == np.int32
+        # 10,000 pixels
+        assert simgen._fire(np.random.default_rng(3), todo, README_DET_S).dtype == np.int16
+
+    def test_counts_that_do_not_fit_raise(self):
+        from twinbeam import DomainError, simgen
+        most = np.iinfo(np.int32).max
+        # a component that adds nothing here leaves the largest count as it is
+        counts = np.array([0, most], dtype=np.int32)
+        simgen._add_component(np.random.default_rng(3), 1e-9, 1.0, counts)
+        assert counts.tolist() == [0, most]
+        # one component of 3e9 photons a frame, and a sum past 2**31 - 1
+        with pytest.raises(DomainError, match="photons; at most 2147483647"):
+            simgen._add_component(np.random.default_rng(4), 1.0, 3e9, np.zeros(3, np.int32))
+        counts = np.full(3, most - 10, np.int32)
+        with pytest.raises(DomainError):
+            simgen._add_component(np.random.default_rng(5), 100.0, 1.0, counts)
+        assert np.all(counts == most - 10)  # nothing written
 
 
 class TestDegenerateConfigs:
