@@ -201,16 +201,14 @@ def _write_report(report: dict, fmt: str, out_file: Path | None) -> None:
 
 
 def _csv_cell(v) -> str:
-    # the spellings of the json report
+    # the json report's spellings; a cell is None, a bool, a float or a list
     if v is None:
         return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt(v)
     if isinstance(v, (list, tuple)):
         return ";".join(_csv_cell(x) for x in v)
-    return str(v)
+    return _fmt(v)
 
 
 def save_grid(path: Path, grid) -> None:

@@ -1,9 +1,9 @@
 """Domain types shared across the package.
 
 All types are immutable after construction and validate their invariants in
-``__post_init__``, so an instance that exists is always a valid one.  The
-module performs no physics; it only defines the records the other modules
-exchange.
+``__post_init__``, so an instance that exists is valid and no consumer checks
+again (a ``Histogram2D``'s counts sum to a positive total, say).  The module
+performs no physics; it only defines the records the other modules exchange.
 """
 
 from __future__ import annotations
@@ -49,17 +49,12 @@ def _is_integer(x) -> bool:
 
 def _check_axis(name: str, ax: np.ndarray) -> None:
     """An intensity axis of a QDII grid: a 1-D float array of at least two
-    finite points, starting at or above 0 and strictly increasing."""
-    # a first point >= 0, a finite last point and every point above the one
-    # before leave every point finite: one pass accepts the axis, and the
-    # checks below only pick the message of a rejected one
-    if (ax.ndim == 1 and ax.size >= 2 and 0.0 <= ax[0] and math.isfinite(ax[-1])
-            and (ax[1:] > ax[:-1]).all()):
-        return
-    _require(ax.ndim == 1 and ax.size >= 2, f"{name} must be a 1D grid")
-    _require(np.all(np.isfinite(ax)), f"{name} has non-finite entries")
-    _require(float(ax[0]) >= 0.0, f"{name} must be non-negative")
-    _require(np.all(np.diff(ax) > 0), f"{name} must be strictly increasing")
+    finite points, starting at or above 0 and strictly increasing; a finite
+    last point then leaves every point finite, so one pass checks it."""
+    _require(ax.ndim == 1 and ax.size >= 2 and 0.0 <= ax[0] and math.isfinite(ax[-1])
+             and (ax[1:] > ax[:-1]).all(),
+             f"{name} must be a 1-D axis of at least two finite points, "
+             "the first >= 0, each above the one before")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -125,7 +120,6 @@ class DetectorModel:
     dark_rate: float = 0.0
 
     def __post_init__(self):
-        _finite("DetectorModel", self.efficiency, self.dark_rate)
         _require(0.0 < self.efficiency < 1.0,
                  f"DetectorModel: efficiency must lie in (0, 1), got {self.efficiency}")
         _require(_is_integer(self.pixels) and self.pixels >= 1,
@@ -153,6 +147,7 @@ class Histogram2D:
         _finite("Histogram2D", self.total_frames)
         _require(self.total_frames > 0, "Histogram2D: total_frames must be > 0")
         total = float(self.counts.sum())
+        _require(total > 0, "Histogram2D: the counts sum to 0")
         tol = _HIST_TOTAL_RTOL * max(1.0, self.total_frames)
         _require(abs(total - self.total_frames) <= tol,
                  f"Histogram2D: counts sum {total} != total_frames {self.total_frames}")

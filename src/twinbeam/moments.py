@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleMomentsError, ValidationError
+from .errors import DomainError, InfeasibleMomentsError
 from .model import (
     DetectedIntensityMoments,
     FieldMoments,
@@ -42,10 +42,7 @@ __all__ = [
 
 def photocount_moments(h: Histogram2D) -> PhotocountMoments:
     """Exact first and second moments of the normalized histogram."""
-    total = float(h.counts.sum())
-    if total <= 0:
-        raise ValidationError("photocount_moments: empty histogram")
-    w = h.counts / total
+    w = h.counts / float(h.counts.sum())
     ms = np.arange(h.counts.shape[0], dtype=float)
     mi = np.arange(h.counts.shape[1], dtype=float)
     ws = w.sum(axis=1)

@@ -137,8 +137,6 @@ def joint_photon_distribution(params: TwinBeamParams,
     renormalized away).
     """
     n_s_max, n_i_max = int(cutoffs[0]), int(cutoffs[1])
-    if n_s_max < 0 or n_i_max < 0:
-        raise DomainError("joint_photon_distribution: cutoffs must be >= 0")
     n_pair_max = min(n_s_max, n_i_max)
     pair = mandel_rice_pmf(n_pair_max, params.m_pairs, params.b_pairs)
     noise_s = mandel_rice_pmf(n_s_max, params.m_noise_s, params.b_noise_s)

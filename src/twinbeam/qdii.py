@@ -39,7 +39,10 @@ does while the rank is well below the number of lattice points.  Every
 operand of that product is set to 0 below ``tiny/eps`` (``_flush_below``).
 Without pairs the QDII is the product of the two noise densities.  Every
 grid ends in the same check: its trapezoid integral,
-``QdiiGrid.normalization``, must lie within 5 % of 1.
+``QdiiGrid.normalization``, must lie within 5 % of 1.  A value past the
+double range raises ``NumericsError``, no warning first, at a point or on a
+grid (``_overflow_raises``); an inf a BLAS thread left unflagged fails the
+grid's finite-value check (``_checked_grid``).
 
 Each input rule is stated once.  ``joint_qdii_grid`` checks both axes by
 the rule of ``QdiiGrid`` (``model._check_axis``) before any evaluation.
@@ -93,6 +96,13 @@ _FLUSH_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 def _check_ordering(s: float) -> None:
     if not (-1.0 < s <= 1.0):
         raise DomainError(f"ordering parameter must lie in (-1, 1], got {s}")
+
+
+def _overflow(kind: str, flag: int) -> None:
+    raise NumericsError(f"{kind}: a QDII value passes the double range")
+
+
+_overflow_raises = np.errstate(over="call", call=_overflow)
 
 
 @dataclass(frozen=True)
@@ -499,6 +509,7 @@ def _as_grid(values: tuple[np.ndarray, np.ndarray | None]) -> np.ndarray:
     return left if right is None else left @ right.T
 
 
+@_overflow_raises
 def paired_qdii(ctx: OrderingContext, m_pairs: float, w_s: float, w_i: float) -> float:
     """Paired-field quasi-distribution value at one intensity point.
 
@@ -511,13 +522,10 @@ def paired_qdii(ctx: OrderingContext, m_pairs: float, w_s: float, w_i: float) ->
         raise DomainError("paired_qdii: intensities must be >= 0")
     # uncached, so that a point does not evict the density a grid keeps
     point = np.array([[w_s], [w_i]], dtype=float)
-    value = float(_as_grid(_evaluate_paired(ctx, m_pairs, *point))[0, 0])
-    if math.isinf(value):
-        raise NumericsError(
-            f"paired_qdii overflow at (w_s={w_s}, w_i={w_i})")
-    return value
+    return float(_as_grid(_evaluate_paired(ctx, m_pairs, *point))[0, 0])
 
 
+@_overflow_raises
 def thermal_qdii(m_modes: float, b_mean: float, s: float, w: float) -> float:
     """Multi-thermal noise density at ordering ``s`` (a gamma density with
     shape ``m_modes`` and scale ``b_mean + (1-s)/2``); the scalar form of
@@ -578,7 +586,10 @@ def _checked_grid(ws: np.ndarray, wi: np.ndarray, values: np.ndarray,
     """The grid, once its trapezoid integral is within 5 % of 1.  ``values``
     is handed over: it is set read-only, so the grid keeps it uncopied."""
     values.setflags(write=False)
-    grid = QdiiGrid(ws, wi, values, s)
+    try:
+        grid = QdiiGrid(ws, wi, values, s)
+    except ValidationError as exc:  # axes and s are checked: a value is not finite
+        raise NumericsError(f"joint_qdii_grid: {exc}: a value passes the double range") from exc
     mass = grid.normalization
     if abs(mass - 1.0) > NORMALIZATION_TOL:
         raise GridResolutionError(
@@ -646,6 +657,7 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     return _chain_product(t_s, left, t_i.T)
 
 
+@_overflow_raises
 def joint_qdii_grid(params: TwinBeamParams, s: float,
                     w_s_axis, w_i_axis, *,
                     paired_only: bool = False) -> QdiiGrid:

@@ -201,7 +201,6 @@ def alternating_sum(terms: Sequence[SignedLog] | Iterable[SignedLog]) -> Alterna
     compensation, and the estimated cancellation loss is reported as
     ``log10(sum of |terms| / |result|)`` decimal digits.
     """
-    terms = list(terms)
     live = [t for t in terms if t.sign != 0]
     if not live:
         return AlternatingSumResult(SignedLog.zero(), 0.0)

@@ -218,6 +218,16 @@ class TestInputChecks:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_histogram_without_counts_exit_code(self, tmp_path, capsys):
+        # within the sum tolerance of its frame count, but nothing was counted
+        hist = tmp_path / "h.txt"
+        hist.write_text("# frames: 1e-10\n0,0\n0,0\n")
+        out = tmp_path / "report.json"
+        assert main(["moments", str(hist), str(hist), "--eta-s", "0.3",
+                     "--eta-i", "0.28", "--out", str(out)]) == 2
+        assert "the counts sum to 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_params_field_exit_code(self, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(
@@ -504,6 +514,20 @@ class TestQdiiCommand:
         assert main(["qdii", str(params), "--out-dir", str(out)]) == 0
         values = np.loadtxt(out / "qdii.csv", delimiter=",", comments="#")
         assert values.shape == (201, 201) and np.isfinite(values).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_numerical_exit_code(self, tmp_path, capsys):
+        # the sinc-branch density of 1e-160 photons per pair mode passes the
+        # double range on this axis: a numerical failure, with no warning
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"m_pairs": 10.0, "b_pairs": 1e-160,
+                                      "m_noise_s": 0.0, "b_noise_s": 0.0,
+                                      "m_noise_i": 0.0, "b_noise_i": 0.0}))
+        out = tmp_path / "grid"
+        assert main(["qdii", str(params), "--ordering", "1", "--grid-max", "4e-159",
+                     "--grid-cells", "50", "--out-dir", str(out)]) == 4
+        assert "numerical failure: overflow" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_cell_grid_parse_exit_code(self, tmp_path):
         params = tmp_path / "params.json"

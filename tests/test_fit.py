@@ -8,12 +8,14 @@ from twinbeam import (
     Histogram2D,
     JointDistribution,
     ReconstructionError,
+    ReconstructionResult,
     SimConfig,
     TwinBeamParams,
     ValidationError,
     dark_corrected_moments,
     declination,
     default_cutoffs,
+    field_moments_from_params,
     invert_at,
     inversion_family,
     joint_photon_distribution,
@@ -100,6 +102,25 @@ class TestDeclination:
         ac = declination(a_jd, c_h)
         cb = declination(b_jd, c_h)
         assert ab <= ac + cb + 1e-12
+
+
+class TestReconstructionResult:
+    @staticmethod
+    def result(decl, scan):
+        fm = field_moments_from_params(CLEAN_PARAMS)
+        return ReconstructionResult(fm.var_p, CLEAN_PARAMS, fm, decl, scan, False)
+
+    def test_sorted_scan_and_zero_declination_accepted(self):
+        self.result(0.0, ((0.1, 0.3), (0.2, 0.0), (0.2, 0.0), (0.9, 0.5)))
+        self.result(0.25, ())
+
+    def test_negative_declination_rejected(self):
+        with pytest.raises(ValidationError):
+            self.result(-1e-12, ((0.1, 0.3),))
+
+    def test_unsorted_scan_rejected(self):
+        with pytest.raises(ValidationError):
+            self.result(0.0, ((0.2, 0.0), (0.1, 0.3)))
 
 
 class TestReconstruct:

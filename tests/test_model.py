@@ -31,6 +31,14 @@ def test_negative_parameter_rejected():
         TwinBeamParams(1.0, -0.1, 0.0, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameter_rejected(bad):
+    with pytest.raises(ValidationError):
+        TwinBeamParams(bad, 0.1, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValidationError):
+        TwinBeamParams(1.0, 0.1, 0.0, 0.0, 2.0, bad)
+
+
 def test_mode_counts_may_be_fractional():
     p = TwinBeamParams(179.0, 0.055, 8e-6, 320.0, 8e-3, 12.0)
     assert p.mean_noise_s == pytest.approx(0.00256)
@@ -51,6 +59,15 @@ def test_detector_dark_rate_range():
         DetectorModel(efficiency=0.2, pixels=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_detector_non_finite_rates_rejected(bad):
+    # the open and half-open ranges of the two rates hold no NaN or inf
+    with pytest.raises(ValidationError):
+        DetectorModel(efficiency=bad, pixels=10)
+    with pytest.raises(ValidationError):
+        DetectorModel(efficiency=0.2, pixels=10, dark_rate=bad)
+
+
 @pytest.mark.parametrize("pixels", [True, 2.0, 100.5], ids=["bool", "float", "fraction"])
 def test_detector_pixels_must_be_an_integer(pixels):
     # the integer rule SimConfig applies to frames and seed
@@ -67,6 +84,14 @@ def test_histogram_negative_cell_rejected():
 def test_histogram_total_mismatch_rejected():
     with pytest.raises(ValidationError):
         Histogram2D(np.array([[1.0, 1.0]]), 3.0)
+
+
+@pytest.mark.parametrize("frames", [1e-10, 1e-300])
+def test_histogram_without_counts_rejected(frames):
+    # within the sum tolerance of 1e-9 max(1, frames), but no frame was counted
+    with pytest.raises(ValidationError):
+        Histogram2D(np.zeros((2, 2)), frames)
+    Histogram2D(np.array([[frames, 0.0]]), frames)  # the same total, counted
 
 
 def test_histogram_normalization():

@@ -211,6 +211,11 @@ class TestModeParameters:
         with pytest.raises(DomainError):
             component_mode_params(0.5, 0.0)
 
+    @pytest.mark.parametrize("mean, var", [(-0.5, 1.0), (1.0, -0.5), (-1.0, -1.0)])
+    def test_negative_moment_rejected(self, mean, var):
+        with pytest.raises(DomainError):
+            component_mode_params(mean, var)
+
     def test_full_record(self):
         fm = field_moments_from_params(TwinBeamParams(10.0, 0.5, 2.0, 0.25, 1.0, 0.125))
         p = mode_parameters(fm)

@@ -68,6 +68,9 @@ class TestMandelRice:
             mandel_rice(-1, 1.0, 1.0)
         with pytest.raises(DomainError):
             mandel_rice(2, 0.0, 1.0)
+        for m_modes in (0.0, 2.0):  # the point mass and the law itself
+            with pytest.raises(DomainError):
+                mandel_rice_pmf(-1, m_modes, 1.0)
 
     def test_pmf_point_mass_components(self):
         v = mandel_rice_pmf(4, 0.0, 3.0)
@@ -171,6 +174,12 @@ class TestJointPhotonDistribution:
         params = TwinBeamParams(179.0, 0.055, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(GridResolutionError):
             joint_photon_distribution(params, (1, 1))
+
+    @pytest.mark.parametrize("cutoffs", [(-1, 5), (5, -1), (-2, -3)])
+    def test_negative_cutoff_rejected(self, paper_params, cutoffs):
+        # the smaller cutoff sizes the pair pmf, whose own rule rejects it
+        with pytest.raises(DomainError):
+            joint_photon_distribution(paper_params, cutoffs)
 
     def test_truncation_mass_accounting(self, paper_params):
         jd = joint_photon_distribution(paper_params, (40, 40))

@@ -13,6 +13,7 @@ from scipy.stats import gamma as gamma_dist
 from twinbeam import (
     DomainError,
     GridResolutionError,
+    NumericsError,
     OrderingContext,
     TwinBeamParams,
     ValidationError,
@@ -81,6 +82,10 @@ class TestOrderingContext:
         # the constructor's check, which for_params does not repeat
         with pytest.raises(DomainError):
             OrderingContext.for_params(0.5, s)
+
+    def test_negative_b_pairs_rejected(self):
+        with pytest.raises(DomainError):
+            OrderingContext.for_params(-1e-3, 0.0)
 
 
 class TestOrderingThreshold:
@@ -304,6 +309,14 @@ class TestSincNormalization:
             epsabs=1e-13, epsrel=1e-10)
         assert abs(qdii._sinc_normalization(m, b, kt) - want) <= err
 
+    def test_underflowing_mass_raises(self):
+        # at b_pairs = 1e-170 and s = 1, 4 b^2 underflows to 0, and so does
+        # I_x(1/2, m/2): the mass is 0, which no density divides by
+        params = TwinBeamParams(10.0, 1e-170, 0.0, 0.0, 0.0, 0.0)
+        axis = np.linspace(0.0, 4e-169, 50)
+        with pytest.raises(NumericsError, match="normalization is not positive"):
+            joint_qdii_grid(params, 1.0, axis, axis)
+
     def test_many_mode_mass_tends_to_abs_k(self):
         ctx = OrderingContext.for_params(0.055, 1.0)
         kt = -ctx.k_p_s
@@ -510,6 +523,8 @@ class TestThermalQdii:
         # photons per mode are >= 0, as TwinBeamParams requires
         with pytest.raises(DomainError):
             thermal_qdii(1.0, -0.1, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            thermal_qdii(2.0, 1.0, 0.0, -1e-3)
 
     @pytest.mark.parametrize("s", [2.5, -1.0, 1.5])
     def test_ordering_outside_its_range_rejected(self, s):
@@ -1199,6 +1214,70 @@ class TestSharedWork:
         axis = np.linspace(4.0, 40.0, 150)
         lo, h, lattice = qdii._lattice(axis)
         assert lo == 17 and lattice[lo:].tobytes() == axis.tobytes()
+
+
+# b_pairs = 1e-160 at s = 1: the kernel width sqrt(b) over a total mass of
+# order b^(3/2), times a gamma envelope of order 1/b, puts the paired
+# density past the double range on an axis to 4e-159
+TINY_PAIRS = TwinBeamParams(10.0, 1e-160, 0.0, 0.0, 0.0, 0.0)
+TINY_AXIS = np.linspace(0.0, 4e-159, 50)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflow:
+    """One overflow rule on every route: a value past the double range
+    raises ``NumericsError``, and no ``RuntimeWarning`` comes first."""
+
+    @pytest.mark.parametrize("per_cell", [False, True], ids=["factored", "per-cell"])
+    def test_paired_grid(self, per_cell, monkeypatch):
+        if per_cell:
+            monkeypatch.setattr(qdii, "_SINC_MAX_RANK", 0)
+        calls = []
+        direct = qdii._sinc_direct
+        monkeypatch.setattr(qdii, "_sinc_direct", lambda *a: calls.append(1) or direct(*a))
+        with pytest.raises(NumericsError):
+            joint_qdii_grid(TINY_PAIRS, 1.0, TINY_AXIS, TINY_AXIS, paired_only=True)
+        assert len(calls) == per_cell
+
+    def test_noise_convolution(self, monkeypatch):
+        # the paired factors (about 1e159) and their noise-convolved forms
+        # are finite; the product of the two overflows
+        params = replace(TINY_PAIRS, m_noise_s=1.0, b_noise_s=1e-161,
+                         m_noise_i=1.0, b_noise_i=1e-161)
+        calls = []
+        convolve = qdii._convolve_uniform
+        monkeypatch.setattr(qdii, "_convolve_uniform",
+                            lambda *a: calls.append(1) or convolve(*a))
+        with pytest.raises(NumericsError):
+            joint_qdii_grid(params, 1.0, TINY_AXIS, TINY_AXIS)
+        assert calls == [1]
+
+    def test_noise_only_grid(self):
+        # two-mode gamma densities of scale 1e-310 peak near 1/(e 1e-310)
+        params = TwinBeamParams(0.0, 0.0, 2.0, 1e-310, 2.0, 1e-310)
+        axis = np.linspace(0.0, 4e-309, 50)
+        with pytest.raises(NumericsError):
+            joint_qdii_grid(params, 1.0, axis, axis)
+
+    def test_points(self):
+        ctx = OrderingContext.for_params(1e-160, 1.0)
+        before = np.geterr(), np.geterrcall()
+        with pytest.raises(NumericsError):
+            paired_qdii(ctx, 10.0, 9e-160, 9e-160)
+        with pytest.raises(NumericsError):
+            thermal_qdii(2.0, 1e-310, 1.0, 1e-310)
+        # the rule holds only inside the evaluators, and an underflow is no
+        # overflow: far below the density's peak the value is 0
+        assert (np.geterr(), np.geterrcall()) == before
+        assert paired_qdii(ctx, 10.0, 1e-300, 1e-300) == 0.0
+
+    def test_inf_that_no_flag_saw(self, paper_params, monkeypatch):
+        # a BLAS product split over threads overflows outside this thread's
+        # floating-point flags: the inf it leaves raises all the same
+        monkeypatch.setattr(qdii, "_as_grid", lambda values: np.full((50, 50), np.inf))
+        axis = np.linspace(0.0, 25.0, 50)
+        with pytest.raises(NumericsError, match="non-finite value"):
+            joint_qdii_grid(paper_params, 1.0, axis, axis, paired_only=True)
 
 
 @pytest.mark.xfail(

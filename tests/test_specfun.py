@@ -38,6 +38,11 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(-1.5)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, "2.0"])
+    def test_non_finite_or_non_real_rejected(self, x):
+        with pytest.raises(DomainError):
+            log_gamma(x)
+
     def test_recurrence_on_fixed_points(self):
         for x in (1e-5, 0.5, 1.0, 10.0, 100.0):
             lhs = log_gamma(x + 1.0) - log_gamma(x)
@@ -189,6 +194,12 @@ class TestLogBesselI:
         with pytest.raises(DomainError):
             log_bessel_i(0.0, -1.0)
 
+    @pytest.mark.parametrize("order, x", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_arguments_rejected(self, order, x):
+        with pytest.raises(DomainError):
+            log_bessel_i(order, x)
+
 
 class TestAscendingLogCoefficients:
     @given(order=st.floats(-0.9, 1e4), log_q=st.floats(-60.0, 16.0))
@@ -241,6 +252,19 @@ class TestSinc:
         assert isinstance(sinc(np.float64(0.5)), float)
 
 
+class TestSignedLog:
+    @pytest.mark.parametrize("sign", [2, -2, 0.5])
+    def test_sign_is_minus_one_zero_or_one(self, sign):
+        with pytest.raises(DomainError):
+            SignedLog(0.0, sign)
+
+    def test_zero_carries_minus_infinity(self):
+        with pytest.raises(DomainError):
+            SignedLog(0.0, 0)
+        assert SignedLog.from_value(0.0) == SignedLog.zero() == SignedLog(-math.inf, 0)
+        assert SignedLog.zero().value() == 0.0
+
+
 class TestAlternatingSum:
     def test_exact_cancellation(self):
         r = alternating_sum([SignedLog.from_value(1.0), SignedLog.from_value(-1.0)])
@@ -258,6 +282,15 @@ class TestAlternatingSum:
         assert alternating_sum([]).value.sign == 0
         r = alternating_sum([SignedLog.zero(), SignedLog.from_value(2.0)])
         assert r.value.value() == pytest.approx(2.0)
+
+    def test_infinite_term_rejected(self):
+        # the terms are scaled by the largest, which an infinite one leaves undefined
+        with pytest.raises(DomainError):
+            alternating_sum([SignedLog.from_value(1.0), SignedLog(math.inf, -1)])
+
+    def test_terms_may_be_a_generator(self):
+        r = alternating_sum(SignedLog.from_value(v) for v in (1.0, 2.0))
+        assert r.value.value() == pytest.approx(3.0, rel=1e-15)
 
     def test_detector_inner_sum_against_extended_precision(self):
         # inner alternating sum of the pixel response at m=3, N=1000,
