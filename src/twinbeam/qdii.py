@@ -345,8 +345,13 @@ def _quadrature_nodes(omega: float, max_nodes: int) -> int | None:
 def _gamma_support(m: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The points ``w >= 0`` at which a density of shape m, carrying
     ``w^(m-1)``, is evaluated, as a mask and their values: w = 0 is dropped
-    for m > 1 (density 0), kept for m = 1 (finite; taken at 1e-300 for a
-    finite log) and raises for m < 1 (divergent), as m <= 0 does."""
+    for m > 1 (density 0), kept for m = 1 (finite) and raises for m < 1
+    (divergent), as m <= 0 does.  A kept w = 0 is given as 1e-300, so that
+    the paired factors' ``log w`` stays finite (``0 log 0`` is NaN).  Their
+    scale ``b_pairs + (1-s)/2`` is at least 5e-17 for s < 1, and at s = 1
+    the sinc mass raises for ``b_pairs <= 1e-200``, so ``1e-300 / scale``
+    is negligible there.  The gamma density itself takes w = 0 exactly
+    (``_thermal_values``)."""
     if not m > 0:
         raise DomainError(f"mode count must be > 0, got {m}: a field of no modes "
                           "is a point mass at w = 0, not representable as a density")
@@ -360,11 +365,12 @@ def _gamma_support(m: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_gamma_density(m: float, b: float, w: np.ndarray) -> np.ndarray:
     """``log g(w)`` for the gamma density g of shape m and scale b on points
-    ``w > 0``: a multi-thermal noise density is g, and the sinc-branch
-    density is ``sqrt(g(x) g(y))`` times its kernel."""
+    ``w > 0``, and at w = 0 for m = 1: a multi-thermal noise density is g,
+    and the sinc-branch density is ``sqrt(g(x) g(y))`` times its kernel."""
     from scipy import special as sp
 
-    return (m - 1.0) * np.log(w) - (sp.gammaln(m) + m * math.log(b)) - w / b
+    power = 0.0 if m == 1 else (m - 1.0) * np.log(w)
+    return power - (sp.gammaln(m) + m * math.log(b)) - w / b
 
 
 def _sinc_direct(ctx: OrderingContext, m: float,
@@ -565,9 +571,9 @@ def _binned_thermal_kernel(m_modes: float, b_scaled: float, h: float,
 def _thermal_values(m_modes: float, b_scaled: float, w: np.ndarray) -> np.ndarray:
     """Gamma density of shape ``m_modes`` and scale ``b_scaled`` on an array
     of intensities ``w >= 0``, 0 at the points ``_gamma_support`` drops."""
-    keep, x = _gamma_support(m_modes, w)
+    keep, _ = _gamma_support(m_modes, w)
     out = np.zeros(w.shape)
-    out[keep] = np.exp(_log_gamma_density(m_modes, b_scaled, x))
+    out[keep] = np.exp(_log_gamma_density(m_modes, b_scaled, w[keep]))
     return out
 
 

@@ -490,6 +490,15 @@ class TestThermalQdii:
             assert thermal_qdii(1.0, 0.5, 1.0, w) == pytest.approx(
                 math.exp(-w / 0.5) / 0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [1e-305, 1e-301, 1e-290])
+    def test_single_mode_at_zero_for_tiny_scales(self, b):
+        # the density at w = 0 is 1/b = exp(-log b): log b is within an ulp,
+        # at most eps |log b|, which exp turns into a relative error, and exp
+        # and 1/b each add at most eps more
+        for value in (thermal_qdii(1.0, b, 1.0, 0.0),
+                      qdii._thermal_values(1.0, b, np.zeros(1))[0]):
+            assert value == pytest.approx(1.0 / b, rel=np.finfo(float).eps * (abs(math.log(b)) + 2))
+
     def test_matches_gamma_density(self):
         for m, b, s in ((2.5, 0.4, 1.0), (8e-6, 320.0, 1.0), (1.5, 0.2, 0.0)):
             scale = b + (1 - s) / 2

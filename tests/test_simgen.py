@@ -132,6 +132,9 @@ README_PARAMS = TwinBeamParams(179.0, 0.055, 8e-6, 320.0, 8e-3, 12.0)
 README_DET_S = DetectorModel(0.243, 10000, 1e-4)
 README_DET_I = DetectorModel(0.235, 10000, 1e-4)
 BRIGHT_PARAMS = TwinBeamParams(10.0, 3.0, 1.0, 5.0, 1.0, 5.0)  # about 35 photons per frame
+# 40,000 photons per frame on average: the photon counts pass int16
+WIDE_PARAMS = TwinBeamParams(1.0, 40000.0, 0.01, 50.0, 0, 0)
+WIDE_DET = DetectorModel(0.05, 40, 0.01)
 
 detectors = st.builds(
     DetectorModel,
@@ -155,7 +158,7 @@ class TestOverlappedSchedule:
     @given(params=states, detector_s=detectors, detector_i=detectors,
            frames=st.integers(1, 3000), seed=st.integers(0, 2**63))
     # zero dark rate; a saturated signal arm; pixels x dark rate >= 30;
-    # efficiency > 0.5; and the README state
+    # efficiency > 0.5; the README state; and photon counts past int16
     @example(SMALL_PARAMS, DetectorModel(0.3, 1000, 0.0), DetectorModel(0.3, 1000, 0.0),
              2000, 1)
     @example(TwinBeamParams(10.0, 0.3, 0.01, 50.0, 0.02, 20.0), DetectorModel(0.3, 200, 0.01),
@@ -164,6 +167,7 @@ class TestOverlappedSchedule:
              2000, 3)
     @example(BRIGHT_PARAMS, DetectorModel(0.9, 40, 0.01), DetectorModel(0.7, 40, 0.01), 2000, 4)
     @example(README_PARAMS, README_DET_S, README_DET_I, 3000, 1)
+    @example(WIDE_PARAMS, WIDE_DET, WIDE_DET, 50, 3)
     def test_matches_sequential_reference(self, params, detector_s, detector_i, frames, seed):
         cfg = SimConfig(params, detector_s, detector_i, frames=frames, seed=seed)
         h, dark = simulate_histogram(cfg)
@@ -225,10 +229,12 @@ class TestBlocks:
     @given(params=states, detector_s=detectors, detector_i=detectors,
            frames=st.integers(1, 300), seed=st.integers(0, 2**63),
            block=st.sampled_from([2, 7]))
-    # a saturated signal arm; the README state
+    # a saturated signal arm; the README state; photon counts that pass
+    # int16 in a later block than the first
     @example(BRIGHT_PARAMS, DetectorModel(0.9, 40, 0.01), DetectorModel(0.7, 40, 0.01),
              300, 4, 7)
     @example(README_PARAMS, README_DET_S, README_DET_I, 300, 1, 7)
+    @example(WIDE_PARAMS, WIDE_DET, WIDE_DET, 50, 20, 7)
     def test_small_blocks_match_sequential_reference(self, params, detector_s, detector_i,
                                                      frames, seed, block):
         from twinbeam import simgen
@@ -241,13 +247,15 @@ class TestBlocks:
         assert np.array_equal(dark.counts, want_dark)
 
     def test_working_memory_per_frame(self):
-        # the module docstring's bound: 16 bytes per frame, plus block-sized
+        # the module docstring's bound: 12 bytes per frame, plus block-sized
         # temporaries, a few 8-byte elements per frame of a block on each
-        # thread (six blocks allowed)
+        # thread (six blocks allowed).  At 10**6 frames the allowance for
+        # the temporaries is a fifth of the bound, so 16 bytes per frame
+        # exceed it
         import tracemalloc
 
         from twinbeam import simgen
-        frames = 200_000
+        frames = 10**6
         cfg = SimConfig(README_PARAMS, README_DET_S, README_DET_I, frames=frames, seed=1)
         simulate_histogram(SimConfig(README_PARAMS, README_DET_S, README_DET_I,
                                      frames=100, seed=1))  # first-call set-up
@@ -257,29 +265,44 @@ class TestBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * frames + 6 * 8 * simgen._BLOCK
+        assert peak <= 12 * frames + 6 * 8 * simgen._BLOCK
 
     def test_per_frame_types(self):
         from twinbeam import simgen
         assert [simgen._int_type(n) for n in (1, 127, 128, 32767, 32768, 2**31 - 1, 2**31)] == [
             np.int8, np.int8, np.int16, np.int16, np.int32, np.int32, np.int64]
         n_s, n_i = simgen._photon_counts(np.random.default_rng(1), README_PARAMS, 1000)
-        assert n_s.dtype == n_i.dtype == np.int32
+        assert n_s.dtype == n_i.dtype == np.int16
         todo = simgen._detected(np.random.default_rng(2), n_s, README_DET_S)
-        assert todo.dtype == np.int32
+        assert todo.dtype == np.int16
         # 10,000 pixels
         assert simgen._fire(np.random.default_rng(3), todo, README_DET_S).dtype == np.int16
+        # the bright state's photon counts pass int16, and the detected
+        # counts follow their type
+        n_s, n_i = simgen._photon_counts(np.random.default_rng(3), WIDE_PARAMS, 50)
+        assert n_s.dtype == n_i.dtype == np.int32
+        assert simgen._detected(np.random.default_rng(2), n_s, WIDE_DET).dtype == np.int32
 
     def test_counts_that_do_not_fit_raise(self):
         from twinbeam import DomainError, simgen
         most = np.iinfo(np.int32).max
-        # a component that adds nothing here leaves the largest count as it is
-        counts = np.array([0, most], dtype=np.int32)
-        simgen._add_component(np.random.default_rng(3), 1e-9, 1.0, counts)
-        assert counts.tolist() == [0, most]
+        # a component that adds nothing here leaves the largest count as it
+        # is, in place
+        for t in (np.int16, np.int32):
+            counts = np.array([0, np.iinfo(t).max], dtype=t)
+            assert simgen._add_component(np.random.default_rng(3), 1e-9, 1.0, counts) is counts
+            assert counts.tolist() == [0, np.iinfo(t).max]
+        # a sum past int16 widens the counts, the Poisson draws as drawn
+        counts = np.array([0, 32767], dtype=np.int16)
+        wide = simgen._add_component(np.random.default_rng(4), 5.0, 2.0, counts)
+        ref = np.random.default_rng(4)
+        assert wide.dtype == np.int32
+        assert wide.tolist() == (ref.poisson(ref.gamma(5.0, 2.0, 2)) + [0, 32767]).tolist()
         # one component of 3e9 photons a frame, and a sum past 2**31 - 1
+        counts = np.zeros(3, np.int16)
         with pytest.raises(DomainError, match="photons; at most 2147483647"):
-            simgen._add_component(np.random.default_rng(4), 1.0, 3e9, np.zeros(3, np.int32))
+            simgen._add_component(np.random.default_rng(4), 1.0, 3e9, counts)
+        assert np.all(counts == 0)  # nothing written
         counts = np.full(3, most - 10, np.int32)
         with pytest.raises(DomainError):
             simgen._add_component(np.random.default_rng(5), 100.0, 1.0, counts)
