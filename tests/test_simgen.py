@@ -1,4 +1,5 @@
 import hashlib
+import math
 import threading
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from twinbeam import (
     DetectorModel,
+    DomainError,
     SimConfig,
     TwinBeamParams,
     ValidationError,
@@ -284,7 +286,7 @@ class TestBlocks:
         assert simgen._detected(np.random.default_rng(2), n_s, WIDE_DET).dtype == np.int32
 
     def test_counts_that_do_not_fit_raise(self):
-        from twinbeam import DomainError, simgen
+        from twinbeam import simgen
         most = np.iinfo(np.int32).max
         # a component that adds nothing here leaves the largest count as it
         # is, in place
@@ -414,3 +416,251 @@ class TestAgainstForwardModel:
         from twinbeam.simgen import _sample_batch
         b = _sample_batch(cfg, rng2, 1)
         assert a == (int(b[0][0]), int(b[1][0]))
+
+
+def numpy_inversion(n, p, u):
+    """numpy's ``random_binomial_inversion`` (numpy/random/src/distributions/
+    distributions.c) transcribed: the X that the draw ``u`` gives for ``n``
+    trials at ``p`` <= 0.5, or None where it reaches bound + 1, from which
+    numpy restarts with a new draw."""
+    q = 1.0 - p
+    qn = math.exp(n * math.log1p(-p))
+    np_ = n * p
+    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+    x, px = 0, qn
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def numpy_draw(n, p, m):
+    """What numpy's own ``Generator.binomial`` gives for ``n`` trials at ``p``
+    from the double m·2**-53, or None where it takes a second output."""
+    from twinbeam import simgen
+    rng, one = simgen._first_output(m), simgen._first_output(m)
+    x = int(rng.binomial(n, p))
+    one.bit_generator.random_raw()
+    return x if rng.bit_generator.state == one.bit_generator.state else None
+
+
+def generators(seed, count=2):
+    return [np.random.default_rng(seed) for _ in range(count)]
+
+
+README_TABLES = [(0.243, (1, 123)), (0.235, (1, 127)), (1e-4, (9700, 10000))]
+
+
+class TestExactBinomial:
+    """``simgen._binomial`` reads numpy's inversion sampler from threshold
+    tables: the same values and the same stream as ``Generator.binomial``."""
+
+    @given(p=st.one_of(st.floats(1e-5, 1 - 1e-5),
+                       st.sampled_from([0.5, 0.243, 0.235, 0.7, 1e-4, 1 - 1e-4])),
+           lo=st.integers(0, 200), width=st.sampled_from([0, 1, 5, 40, 300]),
+           slack=st.sampled_from([0, 3, 50]), size=st.integers(1, 600),
+           zeros=st.booleans(), dtype=st.sampled_from([np.int16, np.int32]),
+           seed=st.integers(0, 2**63))
+    # a block past the inversion limit inside rows that invert at first
+    @example(0.3, 0, 300, 0, 200, False, np.int16, 1)
+    def test_matches_numpy(self, p, lo, width, slack, size, zeros, dtype, seed):
+        from twinbeam import simgen
+        n = np.random.default_rng(seed).integers(lo, lo + width + 1, size).astype(dtype)
+        if zeros:
+            n[::3] = 0
+        rows = (0 if zeros else max(lo - slack, 0), lo + width + slack)
+        # rows past the inversion limit get no table; a block that reaches
+        # them takes numpy's call
+        inverting = [k for k in range(rows[0], rows[1] + 1) if simgen._inverts(k, p)]
+        table = simgen._table(p, (rows[0], inverting[-1]) if inverting else None)
+        got_rng, want_rng = generators(seed + 1)
+        got = simgen._binomial(got_rng, n, p, table)
+        want = want_rng.binomial(n, p)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [README_DET_S, DetectorModel(0.3, 1000, 0.0),
+                                   DetectorModel(0.3, 7, 0.6), DetectorModel(0.3, 2000, 0.05)],
+                             ids=["readme", "no-dark", "dark-above-half", "btpe"])
+    def test_scalar_trials_match_numpy(self, d):
+        from twinbeam import simgen
+        got_rng, want_rng = generators(5)
+        for size in (1, 1000, 1 << 16):
+            got = simgen._dark(got_rng, d, size, simgen._table(d.dark_rate, (d.pixels, d.pixels)))
+            assert np.array_equal(got, want_rng.binomial(d.pixels, d.dark_rate, size))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_other_bit_generators_take_numpy_call(self):
+        from twinbeam import simgen
+        n = np.arange(200, dtype=np.int16) % 40
+        got_rng, want_rng = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
+        got = simgen._binomial(got_rng, n, 0.243, simgen._table(0.243, (0, 39)))
+        assert np.array_equal(got, want_rng.binomial(n, 0.243))
+        assert got_rng.random() == want_rng.random()  # the same stream consumed
+
+    @pytest.mark.parametrize("low, high", [(40, 55), (55, 70)], ids=["below", "above"])
+    def test_block_outside_table_takes_numpy_call(self, low, high):
+        from twinbeam import simgen
+        n = np.arange(low, high + 1, dtype=np.int16)
+        got_rng, want_rng = generators(6)
+        got = simgen._binomial(got_rng, n, 0.25, simgen._table(0.25, (50, 60)))
+        assert np.array_equal(got, want_rng.binomial(n, 0.25))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_restart_takes_numpy_call(self):
+        # U = 1 - 2**-53 runs binomial(10000, 1e-4) past bound = 15, so numpy
+        # restarts and takes a second output; the table sees the restart and
+        # hands the block to numpy from the state before it
+        from twinbeam import simgen
+        m = 2**53 - 1
+        probe, got_rng, want_rng = (simgen._first_output(m) for _ in range(3))
+        assert int(probe.bit_generator.random_raw()) >> 11 == m
+        table = simgen._table(1e-4, (10000, 10000))
+        r = 10000 - table.lo
+        assert table.tau[r, table.bound[r]] <= m  # the draw reaches bound + 1
+        n = np.array([10000], dtype=np.int16)
+        got = simgen._binomial(got_rng, n, 1e-4, table)
+        assert np.array_equal(got, want_rng.binomial(n, 1e-4))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        probe.bit_generator.random_raw()
+        assert want_rng.bit_generator.state == probe.bit_generator.state  # two outputs
+
+    def test_no_table_where_numpy_samples_otherwise(self, monkeypatch):
+        from twinbeam import simgen
+        monkeypatch.setattr(simgen, "_Inversion", None)  # never reached
+        assert simgen._table(0.0, (0, 39)) is None
+        assert simgen._table(0.243, None) is None
+        assert simgen._table(0.243, (0, 0)) is None  # no n > 0
+        assert simgen._table(0.243, (0, 124)) is None  # 124·0.243 > 30
+        assert simgen._table(1e-4, (0, 10000)) is None  # past _ROWS_MOST rows
+        assert simgen._tables_match_numpy()  # the installed numpy, probed
+        monkeypatch.setattr(simgen, "_tables_match_numpy", lambda: False)
+        assert simgen._table(0.243, (0, 39)) is None
+        n = np.arange(300, dtype=np.int16) % 40
+        got_rng, want_rng = generators(4)
+        assert np.array_equal(simgen._binomial(got_rng, n, 0.243, None),
+                              want_rng.binomial(n, 0.243))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_no_table_for_blocks_that_never_invert(self):
+        # one frame past 30/0.2 = 150 photons sends its whole block to
+        # numpy's call, so the table serves only the other blocks' rows
+        from twinbeam import simgen
+        d = DetectorModel(0.2, 1000, 0.0)
+        photons = np.full(3 * simgen._BLOCK, 50, dtype=np.int16)
+        photons[::simgen._BLOCK] = 200
+        assert simgen._detection_rows(photons, d) is None
+        photons[simgen._BLOCK] = 60
+        assert simgen._detection_rows(photons, d) == (0, 60)
+
+    @pytest.mark.parametrize("p, rows", README_TABLES, ids=["eta-s", "eta-i", "dark"])
+    def test_thresholds_against_numpy(self, p, rows):
+        # numpy's own sampler, from a double placed on either side of each
+        # threshold: below tau_k it gives less than k, at tau_k k or more,
+        # or (k = bound + 1) a restart
+        from twinbeam import simgen
+        table = simgen._Inversion(p, *rows)
+        for r, n in enumerate(range(rows[0], rows[1] + 1, 3)):
+            r = n - rows[0]
+            for k in range(1, int(table.bound[r]) + 2):
+                tau = int(table.tau[r, k - 1])
+                if tau < simgen._NEVER:
+                    x = numpy_draw(n, p, tau)
+                    assert x is None or x >= k
+                x = numpy_draw(n, p, tau - 1)
+                assert x is not None and x < k
+
+    @pytest.mark.parametrize("p, rows", README_TABLES, ids=["eta-s", "eta-i", "dark"])
+    def test_thresholds_against_numpy_transcription(self, p, rows):
+        # the README efficiencies over every n that inverts, and the README
+        # dark rate over 300 unlit-pixel counts: every k up to bound + 1 is
+        # reached at tau_k and not at tau_k - 1
+        from twinbeam import simgen
+        table = simgen._Inversion(p, *rows)
+        for r, n in enumerate(range(rows[0], rows[1] + 1)):
+            bound = int(table.bound[r])
+            for k in range(1, bound + 2):
+                tau = int(table.tau[r, k - 1])
+                assert 0 < tau <= simgen._NEVER
+                if tau < simgen._NEVER:
+                    x = numpy_inversion(n, p, tau * 2.0**-53)
+                    assert x is None or x >= k
+                x = numpy_inversion(n, p, (tau - 1) * 2.0**-53)
+                assert x is not None and x < k
+            assert np.all(table.tau[r, bound + 1:] == simgen._NEVER)
+
+    def test_one_table_kept_per_p(self, monkeypatch):
+        from twinbeam import simgen
+        monkeypatch.setattr(simgen, "_tables", {})
+        first = simgen._table(0.25, (50, 60))
+        assert simgen._table(0.25, (52, 58)) is first
+        # p above 0.5 reads the table at 1 - p
+        assert simgen._table(0.75, (52, 58)) is first
+        # rows outside it: built over the kept rows and the needed ones
+        grown = simgen._table(0.25, (65, 70))
+        assert (grown.lo, grown.hi) == (50, 70)
+        # every row is the row a table of its own gives
+        alone = simgen._Inversion(0.25, 70, 70)
+        r = 70 - grown.lo
+        assert np.array_equal(grown.lookup[:, r], alone.lookup[:, 0])
+        assert np.array_equal(grown.tau[r, :alone.tau.shape[1]], alone.tau[0])
+        # a union past _ROWS_MOST rows: the needed rows alone
+        monkeypatch.setattr(simgen, "_ROWS_MOST", 32)
+        alone = simgen._table(0.25, (100, 110))
+        assert (alone.lo, alone.hi) == (100, 110)
+        # the _TABLES_KEPT most recently used tables are kept
+        for p in (0.1, 0.2, 0.3, 0.4, 0.1, 0.35):
+            simgen._table(p, (1, 30))
+        assert list(simgen._tables) == [0.3, 0.4, 0.1, 0.35]
+
+    def test_tables_are_built_on_the_calling_thread(self, monkeypatch):
+        from twinbeam import simgen
+        monkeypatch.setattr(simgen, "_tables", {})
+        built = []
+        init = simgen._Inversion.__init__
+
+        def record(self, p, lo, hi):
+            built.append((p, threading.current_thread() is threading.main_thread()))
+            init(self, p, lo, hi)
+
+        monkeypatch.setattr(simgen._Inversion, "__init__", record)
+        cfg = SimConfig(README_PARAMS, README_DET_S, DetectorModel(0.235, 10000, 2e-4),
+                        frames=5000, seed=1)
+        h, dark = simulate_histogram(cfg)
+        # the signal arm's one block holds a frame of 125 photons, past
+        # 30/0.243, so it takes numpy's call and no table at 0.243 is built
+        assert sorted(p for p, _ in built) == [1e-4, 2e-4, 0.235]
+        assert all(main for _, main in built)
+        want_h, want_dark = sequential_histograms(cfg)
+        assert np.array_equal(h.counts, want_h)
+        assert np.array_equal(dark.counts, want_dark)
+
+
+class TestTally:
+    def test_table_that_does_not_fit_raises_domain_error(self, monkeypatch, tmp_path):
+        # numpy refuses every 2-D table past 100 cells: the 2,000-frame run
+        # needs 11 x 11 cells, its dark tallies 10 x 9
+        import json
+
+        from twinbeam.cli import main
+        zeros = np.zeros
+
+        def no_room(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 2 and shape[0] * shape[1] > 100:
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", no_room)
+        with pytest.raises(DomainError, match=r"a \d+ x \d+ table of photocount pairs"):
+            simulate_histogram(small_config(frames=2000))
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "params": {"m_pairs": 8.0, "b_pairs": 0.25, "m_noise_s": 1.5,
+                       "b_noise_s": 0.3, "m_noise_i": 1.0, "b_noise_i": 0.4},
+            "detector_s": {"efficiency": 0.3, "pixels": 1000, "dark_rate": 0.002},
+            "detector_i": {"efficiency": 0.3, "pixels": 1000, "dark_rate": 0.002},
+            "frames": 2000, "seed": 42}))
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
