@@ -8,29 +8,17 @@ fires when it holds at least one detected photon or a dark event.  That
 makes the simulator an independent check of the closed-form detector
 response rather than a resampling of it.
 
-One seeded PCG64 stream feeds every draw, in this order: the three
-components (pairs, signal noise, idler noise); the signal arm (detection
-binomial, one throw uniform per detected photon, dark binomial over the
-unlit pixels); the idler arm, likewise; the two dark tallies.  The
-components use rejection samplers, so their length in the stream is known
-only once they are drawn.  Every binomial after them with
-``n·min(p, 1 - p) <= 30`` runs numpy's inversion sampler, which takes one
-64-bit output per element with ``n > 0`` unless the element restarts (a
-draw within 2e-14 of 1 at the README state), and a uniform takes one
-output.  So once the signal arm's detected photons are drawn, the idler
-arm's offset is known (their sum, plus one per frame for the dark
-binomial), and once the idler's are drawn, so is the dark tallies' offset.
-``simulate_histogram`` starts each of those on a copy of the generator
-advanced to its offset (``PCG64.advance``): a worker thread runs the idler
-arm while this thread runs the signal arm and then the dark tallies.  A
-result is kept only if its copy started in the state the stream really
-reaches there (a restart moves it); otherwise, and wherever the offset is
-not known in advance (an arm that may light every pixel, or a dark
-binomial outside the inversion range), the rest is drawn in stream order
-from the true state.  So the histograms are bit-identical to one
-sequential pass for every configuration, whichever path runs.
+One seeded PCG64 stream feeds every draw, taken in order on the calling
+thread: the three components (pairs, signal noise, idler noise); the
+signal arm (detection binomial, one throw uniform per detected photon, dark
+binomial over the unlit pixels); the idler arm, likewise; the two dark
+tallies.  ``_sample_batch`` draws the components and both arms, for
+``simulate_histogram`` and ``sample_frame`` alike, and ``_dark_tallies``
+the rest.
 
-Those binomials are read from exact tables of numpy's inversion sampler
+numpy draws a binomial with ``n·min(p, 1 - p) <= 30`` by its inversion
+sampler, one 64-bit output per element with ``n > 0`` unless the element
+restarts.  Those binomials are read from exact tables of that sampler
 (``_binomial``, ``_Inversion``): per p and per n, the smallest 53-bit draw
 that reaches each count, and a bucket table on the draw's top bits.  They
 give numpy's values from numpy's outputs, so the stream is the one
@@ -39,8 +27,7 @@ range, or an element that restarts, takes numpy's own call.  Each stage
 looks its table up once, for the trials its blocks hold that invert; one
 table is kept per p (four at most, of at most ``_ROWS_MOST`` rows, 1.7 MB
 each) and grown over the union of the rows kept and needed.  Trials that
-span more rows take numpy's call.  The worker's tables are built on the
-calling thread before the worker starts.
+span more rows take numpy's call.
 
 Every stage runs over blocks of ``_BLOCK`` frames, in stream order: a
 sampler called block by block takes the same outputs as one call, and a
@@ -56,14 +43,12 @@ are tallied block by block.  The gamma draws of a component all come
 before its Poisson draws, so they are held, in block-sized arrays, until
 their block's Poisson draws are taken.  That sets the working memory at 12
 bytes per frame: one component's gamma draws (8) beside both arms' photon
-counts (2 + 2).  Later stages hold less: the two arms overlapped hold the
-signal arm's detected counts, the idler arm's photons and detected counts
-(2 + 2 + 2) and the signal arm's fired counts; after them, fired counts,
-the idler's detected counts and the signal arm's dark counts.  Every other
-temporary is block-sized, a few 8-byte elements per frame of a block on
-each thread; the worker allocates nothing larger (the idler arm's
-per-frame arrays are allocated by the calling thread).  At the README
-state and 10**6 frames the tracemalloc peak is 12.5 MB.
+counts (2 + 2).  Later stages hold less: each arm holds its photons,
+detected and fired counts beside the other arm's photon or fired counts
+(2 + 2 + 2 + 2), and the dark tallies both arms' fired counts and the
+signal arm's dark counts.  Every other temporary is block-sized, a few
+8-byte elements per frame of a block.  At the README state and 10**6
+frames the tracemalloc peak is 12.5 MB.
 """
 
 from __future__ import annotations
@@ -173,7 +158,7 @@ class _Inversion:
                 px.append(((n - x + 1) * p * px[-1]) / (x * q))
             px_rows.append(px)
             bounds.append(bound)
-        self.lo, self.bound = lo, np.array(bounds)
+        self.lo, self.hi, self.bound = lo, hi, np.array(bounds)
         # px[r, j]: padded with 2.0, which no U exceeds
         px = np.full((len(bounds), max(bounds) + 1), 2.0)
         for row, values in zip(px, px_rows):
@@ -215,10 +200,6 @@ class _Inversion:
             last = np.searchsorted(tau, tops, side="right")
             self.lookup[:, r] = np.where((first == last) & (last <= bound), first, _SPLIT)
 
-    @property
-    def hi(self) -> int:
-        return self.lo + self.bound.size - 1
-
 
 def _first_output(m: int) -> np.random.Generator:
     """A PCG64 generator whose next output is ``m << 11``, so that its next
@@ -258,8 +239,8 @@ def _table(p: float, rows: tuple[int, int] | None) -> _Inversion | None:
     One table is kept per p, the ``_TABLES_KEPT`` most recently used.  Where
     a call needs rows outside it, it is built anew over the kept rows and the
     needed ones, or over the needed ones alone where that union passes
-    ``_ROWS_MOST``.  Tables are built under a lock, so both threads of
-    ``simulate_histogram`` share each one.
+    ``_ROWS_MOST``.  Tables are built under a lock, so that callers on
+    several threads share each one.
     """
     if rows is None or p == 0.0:
         return None
@@ -358,44 +339,21 @@ def _photon_counts(rng: np.random.Generator, p: TwinBeamParams,
     return n_s, n_i
 
 
-def _detection_rows(photons: np.ndarray, d: DetectorModel) -> tuple[int, int] | None:
-    """The trials of the detection binomials of ``photons`` that a table
-    serves: 0 to the most photons of a block whose every frame inverts, or
-    None where no block does."""
-    tops = [top for top in (int(n.max()) for n in _split(photons))
-            if _inverts(top, d.efficiency)]
-    return (0, max(tops)) if tops else None
-
-
-def _dark_rows(todo: np.ndarray, d: DetectorModel) -> tuple[int, int]:
-    """The trials of the dark binomials of frames holding ``todo`` detected
-    photons: the pixels their photons left unlit."""
-    return max(d.pixels - int(todo.max()), 0), d.pixels
-
-
-def _detected(rng: np.random.Generator, photons: np.ndarray, d: DetectorModel,
-              todo: np.ndarray | None = None) -> np.ndarray:
-    """Detected photons per frame, written into ``todo``: by default a new
-    array of the photon counts' type, which holds them."""
-    if todo is None:
-        todo = np.empty_like(photons)
-    table = _table(d.efficiency, _detection_rows(photons, d))
+def _detected(rng: np.random.Generator, photons: np.ndarray, d: DetectorModel) -> np.ndarray:
+    """Detected photons per frame, in the photon counts' type, which holds
+    them."""
+    todo = np.empty_like(photons)
+    # the table serves 0 to the most photons of a block whose every frame
+    # inverts; a block with a frame past that takes numpy's call
+    tops = [top for top in (int(n.max()) for n in _split(photons)) if _inverts(top, d.efficiency)]
+    table = _table(d.efficiency, (0, max(tops)) if tops else None)
     for t, n in zip(_split(todo), _split(photons)):
         t[...] = _binomial(rng, n, d.efficiency, table)
     return todo
 
 
-def _lit(todo: np.ndarray, d: DetectorModel) -> np.ndarray:
-    """``todo`` in the type of the fired counts, which holds the pixel count
-    and the most detected photons."""
-    return todo.astype(_int_type(max(d.pixels, int(todo.max()))))
-
-
-def _fire(rng: np.random.Generator, todo: np.ndarray, d: DetectorModel,
-          lit: np.ndarray | None = None) -> np.ndarray:
-    """Fired-pixel counts of frames holding ``todo`` detected photons each,
-    written into ``lit``, which starts as ``_lit(todo, d)`` (by default a new
-    one)."""
+def _fire(rng: np.random.Generator, todo: np.ndarray, d: DetectorModel) -> np.ndarray:
+    """Fired-pixel counts of frames holding ``todo`` detected photons each."""
     # Pass k throws the k-th photon of every frame holding at least k, one
     # uniform per frame in frame order, as a masked pass over all frames
     # would; a pass runs block by block, so each block draws the uniforms of
@@ -406,8 +364,7 @@ def _fire(rng: np.random.Generator, todo: np.ndarray, d: DetectorModel,
     # the pixels), and only the few uniforms below that bound are resolved
     # against their frame's count.
     top = int(todo.max())
-    if lit is None:
-        lit = _lit(todo, d)
+    lit = todo.astype(_int_type(max(d.pixels, top)))
     # holding[b, k]: the frames of block b holding >= k photons
     holding = np.array([np.bincount(t, minlength=top + 1) for t in _split(todo)])
     holding = holding[:, ::-1].cumsum(axis=1)[:, ::-1]
@@ -421,7 +378,8 @@ def _fire(rng: np.random.Generator, todo: np.ndarray, d: DetectorModel,
                 # k - 1 less the misses so far: the pixels this frame has lit
                 lit[f[u[near] < (k - 1 - todo[f] + lit[f]) / d.pixels]] -= 1
     if d.dark_rate > 0:
-        table = _table(d.dark_rate, _dark_rows(todo, d))
+        # the trials: the pixels the photons left unlit
+        table = _table(d.dark_rate, (max(d.pixels - top, 0), d.pixels))
         for m in _split(lit):
             m += _binomial(rng, d.pixels - m, d.dark_rate, table)
     return lit
@@ -431,18 +389,6 @@ def _detect_counts(rng: np.random.Generator, photons: np.ndarray,
                    d: DetectorModel) -> np.ndarray:
     """Fired-pixel counts for a batch of frames under one detector."""
     return _fire(rng, _detected(rng, photons, d), d)
-
-
-def _fire_draws(todo: np.ndarray, d: DetectorModel) -> int | None:
-    """Outputs ``_fire(rng, todo, d)`` takes from the stream, or None where
-    that is not known in advance: a frame may light every pixel (and skip
-    its dark draw), or the dark binomial may leave the inversion range."""
-    thrown = int(todo.sum())
-    if d.dark_rate == 0:
-        return thrown
-    if todo.max() >= d.pixels or not _inverts(d.pixels, d.dark_rate):
-        return None
-    return thrown + todo.size
 
 
 def _dark(rng: np.random.Generator, d: DetectorModel, size: int,
@@ -464,24 +410,6 @@ def _dark_tallies(rng: np.random.Generator, cfg: SimConfig) -> Histogram2D:
                   cfg.frames)
 
 
-def _ahead(rng: np.random.Generator, skip: int | None) -> np.random.Generator | None:
-    """A new generator ``skip`` outputs further along ``rng``'s stream, or
-    None where ``skip`` is None."""
-    if skip is None:
-        return None
-    bitgen = np.random.PCG64()
-    bitgen.state = rng.bit_generator.state
-    return np.random.Generator(bitgen.advance(skip))
-
-
-def _redraw(rng: np.random.Generator, cfg: SimConfig,
-            photons_i: np.ndarray | None = None):
-    """The rest of the stream, drawn in order from its true state ``rng``:
-    the idler arm when its photons are given, then the dark tallies."""
-    m_i = None if photons_i is None else _detect_counts(rng, photons_i, cfg.detector_i)
-    return m_i, _dark_tallies(rng, cfg)
-
-
 def sample_frame(cfg: SimConfig, rng: np.random.Generator) -> tuple[int, int]:
     """Draw one (m_s, m_i) photocount pair, advancing the supplied generator."""
     m_s, m_i = _sample_batch(cfg, rng, 1)
@@ -490,8 +418,12 @@ def sample_frame(cfg: SimConfig, rng: np.random.Generator) -> tuple[int, int]:
 
 def _sample_batch(cfg: SimConfig, rng: np.random.Generator,
                   size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fired-pixel counts per frame on each arm, in stream order: the
+    components, the signal arm, the idler arm."""
     n_s, n_i = _photon_counts(rng, cfg.params, size)
-    return _detect_counts(rng, n_s, cfg.detector_s), _detect_counts(rng, n_i, cfg.detector_i)
+    m_s = _detect_counts(rng, n_s, cfg.detector_s)
+    del n_s  # each arm's photon counts are dropped once it is detected
+    return m_s, _detect_counts(rng, n_i, cfg.detector_i)
 
 
 def _tally(blocks, frames: int) -> Histogram2D:
@@ -524,47 +456,8 @@ def simulate_histogram(cfg: SimConfig) -> tuple[Histogram2D, Histogram2D]:
 
     The dark histogram records the same number of frames with no incident
     photons (dark events only) on both arms.  Identical seeds give
-    bit-identical histograms; the idler arm and the dark tallies run at
-    their predicted stream offsets, overlapped with the signal arm (see the
-    module docstring).
+    bit-identical histograms.
     """
-    # imported here: it loads logging, which no other command needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    d_s, d_i = cfg.detector_s, cfg.detector_i
     rng = np.random.default_rng(cfg.seed)
-    n_s, n_i = _photon_counts(rng, cfg.params, cfg.frames)
-    todo_s = _detected(rng, n_s, d_s)
-    del n_s
-    # The worker allocates only block-sized temporaries: the idler arm's
-    # per-frame arrays are allocated here, and its tables built here, and the
-    # worker only writes and reads them.  What the worker allocates stays
-    # with its thread's malloc arena, which this thread's later work cannot
-    # reuse, so a per-frame array or a kept table there would hold several
-    # MB of memory out of use after the call.
-    _table(d_i.efficiency, _detection_rows(n_i, d_i))
-    # the idler arm starts where the signal arm's throws and dark draws end
-    idler_rng = _ahead(rng, _fire_draws(todo_s, d_s))
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        if idler_rng is not None:
-            idler_start = idler_rng.bit_generator.state
-            detected = worker.submit(_detected, idler_rng, n_i, d_i, np.empty_like(n_i))
-        m_s = _fire(rng, todo_s, d_s)
-        del todo_s
-        todo_i = None if idler_rng is None else detected.result()
-        if todo_i is None or rng.bit_generator.state != idler_start:
-            m_i, dark = _redraw(rng, cfg, n_i)
-        else:
-            del n_i
-            # the dark tallies start where the idler arm's throws and dark draws end
-            dark_rng = _ahead(idler_rng, _fire_draws(todo_i, d_i))
-            _table(d_i.dark_rate, _dark_rows(todo_i, d_i))
-            fired = worker.submit(_fire, idler_rng, todo_i, d_i, _lit(todo_i, d_i))
-            del todo_i
-            if dark_rng is not None:
-                dark_start = dark_rng.bit_generator.state
-                dark = _dark_tallies(dark_rng, cfg)
-            m_i = fired.result()
-            if dark_rng is None or idler_rng.bit_generator.state != dark_start:
-                _, dark = _redraw(idler_rng, cfg)
-    return _tally(zip(_split(m_s), _split(m_i)), cfg.frames), dark
+    m_s, m_i = _sample_batch(cfg, rng, cfg.frames)
+    return _tally(zip(_split(m_s), _split(m_i)), cfg.frames), _dark_tallies(rng, cfg)

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -152,10 +151,9 @@ states = st.builds(TwinBeamParams,
                    m_noise_i=st.sampled_from([0.0, 0.01, 2.0]), b_noise_i=st.floats(0.0, 40.0))
 
 
-class TestOverlappedSchedule:
-    """``simulate_histogram`` runs the idler arm and the dark tallies at
-    predicted stream offsets; whichever path runs, the histograms are those
-    of one sequential pass."""
+class TestStreamOrder:
+    """``simulate_histogram`` draws the whole stream in order on one
+    generator: its histograms are those of ``sequential_histograms``."""
 
     @given(params=states, detector_s=detectors, detector_i=detectors,
            frames=st.integers(1, 3000), seed=st.integers(0, 2**63))
@@ -170,57 +168,19 @@ class TestOverlappedSchedule:
     @example(BRIGHT_PARAMS, DetectorModel(0.9, 40, 0.01), DetectorModel(0.7, 40, 0.01), 2000, 4)
     @example(README_PARAMS, README_DET_S, README_DET_I, 3000, 1)
     @example(WIDE_PARAMS, WIDE_DET, WIDE_DET, 50, 3)
+    # the README state over two blocks; only the signal arm, or only the
+    # idler arm, may light every one of its 40 pixels; 2,000 pixels at dark
+    # rate 0.05 put the signal arm's dark binomials outside inversion
+    @example(README_PARAMS, README_DET_S, README_DET_I, 100_000, 1)
+    @example(BRIGHT_PARAMS, DetectorModel(0.9, 40, 0.01), DET, 2000, 4)
+    @example(SMALL_PARAMS, DetectorModel(0.3, 2000, 0.05), DET, 2000, 5)
+    @example(BRIGHT_PARAMS, DET, DetectorModel(0.9, 40, 0.01), 2000, 6)
     def test_matches_sequential_reference(self, params, detector_s, detector_i, frames, seed):
         cfg = SimConfig(params, detector_s, detector_i, frames=frames, seed=seed)
         h, dark = simulate_histogram(cfg)
         want_h, want_dark = sequential_histograms(cfg)
         assert np.array_equal(h.counts, want_h)
         assert np.array_equal(dark.counts, want_dark)
-
-    @pytest.mark.parametrize("cfg, redrawn", [
-        (SimConfig(README_PARAMS, README_DET_S, README_DET_I, frames=100_000, seed=1), []),
-        # a frame may light all 40 signal pixels: the idler offset is not predicted
-        (SimConfig(BRIGHT_PARAMS, DetectorModel(0.9, 40, 0.01), DET, frames=2000, seed=4),
-         ["idler arm"]),
-        # 2,000 pixels at dark rate 0.05: the signal dark binomial leaves inversion
-        (SimConfig(SMALL_PARAMS, DetectorModel(0.3, 2000, 0.05), DET, frames=2000, seed=5),
-         ["idler arm"]),
-        # only the idler arm may saturate: it overlaps, the dark tallies do not
-        (SimConfig(BRIGHT_PARAMS, DET, DetectorModel(0.9, 40, 0.01), frames=2000, seed=6),
-         ["dark tallies"]),
-    ], ids=["readme", "saturated-signal", "btpe-dark", "saturated-idler"])
-    def test_path_taken(self, monkeypatch, cfg, redrawn):
-        from twinbeam import simgen
-        seen = []
-        redraw = simgen._redraw
-
-        def sequential(rng, cfg, photons_i=None):
-            seen.append("dark tallies" if photons_i is None else "idler arm")
-            return redraw(rng, cfg, photons_i)
-
-        monkeypatch.setattr(simgen, "_redraw", sequential)
-        h, dark = simulate_histogram(cfg)
-        assert seen == redrawn
-        want_h, want_dark = sequential_histograms(cfg)
-        assert np.array_equal(h.counts, want_h)
-        assert np.array_equal(dark.counts, want_dark)
-
-    def test_worker_exception_reaches_caller(self, monkeypatch):
-        from twinbeam import simgen
-        fire = simgen._fire
-        main = threading.main_thread()
-
-        def failing_in_worker(*args):
-            if threading.current_thread() is not main:
-                raise RuntimeError("idler arm failed")
-            return fire(*args)
-
-        monkeypatch.setattr(simgen, "_fire", failing_in_worker)
-        before = threading.active_count()
-        cfg = SimConfig(README_PARAMS, README_DET_S, README_DET_I, frames=2000, seed=1)
-        with pytest.raises(RuntimeError, match="idler arm failed"):
-            simulate_histogram(cfg)
-        assert threading.active_count() == before  # the worker was joined
 
 
 class TestBlocks:
@@ -545,16 +505,19 @@ class TestExactBinomial:
                               want_rng.binomial(n, 0.243))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
-    def test_no_table_for_blocks_that_never_invert(self):
+    def test_no_table_for_blocks_that_never_invert(self, monkeypatch):
         # one frame past 30/0.2 = 150 photons sends its whole block to
         # numpy's call, so the table serves only the other blocks' rows
         from twinbeam import simgen
+        asked, table = [], simgen._table
+        monkeypatch.setattr(simgen, "_table", lambda p, rows: asked.append(rows) or table(p, rows))
         d = DetectorModel(0.2, 1000, 0.0)
         photons = np.full(3 * simgen._BLOCK, 50, dtype=np.int16)
         photons[::simgen._BLOCK] = 200
-        assert simgen._detection_rows(photons, d) is None
+        simgen._detected(np.random.default_rng(1), photons, d)
         photons[simgen._BLOCK] = 60
-        assert simgen._detection_rows(photons, d) == (0, 60)
+        simgen._detected(np.random.default_rng(1), photons, d)
+        assert asked == [None, (0, 60)]
 
     @pytest.mark.parametrize("p, rows", README_TABLES, ids=["eta-s", "eta-i", "dark"])
     def test_thresholds_against_numpy(self, p, rows):
@@ -616,14 +579,14 @@ class TestExactBinomial:
             simgen._table(p, (1, 30))
         assert list(simgen._tables) == [0.3, 0.4, 0.1, 0.35]
 
-    def test_tables_are_built_on_the_calling_thread(self, monkeypatch):
+    def test_tables_are_built_only_where_trials_invert(self, monkeypatch):
         from twinbeam import simgen
         monkeypatch.setattr(simgen, "_tables", {})
         built = []
         init = simgen._Inversion.__init__
 
         def record(self, p, lo, hi):
-            built.append((p, threading.current_thread() is threading.main_thread()))
+            built.append(p)
             init(self, p, lo, hi)
 
         monkeypatch.setattr(simgen._Inversion, "__init__", record)
@@ -632,8 +595,7 @@ class TestExactBinomial:
         h, dark = simulate_histogram(cfg)
         # the signal arm's one block holds a frame of 125 photons, past
         # 30/0.243, so it takes numpy's call and no table at 0.243 is built
-        assert sorted(p for p, _ in built) == [1e-4, 2e-4, 0.235]
-        assert all(main for _, main in built)
+        assert sorted(built) == [1e-4, 2e-4, 0.235]
         want_h, want_dark = sequential_histograms(cfg)
         assert np.array_equal(h.counts, want_h)
         assert np.array_equal(dark.counts, want_dark)

@@ -3,8 +3,9 @@
     PYTHONPATH=src:tools python -m pytest -p linetrace -q
 
 Every line event in a file of the package is recorded, on the main thread
-through ``sys.settrace`` and on threads started later (the simulator's
-worker) through ``threading.settrace``.  Tracing starts when pytest loads
+through ``sys.settrace`` and on threads that tests start (the
+``ThreadPoolExecutor`` in ``tests/test_qdii.py``) through
+``threading.settrace``.  Tracing starts when pytest loads
 the plugin, before any test module imports the package, so module-level
 lines count too.  A line is executable when it starts a line of a compiled
 code object of the module.  The body of ``if __name__ == "__main__":`` is
