@@ -15,7 +15,7 @@ from .errors import (
     TwinbeamError,
     ValidationError,
 )
-from .fit import ReconstructionResult, declination, reconstruct
+from .fit import ForwardModel, ReconstructionResult, declination, reconstruct
 from .model import (
     DetectedIntensityMoments,
     DetectorModel,

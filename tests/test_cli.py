@@ -408,6 +408,20 @@ class TestReconstructCommand:
         for name in ("result.json", "scan.csv", "p_sum.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("flags, message", [
+        ([], "the signal arm's dark record holds 120"),
+        (["--dark-s", "0.002", "--dark-i", "0.002", "--pixels-i", "5"],
+         "idler counts, above the arm's 5 pixels"),
+    ], ids=["dark-rate-left-out", "pixels-below-counts"])
+    def test_impossible_input_exit_code(self, flags, message, sim_run, tmp_path, capsys):
+        # the run's dark record was drawn at rate 0.002, and its counts reach
+        # beyond 5: neither input can have come from the given detector
+        out = tmp_path / "fit"
+        assert main(["reconstruct", str(sim_run / "histogram.txt"),
+                     str(sim_run / "dark.txt"), "--eta-s", "0.3", "--eta-i", "0.28",
+                     *flags, "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_format(self, sim_run, tmp_path):
         # the csv report is the json report flattened: nested keys dotted,

@@ -5,6 +5,7 @@ import pytest
 
 from twinbeam import (
     DetectorModel,
+    ForwardModel,
     Histogram2D,
     JointDistribution,
     ReconstructionError,
@@ -20,7 +21,6 @@ from twinbeam import (
     inversion_family,
     joint_photon_distribution,
     mode_parameters,
-    photocount_distribution,
     photocount_moments,
     reconstruct,
     response_table,
@@ -36,14 +36,16 @@ def unit_dark():
     return Histogram2D(np.array([[1.0]]), 1.0)
 
 
+def dark_record(frames, total_s, total_i):
+    # frames holding one dark count on an arm; total_s >= total_i
+    counts = np.zeros((2, 2))
+    counts[0, 0], counts[1, 0], counts[1, 1] = frames - total_s, total_s - total_i, total_i
+    return Histogram2D(counts, frames)
+
+
 def model_histogram(params, d_s, d_i, m_max=40):
-    cut = default_cutoffs(params)
-    jd = joint_photon_distribution(params, cut)
-    t_s = response_table(d_s, m_max, cut[0])
-    t_i = response_table(d_i, m_max, cut[1])
-    pc = photocount_distribution(jd, t_s, t_i)
-    counts = pc.probs / pc.probs.sum()
-    return Histogram2D(counts, 1.0)
+    pc = ForwardModel(d_s, d_i, (m_max, m_max), default_cutoffs(params))(params)
+    return Histogram2D(pc.probs / pc.probs.sum(), 1.0)
 
 
 class TestDeclination:
@@ -79,11 +81,9 @@ class TestDeclination:
                         DetectorModel(0.27, 2000, 1e-4),
                         frames=frames, seed=20)
         f, _ = simulate_histogram(cfg)
-        cut = default_cutoffs(CLEAN_PARAMS)
-        jd = joint_photon_distribution(CLEAN_PARAMS, cut)
-        t_s = response_table(cfg.detector_s, f.counts.shape[0] + 5, cut[0])
-        t_i = response_table(cfg.detector_i, f.counts.shape[1] + 5, cut[1])
-        pc = photocount_distribution(jd, t_s, t_i)
+        extents = (f.counts.shape[0] + 5, f.counts.shape[1] + 5)
+        pc = ForwardModel(cfg.detector_s, cfg.detector_i, extents,
+                          default_cutoffs(CLEAN_PARAMS))(CLEAN_PARAMS)
         d = declination(pc, f.normalized())
         noise_scale = math.sqrt(float((pc.probs * (1 - pc.probs)).sum()) / frames)
         assert 0.3 * noise_scale < d < 3.0 * noise_scale
@@ -220,8 +220,7 @@ class TestReconstruct:
         assert max(edge.m_noise_s, edge.m_noise_i) > 1e16
         cut = default_cutoffs(edge)
         photons = joint_photon_distribution(edge, cut)
-        counts = photocount_distribution(photons, response_table(d_s, cut[0], cut[0]),
-                                         response_table(d_i, cut[1], cut[1]))
+        counts = ForwardModel(d_s, d_i, cut, cut)(edge)
         for table in (photons, counts):
             assert np.all(np.isfinite(table.probs))
             assert 0 <= table.truncation_mass <= 1e-9
@@ -251,18 +250,67 @@ class TestReconstruct:
 
     def test_one_forward_evaluation_per_scan_point(self, monkeypatch):
         # the optimum is one of the evaluated points, so its declination,
-        # parameters and moments are read back, not computed a second time
+        # parameters and moments are read back, not computed a second time;
+        # the response tables are built once per fit, one per arm
         import twinbeam.fit
 
-        calls = []
+        f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)
+        calls, tables = [], []
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return joint_photon_distribution(*args, **kwargs)
 
+        def counted_table(*args):
+            tables.append(args[0])
+            return response_table(*args)
+
         monkeypatch.setattr(twinbeam.fit, "joint_photon_distribution", counted)
-        f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)
+        monkeypatch.setattr(twinbeam.fit, "response_table", counted_table)
         result = reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=25)
         assert len(calls) == len(result.scan)
         assert (result.var_p_opt, result.declination) in result.scan
         assert result.params in calls
+        assert tables == [DET_S, DET_I]
+
+
+class TestImpossibleInputs:
+    # rejected before anything is fitted: the detector cannot have made them
+
+    def test_count_above_pixels_rejected(self):
+        f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)
+        with pytest.raises(ValidationError, match=r"the histogram has a frame with \d+ "
+                           "signal counts, above the arm's 20 pixels"):
+            reconstruct(f, unit_dark(), DetectorModel(0.31, 20), DET_I)
+
+    def test_dark_count_above_pixels_rejected(self):
+        dark = Histogram2D(np.array([[9.0, 0.0, 0.0, 1.0]]), 10.0)
+        with pytest.raises(ValidationError, match="the dark record has a frame with 3 "
+                           "idler counts, above the arm's 2 pixels"):
+            reconstruct(unit_dark(), dark, DET_S, DetectorModel(0.27, 2, 0.01))
+
+    @pytest.mark.parametrize("totals, d_s, arm", [
+        ((1, 0), DET_S, "signal"),
+        ((1, 1), DetectorModel(0.31, 10**5, 1e-6), "idler"),  # signal total 1 expected
+    ])
+    def test_dark_count_at_zero_rate_rejected(self, totals, d_s, arm):
+        # one dark count contradicts a zero rate, however few frames
+        with pytest.raises(ValidationError, match=f"the {arm} arm's dark record holds 1 "):
+            reconstruct(unit_dark(), dark_record(10, *totals), d_s, DET_I)
+
+    @pytest.mark.parametrize("sds, rejected", [(-8, True), (-6, False), (0, False),
+                                               (6, False), (8, True)])
+    def test_dark_rate_rejected_outside_bernstein_bound(self, sds, rejected):
+        # the dark total is Binomial(10^9, 1e-6): mean 1000, sd 31.6.  The
+        # two-sided Bernstein bound falls to DARK_ALPHA = 1e-9 at a distance
+        # of 214 from the mean, 6.8 sd, where the exact tail is 3e-11
+        from twinbeam.fit import _check_dark_rate
+
+        d = DetectorModel(0.3, 1000, 1e-6)
+        total = 1000 + round(sds * math.sqrt(1000.0))
+        dark = dark_record(10**6, total, total)
+        if rejected:
+            with pytest.raises(ValidationError, match="the signal arm's dark record"):
+                _check_dark_rate(dark, (d, d))
+        else:
+            _check_dark_rate(dark, (d, d))

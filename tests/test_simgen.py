@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from twinbeam import (
     DetectorModel,
     DomainError,
+    ForwardModel,
     SimConfig,
     TwinBeamParams,
     ValidationError,
     default_cutoffs,
     detector_response,
-    joint_photon_distribution,
-    photocount_distribution,
     photocount_moments,
-    response_table,
     sample_frame,
     simulate_histogram,
 )
@@ -313,10 +311,7 @@ class TestAgainstForwardModel:
         h, _ = simulate_histogram(cfg)
         sampled = photocount_moments(h)
 
-        cut = default_cutoffs(SMALL_PARAMS)
-        jd = joint_photon_distribution(SMALL_PARAMS, cut)
-        t = response_table(DET, 60, max(cut))
-        pc = photocount_distribution(jd, t, t)
+        pc = ForwardModel(DET, DET, (60, 60), default_cutoffs(SMALL_PARAMS))(SMALL_PARAMS)
         m = np.arange(61, dtype=float)
         marg_s = pc.probs.sum(axis=1)
         marg_i = pc.probs.sum(axis=0)
@@ -336,10 +331,8 @@ class TestAgainstForwardModel:
         frames = 3 * 10**5
         cfg = small_config(frames=frames, seed=77)
         h, _ = simulate_histogram(cfg)
-        cut = default_cutoffs(SMALL_PARAMS)
-        jd = joint_photon_distribution(SMALL_PARAMS, cut)
-        t = response_table(DET, max(h.counts.shape) + 5, max(cut))
-        pc = photocount_distribution(jd, t, t)
+        m_max = max(h.counts.shape) + 5
+        pc = ForwardModel(DET, DET, (m_max, m_max), default_cutoffs(SMALL_PARAMS))(SMALL_PARAMS)
         expected = pc.probs * frames
         rows, cols = h.counts.shape
         obs = h.counts
