@@ -11,7 +11,6 @@ from .errors import (
     GridResolutionError,
     InfeasibleMomentsError,
     NumericsError,
-    ReconstructionError,
     TwinbeamError,
     ValidationError,
 )

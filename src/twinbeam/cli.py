@@ -36,7 +36,6 @@ from .errors import (
     GridResolutionError,
     InfeasibleMomentsError,
     NumericsError,
-    ReconstructionError,
     TwinbeamError,
     ValidationError,
 )
@@ -437,7 +436,7 @@ def main(argv=None) -> int:
     except InfeasibleMomentsError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NumericsError, GridResolutionError, ReconstructionError) as exc:
+    except (NumericsError, GridResolutionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except TwinbeamError as exc:  # ValidationError, DomainError

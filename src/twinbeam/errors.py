@@ -23,7 +23,3 @@ class NumericsError(TwinbeamError):
 
 class GridResolutionError(TwinbeamError):
     """A truncation cutoff or quadrature grid is too coarse for the request."""
-
-
-class ReconstructionError(TwinbeamError):
-    """The declination scan could not produce a usable optimum."""

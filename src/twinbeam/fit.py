@@ -4,11 +4,11 @@ reconstructed state.
 
 The moments fix every parameter but ``var_p``, and the members of the
 inversion family that are valid states fill a closed-form open interval
-(``MomentInversionFamily.var_p_range``).  The declination is scanned on the
-lattice points that fall inside it and the best bracket is refined by
-golden-section search, so every evaluation is a valid state.  A minimum
-within one lattice step of an interval endpoint is flagged ``at_boundary``;
-the experimental optimum of this kind of data typically lives there.
+(``MomentInversionFamily.var_p_range``).  The declination is scanned on an
+even lattice of at least one point strictly inside it, and the best bracket
+is refined by golden-section search, so every evaluation is a valid state.
+A minimum within one lattice step of an interval endpoint is flagged
+``at_boundary``; the experimental optimum of this kind of data lives there.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ReconstructionError, ValidationError
+from .errors import DomainError, ValidationError
 from .model import (
     DetectorModel,
     FieldMoments,
@@ -181,6 +181,18 @@ def _check_dark_rate(dark: Histogram2D,
                 f"its dark rate {d.dark_rate:g} expects {mean:.6g}")
 
 
+def _scan_lattice(lo: float, hi: float, step: float) -> np.ndarray:
+    """``n + 2`` evenly spaced knots from ``lo`` to ``hi``, with
+    ``n = max(1, ceil((hi - lo)/step) - 1)``: the ``n`` scan points between
+    the ends are at most ``step`` apart, and each lies strictly inside.  A
+    lone one is the midpoint, exact but for one rounding when ``lo >= hi/2``
+    (Sterbenz), so neither end if a double lies between them, and ``hi/4``
+    or more from either end otherwise.  More are over ``2 step/3`` apart, far
+    beyond the few ulps of ``hi`` that rounding moves them.
+    """
+    return np.linspace(lo, hi, max(1, math.ceil((hi - lo) / step) - 1) + 2)
+
+
 def reconstruct(f: Histogram2D, dark: Histogram2D,
                 d_s: DetectorModel, d_i: DetectorModel,
                 scan_points: int = 200) -> ReconstructionResult:
@@ -190,20 +202,16 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
     open ``var_p`` interval of valid states -> declination scan ->
     golden-section refinement.
 
-    ``scan_points`` sets the lattice ``var_p_max * k / scan_points``,
-    ``k = 1..scan_points - 1`` (never ``var_p_max`` itself); only the points
-    strictly inside the interval are evaluated.  The best of them is refined
-    between its neighbours (an interval endpoint where it has none) to
-    ``REFINE_REL_WIDTH * var_p_max``.  ``at_boundary`` is set when the
-    optimum lies within one lattice step (or that width, if larger) of an
-    endpoint.  One :class:`ForwardModel` serves every evaluation; its
-    response tables reach ``TABLE_MARGIN`` counts beyond the histogram's
-    extent.  Every ``var_p`` is evaluated once; the optimum is one of the
-    evaluated points.  Raises :class:`ValidationError` for a count above an
-    arm's pixel count (``_count_extents``) or a dark rate that the dark
-    record contradicts (``_check_dark_rate``), and
-    :class:`ReconstructionError` when no lattice point falls inside the
-    interval.
+    ``scan_points`` sets the step ``var_p_max / scan_points`` of the scan
+    lattice (``_scan_lattice``), and the best scan point is refined between
+    its neighbouring knots to ``REFINE_REL_WIDTH * var_p_max``.
+    ``at_boundary`` is set when the optimum lies within one lattice step (or
+    that width, if larger) of an endpoint.  One :class:`ForwardModel` serves
+    every evaluation; its response tables reach ``TABLE_MARGIN`` counts
+    beyond the histogram's extent.  Every ``var_p`` is evaluated once; the
+    optimum is one of the evaluated points.  Raises :class:`ValidationError`
+    for a count above an arm's pixel count (``_count_extents``) or a dark
+    rate that the dark record contradicts (``_check_dark_rate``).
     """
     if scan_points < 2:
         raise DomainError("reconstruct: scan_points must be >= 2")
@@ -212,12 +220,8 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
     detected = dark_corrected_moments(photocount_moments(f), photocount_moments(dark))
     family = inversion_family(detected, d_s.efficiency, d_i.efficiency)
     lo, hi = family.var_p_range
-    grid = family.var_p_max * np.arange(1, scan_points) / scan_points
-    grid = grid[(grid > lo) & (grid < hi)]
-    if grid.size == 0:
-        raise ReconstructionError(
-            "reconstruct: no scan point falls inside the valid var_p interval "
-            f"({lo:.6g}, {hi:.6g})")
+    step = family.var_p_max / scan_points
+    knots = _scan_lattice(lo, hi, step)
 
     f_norm = f.normalized()
     forward = ForwardModel(d_s, d_i, extents, default_cutoffs(
@@ -233,15 +237,10 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
             evaluations[var_p] = (declination(forward(params), f_norm), params, fm)
         return evaluations[var_p][0]
 
-    best = int(np.argmin([objective(v) for v in grid]))
+    best = int(np.argmin([objective(v) for v in knots[1:-1]]))
     width = REFINE_REL_WIDTH * family.var_p_max
-    var_p_opt = _golden_section(
-        objective,
-        grid[best - 1] if best > 0 else lo,
-        grid[best + 1] if best + 1 < grid.size else hi,
-        width)
+    var_p_opt = _golden_section(objective, knots[best], knots[best + 2], width)
     decl_opt, params_opt, fm_opt = evaluations[var_p_opt]
-    step = family.var_p_max / scan_points
     at_boundary = bool(min(var_p_opt - lo, hi - var_p_opt) <= max(width, step))
 
     scan = tuple(sorted((v, e[0]) for v, e in evaluations.items()))

@@ -332,7 +332,11 @@ def _photon_counts(rng: np.random.Generator, p: TwinBeamParams,
                    size: int) -> tuple[np.ndarray, np.ndarray]:
     """Incident photons per frame on each arm: the shared pairs plus that
     arm's noise."""
-    pairs = _add_component(rng, p.m_pairs, p.b_pairs, np.zeros(size, dtype=np.int16))
+    try:
+        pairs = np.zeros(size, dtype=np.int16)
+    except (ValueError, MemoryError):  # past numpy's largest dimension, or out of memory
+        raise DomainError(f"simulate_histogram: {size} frames do not fit in memory") from None
+    pairs = _add_component(rng, p.m_pairs, p.b_pairs, pairs)
     n_s = _add_component(rng, p.m_noise_s, p.b_noise_s, pairs.copy())
     # the pairs are not needed again
     n_i = _add_component(rng, p.m_noise_i, p.b_noise_i, pairs)

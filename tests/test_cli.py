@@ -107,6 +107,17 @@ class TestSimulateCommand:
         assert not np.array_equal(h.counts,
                                   load_histogram(sim_run / "histogram.txt").counts)
 
+    def test_frames_past_numpy_dimension_limit_exit_code(self, tmp_path, capsys):
+        # numpy refuses an array of 10^20 elements before it allocates
+        # anything; the run is rejected as outside the simulator's domain
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(SIM_CONFIG))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--frames", str(10**20),
+                     "--out-dir", str(out)]) == 2
+        assert f"{10**20} frames" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInputChecks:
     """Every command checks that its input files exist before it reads any
@@ -444,6 +455,33 @@ class TestReconstructCommand:
         for name in ("scan.csv", "p_sum.csv"):
             assert ((tmp_path / "csv" / name).read_bytes()
                     == (tmp_path / "json" / name).read_bytes())
+
+    def test_scan_narrower_than_interval_fits(self, tmp_path, capsys):
+        # the runtime-deps CI run: at 2 scan points one step is var_p_max/2
+        # = 5.70, wider than the interval (7.92, 11.40) that moments reports,
+        # and the fit still gets a scan point inside it
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "params": {"m_pairs": 10.0, "b_pairs": 1.0, "m_noise_s": 2.0,
+                       "b_noise_s": 1.0, "m_noise_i": 2.0, "b_noise_i": 1.0},
+            "detector_s": {"efficiency": 0.3, "pixels": 1000, "dark_rate": 1e-4},
+            "detector_i": {"efficiency": 0.28, "pixels": 1000, "dark_rate": 1e-4},
+            "frames": 20000, "seed": 1}))
+        run = tmp_path / "run"
+        assert main(["simulate", str(cfg), "--out-dir", str(run)]) == 0
+        counts = [str(run / "histogram.txt"), str(run / "dark.txt")]
+        assert main(["moments", *counts, "--eta-s", "0.3", "--eta-i", "0.28"]) == 0
+        interval = json.loads(capsys.readouterr().out)["var_p_interval"]
+        assert interval["high"] - interval["low_exclusive"] < interval["high"] / 2
+        fit = tmp_path / "fit"
+        assert main(["reconstruct", *counts, "--eta-s", "0.3", "--eta-i", "0.28",
+                     "--dark-s", "1e-4", "--dark-i", "1e-4",
+                     "--scan-points", "2", "--out-dir", str(fit)]) == 0
+        var_p = json.loads((fit / "result.json").read_text())["var_p_opt"]
+        assert interval["low_exclusive"] < var_p < interval["high"]
+        scan = np.loadtxt(fit / "scan.csv", delimiter=",", comments="#", ndmin=2)
+        assert np.all((interval["low_exclusive"] < scan[:, 0])
+                      & (scan[:, 0] < interval["high"]))
 
 
 class TestQdiiCommand:

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from twinbeam import (
     DetectorModel,
     ForwardModel,
     Histogram2D,
     JointDistribution,
-    ReconstructionError,
     ReconstructionResult,
     SimConfig,
     TwinBeamParams,
@@ -163,12 +164,21 @@ class TestReconstruct:
         assert all(lo < v < hi and math.isfinite(d) for v, d in result.scan)
         assert lo < result.var_p_opt < hi
 
-    def test_no_scan_point_inside_interval_raises(self):
+    def test_interval_narrower_than_a_step_gets_a_scan_point(self):
         # CLEAN_PARAMS give the interval (0.525, 0.980) with var_p_max at its
-        # open upper end; the one lattice point (0.490) misses it
+        # open upper end, narrower than the step 0.490: the one scan point is
+        # its midpoint, and the refinement spans the whole interval
         f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)
-        with pytest.raises(ReconstructionError):
-            reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=2)
+        detected = dark_corrected_moments(photocount_moments(f), photocount_moments(unit_dark()))
+        family = inversion_family(detected, DET_S.efficiency, DET_I.efficiency)
+        lo, hi = family.var_p_range
+        assert hi == family.var_p_max and hi - lo < family.var_p_max / 2
+        result = reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=2)
+        assert (lo + hi) / 2 in [v for v, _ in result.scan]
+        assert all(lo < v < hi and math.isfinite(d) for v, d in result.scan)
+        assert 0.525 < result.var_p_opt < 0.980
+        assert result.var_p_opt == pytest.approx(CLEAN_PARAMS.m_pairs * CLEAN_PARAMS.b_pairs**2,
+                                                  rel=5e-3)
 
     def test_boundary_optimum_flagged_for_reference_data(self):
         # data simulated at the reference state: the declination decreases
@@ -227,11 +237,11 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("seed", [44, 50])
     def test_scan_lattice_stops_short_of_var_p_max(self, seed):
-        # var_p_max * k / scan_points at k = scan_points is var_p_max itself
-        # up to round-off and never strictly inside the interval; the lattice
-        # must not depend on how that product rounds.  On these seeds the
-        # upper end of the interval is var_p_max and the optimum lies lower,
-        # so no evaluation comes near it.
+        # on these seeds the upper end of the interval is var_p_max, where a
+        # noise variance is a round-off residue.  The scan's last knot lies
+        # one lattice spacing below it, more than two thirds of a step once
+        # the interval spans two steps, and the optimum lies lower, so no
+        # evaluation comes within half a step of it.
         params = TwinBeamParams(20.0, 0.5, 2.0, 2.0, 2.0, 2.0)
         d_s = DetectorModel(0.3, 1000, 1e-4)
         d_i = DetectorModel(0.28, 1000, 1e-4)
@@ -272,6 +282,30 @@ class TestReconstruct:
         assert (result.var_p_opt, result.declination) in result.scan
         assert result.params in calls
         assert tables == [DET_S, DET_I]
+
+
+@given(var_p_max=st.floats(1e-6, 1e6), scan_points=st.integers(2, 1000),
+       top=st.floats(0.0, 1.0, exclude_min=True), low=st.floats(0.0, 1.0, exclude_max=True))
+@example(var_p_max=11.40222346938777, scan_points=2, top=1.0, low=0.6949)  # the runtime-deps CI run
+@example(var_p_max=1.0, scan_points=200, top=1.0, low=1.0 - 2**-52)  # two ulps wide
+@example(var_p_max=1.0, scan_points=4, top=1.0, low=0.5)  # the width is two steps
+def test_scan_lattice_spans_interval(var_p_max, scan_points, top, low):
+    """Whatever the interval's width against one step, from a few ulps to
+    var_p_max itself, the scan has a knot, every knot lies strictly inside,
+    and the knots are at most a step apart, up to the rounding of each
+    knot (two ulps of hi)."""
+    from twinbeam.fit import _scan_lattice
+
+    hi = var_p_max * top
+    lo = hi * low
+    assume(np.nextafter(lo, hi) < hi)  # a double lies strictly inside
+    step = var_p_max / scan_points
+    knots = _scan_lattice(lo, hi, step)
+    inner = knots[1:-1]
+    assert inner.size >= 1
+    assert knots[0] == lo and knots[-1] == hi
+    assert np.all((lo < inner) & (inner < hi))
+    assert np.diff(knots).max() <= step + 4 * np.finfo(float).eps * hi
 
 
 class TestImpossibleInputs:

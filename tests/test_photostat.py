@@ -398,21 +398,29 @@ class TestPhotocountDistribution:
         assert out.total + out.truncation_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_detected_means_track_reference_moments(self, paper_params):
-        # forward chain: state -> photons -> counts; the dark-corrected count
-        # moments must reproduce the detected intensity moments within 2%
-        cut = default_cutoffs(paper_params)
-        jd = joint_photon_distribution(paper_params, cut)
+        # forward chain: state -> photons -> counts.  A pixel stays unfired
+        # with probability (1 - d)(1 - eta/N)^n given n photons, so the mean
+        # count is N(1 - (1 - d) G(1 - eta/N)), where G(z) is the product of
+        # the arm's Mandel-Rice generating functions (1 + B(1 - z))^-M.  The
+        # table lacks only the photon and count truncation mass, each frame of
+        # which holds at most N counts; its sums, over at most the photon
+        # table's products, add a relative round-off of size * eps at most
+        p = paper_params
+        cut = default_cutoffs(p)
+        jd = joint_photon_distribution(p, cut)
         d_s = DetectorModel(efficiency=0.243, pixels=1000, dark_rate=0.001)
         d_i = DetectorModel(efficiency=0.235, pixels=1000, dark_rate=0.001)
         out = photocount_distribution(jd, response_table(d_s, 120, cut[0]),
                                       response_table(d_i, 120, cut[1]))
-        m = np.arange(121)
-        mean_s = float(m @ out.probs.sum(axis=1))
-        mean_i = float(m @ out.probs.sum(axis=0))
-        dark = 1000 * 0.001
-        fm = field_moments_from_params(paper_params)
-        assert mean_s - dark == pytest.approx(0.243 * (fm.mean_p + fm.mean_s), rel=0.02)
-        assert mean_i - dark == pytest.approx(0.235 * (fm.mean_p + fm.mean_i), rel=0.02)
+        arms = ((d_s, p.m_noise_s, p.b_noise_s), (d_i, p.m_noise_i, p.b_noise_i))
+        for axis, (d, m_noise, b_noise) in enumerate(arms):
+            log_unfired = math.log1p(-d.dark_rate) - sum(
+                m * math.log1p(b * d.efficiency / d.pixels)
+                for m, b in ((p.m_pairs, p.b_pairs), (m_noise, b_noise)))
+            exact = -d.pixels * math.expm1(log_unfired)
+            mean = float(np.arange(121) @ out.probs.sum(axis=1 - axis))
+            round_off = jd.probs.size * np.finfo(float).eps * exact
+            assert -round_off <= exact - mean <= d.pixels * out.truncation_mass + round_off
 
     def test_dimension_mismatch_rejected(self, paper_params):
         jd = joint_photon_distribution(paper_params, (50, 50))
