@@ -48,6 +48,9 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 TABLE_MARGIN = 16  # extra photocount rows beyond the histogram support
 REFINE_REL_WIDTH = 1e-4  # golden-section stopping width, relative to var_p_max
 DARK_ALPHA = 1e-9  # largest tail probability at which a dark record rejects its rate
+# most scan points, 2^59 - 1 on a 64-bit build: half numpy's longest float64
+# array (see reconstruct)
+_MAX_SCAN_POINTS = np.iinfo(np.intp).max // 16
 
 
 def declination(p_c: JointDistribution, f: Histogram2D) -> float:
@@ -212,16 +215,31 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
     optimum is one of the evaluated points.  Raises :class:`ValidationError`
     for a count above an arm's pixel count (``_count_extents``) or a dark
     rate that the dark record contradicts (``_check_dark_rate``).
+
+    ``scan_points`` must lie in ``[2, _MAX_SCAN_POINTS]``, else
+    :class:`DomainError`.  The upper bound is half the length of numpy's
+    longest float64 array: the interval lies in ``[0, var_p_max]``, so the
+    lattice has at most ``scan_points + 1`` knots in exact arithmetic, and
+    the two rounded divisions that size it add at most 3 units of roundoff
+    of that, so the lattice stays far below the length at which numpy
+    refuses it outright, which a larger ``scan_points`` can pass.  A lattice
+    that numpy sizes but the memory cannot hold raises :class:`DomainError`
+    as well.
     """
-    if scan_points < 2:
-        raise DomainError("reconstruct: scan_points must be >= 2")
+    if not 2 <= scan_points <= _MAX_SCAN_POINTS:
+        raise DomainError(f"reconstruct: scan_points must lie in [2, {_MAX_SCAN_POINTS}], "
+                          f"got {scan_points}")
     extents = _count_extents(f, dark, (d_s, d_i))
     _check_dark_rate(dark, (d_s, d_i))
     detected = dark_corrected_moments(photocount_moments(f), photocount_moments(dark))
     family = inversion_family(detected, d_s.efficiency, d_i.efficiency)
     lo, hi = family.var_p_range
     step = family.var_p_max / scan_points
-    knots = _scan_lattice(lo, hi, step)
+    try:
+        knots = _scan_lattice(lo, hi, step)
+    except MemoryError:
+        raise DomainError(f"reconstruct: a scan of {scan_points} points does not fit "
+                          "in memory") from None
 
     f_norm = f.normalized()
     forward = ForwardModel(d_s, d_i, extents, default_cutoffs(

@@ -112,17 +112,12 @@ def _toeplitz(pmf: np.ndarray, columns: int) -> np.ndarray:
     return sliding_window_view(padded, columns)[:, ::-1]
 
 
-def _chain_madds(p: int, q: int, r: int, t: int) -> tuple[int, int]:
-    """Multiply-adds of ``(A @ M) @ C`` and of ``A @ (M @ C)``, for A of
-    shape (p, q), M of shape (q, r) and C of shape (r, t)."""
-    return p * r * (q + t), q * t * (p + r)
-
-
 def _chain_product(a: np.ndarray, m: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``a @ m @ c`` in the order that needs fewer multiply-adds, left to
-    right on a tie."""
-    left, right = _chain_madds(a.shape[0], *m.shape, c.shape[1])
-    return (a @ m) @ c if left <= right else a @ (m @ c)
+    right on a tie: ``p r (q + t)`` against ``q t (p + r)``, for ``a`` of
+    shape (p, q), ``m`` of shape (q, r) and ``c`` of shape (r, t)."""
+    p, (q, r), t = a.shape[0], m.shape, c.shape[1]
+    return (a @ m) @ c if p * r * (q + t) <= q * t * (p + r) else a @ (m @ c)
 
 
 def joint_photon_distribution(params: TwinBeamParams,
@@ -244,7 +239,10 @@ def noise_reduction_factor(fm: FieldMoments) -> float:
     """Variance of the signal-idler count difference over its shot-noise level.
 
     0 for a pure paired field, >= 1 without pairing; the paper-scale twin
-    beam sits around 0.1.
+    beam sits around 0.1.  Along the moment inversion family
+    (``moments.invert_at``) it does not depend on ``var_p``: its numerator
+    is minus the margin of ``qdii.nonclassicality``, and its denominator is
+    ``mean_s/eta_s + mean_i/eta_i`` in the detected moments.
     """
     denom = 2.0 * fm.mean_p + fm.mean_s + fm.mean_i
     if denom <= 0:

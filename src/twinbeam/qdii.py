@@ -33,9 +33,10 @@ is divided by its total mass, itself a closed form.  The full-field QDII is
 the convolution of the paired density with one multi-thermal noise density
 per arm.  It needs uniform axes: each noise measure is binned onto the grid lattice, and
 the convolution is one product of lower-triangular Toeplitz matrices per
-arm, ``T_s @ paired @ T_i^T``; a factored density is convolved as ``(T_s @
-L) @ (T_i @ R).T`` instead when that needs fewer multiply-adds, which it
-does while the rank is well below the number of lattice points.  Every
+arm, ``T_s @ paired @ T_i^T``, taken in row blocks that skip the zero
+triangle of each; a factored density is convolved as ``(T_s @ L) @ (T_i @
+R).T`` instead when that does fewer multiply-adds, which it does while the
+rank is well below the number of lattice points.  Every
 operand of that product is set to 0 below ``tiny/eps`` (``_flush_below``).
 Without pairs the QDII is the product of the two noise densities.  Every
 grid ends in the same check: its trapezoid integral,
@@ -69,7 +70,7 @@ import numpy as np
 
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
 from .model import FieldMoments, QdiiGrid, TwinBeamParams, _check_axis
-from .photostat import _chain_madds, _chain_product, _toeplitz
+from .photostat import _toeplitz
 from .specfun import _ascending_log_coefficients, log_bessel_i_array, sinc
 
 __all__ = [
@@ -91,6 +92,9 @@ _SERIES_MAX_TERMS = 2000
 _SINC_MAX_RANK = 1000
 # convolution operands are set to 0 below tiny/eps = 2^-970 (see _flush_below)
 _FLUSH_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# rows per block of a product with a triangular Toeplitz matrix (see
+# _triangular_product and the README's numerical notes)
+_TRIANGLE_ROWS = 24
 
 
 def _check_ordering(s: float) -> None:
@@ -211,6 +215,13 @@ def nonclassicality(fm: FieldMoments) -> NonclassicalityVerdict:
     The field is non-classical iff twice the mean pair intensity exceeds the
     summed noise variances, which is equivalent to the full-field threshold
     ordering lying below 1.
+
+    Along the moment inversion family (``moments.invert_at``) the margin
+    does not depend on ``var_p``: ``mean_p``, ``var_s`` and ``var_i`` each
+    fall by ``var_p``, so the margin is ``2 cov/(eta_s eta_i) - var_s/eta_s^2
+    - var_i/eta_i^2`` in the detected moments.  Computed, it moves by
+    rounding only: 17.879961899590572 to ...576 across the valid interval of
+    the README run.
     """
     paired = 2.0 * fm.mean_p
     noise = fm.var_s + fm.var_i
@@ -622,6 +633,50 @@ def _noise_toeplitz(m_modes: float, b_scaled: float, h: float,
     return _toeplitz(kernel, n_bins)
 
 
+def _triangular_product(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``t @ m`` for ``t`` the last rows of a lower-triangular matrix: row r
+    of ``t`` is 0 past column ``lo + r``, ``lo = columns - rows``.  Each
+    block of ``_TRIANGLE_ROWS`` rows is multiplied by the columns up to its
+    last row's diagonal only, so the zero triangle costs no multiply-adds
+    but those within the blocks (``_triangular_madds``).  Only zero terms
+    are dropped, so no sum has more terms than the dense product's."""
+    rows, lo = t.shape[0], t.shape[1] - t.shape[0]
+    out = np.empty((rows, m.shape[1]))
+    for a in range(0, rows, _TRIANGLE_ROWS):
+        b = min(a + _TRIANGLE_ROWS, rows)
+        np.matmul(t[a:b, :lo + b], m[:lo + b], out=out[a:b])
+    return out
+
+
+def _triangular_madds(rows: int, columns: int) -> int:
+    """Multiply-adds of ``_triangular_product`` per column of ``m``, for
+    ``t`` of shape (rows, columns)."""
+    ends = [min(a + _TRIANGLE_ROWS, rows) for a in range(0, rows, _TRIANGLE_ROWS)]
+    return sum((b - a) * (columns - rows + b) for a, b in zip([0, *ends], ends))
+
+
+def _toeplitz_chain(t_s: np.ndarray, p: np.ndarray, t_i: np.ndarray) -> np.ndarray:
+    """``t_s @ p @ t_i.T`` for two triangular ``t_s``, ``t_i`` (see
+    ``_triangular_product``), the right product taken as ``(t_i @ x.T).T``,
+    in the order of ``_toeplitz_chain_madds`` that needs fewer.  On a tie,
+    as for two windows of one size from 0, the right product comes first,
+    so that the last is with ``t_s`` and the grid is C-ordered, which
+    ``QdiiGrid`` keeps uncopied."""
+    left, right = _toeplitz_chain_madds(t_s.shape, t_i.shape)
+    if left < right:
+        return _triangular_product(t_i, _triangular_product(t_s, p).T).T
+    return _triangular_product(t_s, _triangular_product(t_i, p.T).T)
+
+
+def _toeplitz_chain_madds(shape_s: tuple[int, int],
+                          shape_i: tuple[int, int]) -> tuple[int, int]:
+    """Multiply-adds of ``_toeplitz_chain`` with the left product first and
+    with the right product first, for ``t_s`` and ``t_i`` of these shapes."""
+    (rows_s, n_s), (rows_i, n_i) = shape_s, shape_i
+    c_s, c_i = _triangular_madds(rows_s, n_s), _triangular_madds(rows_i, n_i)
+    return c_s * n_i + c_i * rows_s, c_i * n_s + c_s * rows_i
+
+
 def _lattice(axis: np.ndarray) -> tuple[int, float, np.ndarray]:
     """The convolution lattice of a uniform axis of pitch h: the axis itself,
     after the ``lo`` points ``axis[0] - k h`` (k = lo, ..., 1, at most four
@@ -641,11 +696,13 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     toward zero so that noise shifts can move mass into the requested
     window.  The noise kernel is the outer product of the two arms' per-bin
     masses, so the convolution separates into ``T_s @ paired @ T_i^T``; only
-    the rows of each Toeplitz matrix that fall in the window are formed.  A
-    paired density given as factors ``L @ R.T`` is convolved as ``(T_s @ L)
-    @ (T_i @ R).T`` or as ``T_s @ (L @ R.T) @ T_i.T``, whichever needs fewer
-    multiply-adds, the three-factor product in the order ``_chain_product``
-    picks.  ``L @ R.T`` is flushed as every operand is (``_flush_below``).
+    the rows of each Toeplitz matrix that fall in the window are formed, and
+    every product with one skips its zero triangle (``_triangular_product``).
+    A paired density given as factors ``L @ R.T`` is convolved as ``(T_s @
+    L) @ (T_i @ R).T`` or as ``T_s @ (L @ R.T) @ T_i.T``, whichever does
+    fewer multiply-adds, the three-factor product in the order
+    ``_toeplitz_chain`` picks.  ``L @ R.T`` is flushed as every operand is
+    (``_flush_below``).
     """
     sigma = (1.0 - ctx.s) / 2.0
     lo_s, h_s, lat_s = _lattice(ws)
@@ -656,11 +713,12 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     if right is not None:
         (rows_s, n_s), (rows_i, n_i) = t_s.shape, t_i.shape
         rank = left.shape[1]
-        if (rank * (rows_s * n_s + rows_i * n_i + rows_s * rows_i)
-                <= n_s * n_i * rank + min(_chain_madds(rows_s, n_s, n_i, rows_i))):
-            return (t_s @ left) @ (t_i @ right).T
+        if (rank * (_triangular_madds(rows_s, n_s) + _triangular_madds(rows_i, n_i)
+                    + rows_s * rows_i)
+                <= n_s * n_i * rank + min(_toeplitz_chain_madds(t_s.shape, t_i.shape))):
+            return _triangular_product(t_s, left) @ _triangular_product(t_i, right).T
         left = _flush_below(left @ right.T)
-    return _chain_product(t_s, left, t_i.T)
+    return _toeplitz_chain(t_s, left, t_i)
 
 
 @_overflow_raises

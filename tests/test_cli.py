@@ -434,6 +434,16 @@ class TestReconstructCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scan_points_past_the_bound_exit_code(self, sim_run, tmp_path, capsys):
+        # 10^20 points would ask numpy for a lattice past its longest array
+        out = tmp_path / "fit"
+        assert main(["reconstruct", str(sim_run / "histogram.txt"),
+                     str(sim_run / "dark.txt"), "--eta-s", "0.3", "--eta-i", "0.28",
+                     "--dark-s", "0.002", "--dark-i", "0.002",
+                     "--scan-points", str(10**20), "--out-dir", str(out)]) == 2
+        assert f"got {10**20}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_format(self, sim_run, tmp_path):
         # the csv report is the json report flattened: nested keys dotted,
         # booleans lower-case, every float in round-trip precision

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twinbeam import (
     DetectorModel,
+    DomainError,
     ForwardModel,
     Histogram2D,
     JointDistribution,
@@ -179,6 +180,19 @@ class TestReconstruct:
         assert 0.525 < result.var_p_opt < 0.980
         assert result.var_p_opt == pytest.approx(CLEAN_PARAMS.m_pairs * CLEAN_PARAMS.b_pairs**2,
                                                   rel=5e-3)
+
+    def test_scan_points_past_the_bound_rejected(self):
+        # CLEAN_PARAMS' interval is half of var_p_max wide, so the largest
+        # scan_points asks for about 2^58 knots, 2^61 bytes: numpy sizes the
+        # lattice, its allocation fails at once (past any address space), and
+        # one point more is refused before any work
+        from twinbeam.fit import _MAX_SCAN_POINTS
+
+        f = model_histogram(CLEAN_PARAMS, DET_S, DET_I)
+        with pytest.raises(DomainError, match=f"{_MAX_SCAN_POINTS} points does not fit"):
+            reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=_MAX_SCAN_POINTS)
+        with pytest.raises(DomainError, match=r"must lie in \[2, "):
+            reconstruct(f, unit_dark(), DET_S, DET_I, scan_points=_MAX_SCAN_POINTS + 1)
 
     def test_boundary_optimum_flagged_for_reference_data(self):
         # data simulated at the reference state: the declination decreases

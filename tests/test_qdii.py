@@ -18,8 +18,12 @@ from twinbeam import (
     TwinBeamParams,
     ValidationError,
     characteristic_function,
+    detected_from_field,
     field_moments_from_params,
+    inversion_family,
+    invert_at,
     joint_qdii_grid,
+    noise_reduction_factor,
     nonclassicality,
     ordering_threshold,
     paired_qdii,
@@ -28,6 +32,8 @@ from twinbeam import (
 from twinbeam import photostat, qdii
 from twinbeam.cli import _auto_grid_max
 from twinbeam.specfun import log_bessel_i, log_bessel_i_array
+
+from conftest import PAPER_DETECTED
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -126,9 +132,47 @@ class TestOrderingThreshold:
             ordering_threshold(TwinBeamParams(0, 0, 0, 0, 0, 0))
 
 
+def criterion_rounding(family, var_p):
+    """The margin of ``nonclassicality`` and ``noise_reduction_factor`` at
+    ``fm = invert_at(family, var_p)``, each with a bound on its distance
+    from its exact value, which does not depend on var_p.
+
+    ``invert_at`` forms ``mean_p = c - v``, ``var_s = V_s - v``, ``var_i =
+    V_i - v`` and ``mean_s = (M_s - c) + v``, likewise ``mean_i``, from the
+    doubles ``c = cov/(eta_s eta_i)``, ``V_s = var_s/eta_s^2`` and ``M_s =
+    mean_s/eta_s`` of the detected moments, the same at every v.  The
+    margin ``2 mean_p - (var_s + var_i)`` is exactly ``2c - V_s - V_i``, and
+    its numerator ``N = (var_s + var_i) - 2 mean_p`` and denominator ``D =
+    (2 mean_p + mean_s) + mean_i`` make ``R = 1 + N/D`` exactly ``1 + (V_s +
+    V_i - 2c)/(M_s + M_i)``.  A sum evaluated as a tree of rounded additions
+    is within ``gamma_d`` times the sum of its leaves' magnitudes of its
+    exact value, d the most roundings on a leaf's path (Higham 3.1; the
+    doubling is exact): d = 3 for the margin and N, over the leaves ``2c,
+    V_s, V_i`` and four v; d = 4 for D, over ``M_s, M_i``, four c and four
+    v.  ``N/D`` is then off by at most ``E_N/D + (|N| + E_N) E_D / (D (D -
+    E_D))``, and its division and the addition of 1 round once each.
+    """
+    u = EPS / 2
+    gamma = lambda d: d * u / (1 - d * u)
+    eta_s, eta_i = family.efficiencies
+    det = family.detected
+    c, v = abs(family.cov_scaled), var_p
+    v_s, v_i = abs(det.var_s / eta_s**2), abs(det.var_i / eta_i**2)
+    m_s, m_i = abs(det.mean_s / eta_s), abs(det.mean_i / eta_i)
+    fm = invert_at(family, var_p)
+    margin = nonclassicality(fm).margin
+    e_n = gamma(3) * (2 * c + v_s + v_i + 4 * v)
+    e_d = gamma(4) * (m_s + m_i + 4 * c + 4 * v)
+    n = fm.var_s + fm.var_i - 2.0 * fm.mean_p
+    d = 2.0 * fm.mean_p + fm.mean_s + fm.mean_i
+    r = noise_reduction_factor(fm)
+    r_bound = (e_n / d + (abs(n) + e_n) * e_d / (d * (d - e_d))
+               + u * abs(n) / d + gamma(1) * abs(r))
+    return (margin, e_n), (r, r_bound)
+
+
 class TestNonclassicality:
     def test_reference_state(self, paper_detected):
-        from twinbeam import inversion_family, invert_at
         fam = inversion_family(paper_detected, 0.243, 0.235)
         fm = invert_at(fam, 0.549, atol=5e-3)
         v = nonclassicality(fm)
@@ -161,6 +205,28 @@ class TestNonclassicality:
             below_one = th.is_real and th.s_th < 1.0
             agree += (margin > 0) == below_one
         assert agree == n
+
+    @given(state=st.one_of(
+               st.just((PAPER_DETECTED, 0.243, 0.235)),
+               st.builds(lambda p, eta_s, eta_i: (
+                   detected_from_field(field_moments_from_params(p), eta_s, eta_i),
+                   eta_s, eta_i),
+                   st.builds(TwinBeamParams, st.floats(0.5, 300.0), st.floats(0.01, 2.0),
+                             st.floats(1e-4, 5.0), st.floats(0.01, 20.0),
+                             st.floats(1e-4, 5.0), st.floats(0.01, 20.0)),
+                   st.floats(0.05, 0.95), st.floats(0.05, 0.95))),
+           ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_invariant_along_the_inversion_family(self, state, ends):
+        # the moment criterion and R at two points of the valid interval
+        # agree within the rounding of both (see criterion_rounding)
+        family = inversion_family(*state)
+        lo, hi = family.var_p_range
+        points = [lo + t * (hi - lo) for t in ends]
+        assume(all(lo < v < hi for v in points))
+        (m1, bm1), (r1, br1) = criterion_rounding(family, points[0])
+        (m2, bm2), (r2, br2) = criterion_rounding(family, points[1])
+        assert abs(m1 - m2) <= bm1 + bm2
+        assert abs(r1 - r2) <= br1 + br2
 
 
 class TestPairedQdii:
@@ -716,12 +782,15 @@ class TestNoiseConvolution:
     ``_convolve_uniform`` forms ``(T_s L)(T_i R)^T`` or ``T_s (L R^T)
     T_i^T`` from the factors ``(L, R)`` of ``_paired_values``, or ``T_s P
     T_i^T`` from a grid P of a direct path.  Either way it is three chained
-    matrix products, with inner dimensions the two lattice sizes and the
-    rank K.  A rounded product of inner dimension k is ``AB + E`` with
-    ``|E| <= gamma_k |A||B|``, ``gamma_k = k u / (1 - k u)`` (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.5).  Chaining three,
-    in either order, gives ``|got - exact| <= gamma_n |T_s||L||R|^T|T_i|^T``
-    with n the sum of the inner dimensions, since ``(1 + gamma_a)(1 +
+    matrix products, with inner dimensions at most the two lattice sizes
+    and the rank K.  A rounded product of inner dimension k is ``AB + E``
+    with ``|E| <= gamma_k |A||B|``, ``gamma_k = k u / (1 - k u)`` (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.5).  A product with a
+    Toeplitz matrix is taken in row blocks (``TestTriangularProduct``),
+    whose sums leave out zero terms only, so each has an inner dimension of
+    at most the lattice size, and gamma_k grows with k.  Chaining three, in
+    either order, gives ``|got - exact| <= gamma_n |T_s||L||R|^T|T_i|^T``
+    with n the sum of the lattice sizes and K, since ``(1 + gamma_a)(1 +
     gamma_b)(1 + gamma_c) <= 1 + gamma_(a+b+c)``; a direct grid is K = 0
     with ``|P|`` for ``|L||R|^T``.  The reference adds one rounding, to
     double.  In the second order the cells of ``L R^T`` below the floor
@@ -819,7 +888,10 @@ class TestFactorFloor:
     by less than the floor f, a paired cell of factors by at most ``f
     (sum_j |R[y, j]| + sum_j |L[x, j]|)``, and a convolved cell by at most
     that bound summed over the cells it collects, weighted by their noise
-    masses."""
+    masses.  The grids compared are each within ``gamma_n`` of their exact
+    values, n = 2 cells + K + 1, as ``TestNoiseConvolution`` argues: the row
+    blocks of the Toeplitz products can only shorten a sum, never lengthen
+    it, so n still bounds every chain."""
 
     FLOOR = TINY / EPS
 
@@ -885,9 +957,9 @@ class TestFactorFloor:
         axis = np.linspace(0.0, grid_max or _auto_grid_max(params, s), 200)
         ctx = OrderingContext.for_params(params.b_pairs, s)
         operands = []
-        chain = photostat._chain_product
-        monkeypatch.setattr(qdii, "_chain_product",
-                            lambda a, m, c: operands.append(m) or chain(a, m, c))
+        chain = qdii._toeplitz_chain
+        monkeypatch.setattr(qdii, "_toeplitz_chain",
+                            lambda t_s, p, t_i: operands.append(p) or chain(t_s, p, t_i))
         qdii._convolve_uniform(params, ctx, axis, axis)
         left, right = qdii._paired_values(ctx, params.m_pairs, axis, axis)
         assert (right is not None) == factored
@@ -925,10 +997,88 @@ class TestFactorFloor:
         assert np.all(np.abs(got - want) <= flush + higham)
 
 
+class TestTriangularProduct:
+    """``qdii._triangular_product``, the product of a lower-triangular
+    Toeplitz matrix T (its last rows, from row ``lo``) and a matrix M in row
+    blocks, against the dense product in extended precision.  A row in the
+    block ``[a, b)`` is a sum of ``k = lo + b`` terms, every nonzero term of
+    the dense row among them, so it is within ``gamma_k (|T||M|)`` of the
+    exact row (Higham 3.5), with k at most the dense inner dimension; the
+    reference adds one rounding, to double, hence ``gamma_(k+1)``."""
+
+    B = qdii._TRIANGLE_ROWS
+
+    @staticmethod
+    def toeplitz(rows, lo, noise=True):
+        # README idler noise binned at the pitch of a 200-cell axis to 25,
+        # or a noise-free arm, whose matrix is the identity
+        return qdii._noise_toeplitz(8e-3 if noise else 0.0, 12.5, 25.0 / 199,
+                                    lo + rows)[lo:]
+
+    @pytest.mark.parametrize("rows, lo, noise", [
+        (8 * B, 0, True),
+        (6 * B + 5, 17, True),
+        (B - 3, 0, True),
+        (B - 3, 4 * B, True),
+        (3 * B + 1, 0, False),
+    ], ids=["from-zero", "off-zero", "below-one-block", "below-one-block-off-zero",
+            "noise-free"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_within_the_block_bound(self, rows, lo, noise, side):
+        t = self.toeplitz(rows, lo, noise)
+        m = np.random.default_rng(rows + lo).standard_normal((lo + rows, 37))
+        if side == "left":
+            got = qdii._triangular_product(t, m)
+        else:
+            # x @ t.T as the chain takes it, (t @ x.T).T, x a C-ordered grid
+            x = np.ascontiguousarray(m.T)
+            got = qdii._triangular_product(t, x.T)
+        exact = t.astype(np.longdouble) @ m.astype(np.longdouble)
+        k = lo + np.minimum((np.arange(rows) // self.B + 1) * self.B, rows) + 1
+        u = EPS / 2
+        bound = (k * u / (1 - k * u))[:, None] * (np.abs(t) @ np.abs(m))
+        assert np.all(np.abs(got - exact.astype(float)) <= bound)
+        if not noise:
+            assert np.array_equal(got, m[lo:])
+
+    def test_reads_no_entry_past_its_block(self):
+        # every entry right of its block's last diagonal is NaN, and none
+        # reaches the product; the entries left are _triangular_madds
+        rows, lo = 3 * self.B + 5, 7
+        t = np.tril(np.ones((rows, lo + rows)), lo)
+        ends = np.minimum((np.arange(rows) // self.B + 1) * self.B, rows)
+        read = np.arange(lo + rows) < (lo + ends)[:, None]
+        t[~read] = np.nan
+        got = qdii._triangular_product(t, np.ones((lo + rows, 1)))
+        assert np.array_equal(got[:, 0], lo + 1.0 + np.arange(rows))
+        assert qdii._triangular_madds(rows, lo + rows) == np.count_nonzero(read)
+
+    @pytest.mark.parametrize("rows_s, lo_s, rows_i, lo_i", [
+        (150, 17, 180, 20),  # windows above 0 on two different axes
+        (180, 20, 150, 17),
+        (200, 0, 200, 0),    # a tie: the right product first
+    ])
+    def test_chain_takes_the_cheaper_order(self, rows_s, lo_s, rows_i, lo_i, monkeypatch):
+        # the multiply-adds the chain does are the fewer of the two orders
+        t_s, t_i = self.toeplitz(rows_s, lo_s), self.toeplitz(rows_i, lo_i, noise=False)
+        p = np.random.default_rng(1).random((lo_s + rows_s, lo_i + rows_i))
+        log = []
+        product = qdii._triangular_product
+        monkeypatch.setattr(qdii, "_triangular_product", lambda t, m: log.append(
+            qdii._triangular_madds(*t.shape) * m.shape[1]) or product(t, m))
+        got = qdii._toeplitz_chain(t_s, p, t_i)
+        left, right = qdii._toeplitz_chain_madds(t_s.shape, t_i.shape)
+        assert sum(log) == min(left, right)
+        assert log[0] == (qdii._triangular_madds(*t_s.shape) * p.shape[1] if left < right
+                          else qdii._triangular_madds(*t_i.shape) * p.shape[0])
+        assert got.flags.c_contiguous == (left >= right)
+        assert np.allclose(got, t_s @ p @ t_i.T, rtol=1e-13, atol=0)
+
+
 class TestChainProduct:
-    """``photostat._chain_product``, the product order of the forward model
-    and of the noise convolution: ``(a @ m) @ c`` or ``a @ (m @ c)``,
-    whichever needs fewer multiply-adds, the first on a tie."""
+    """``photostat._chain_product``, the product order of the forward model:
+    ``(a @ m) @ c`` or ``a @ (m @ c)``, whichever needs fewer multiply-adds,
+    the first on a tie."""
 
     class Shape:
         """A matrix reduced to its shape; each product records its
@@ -944,7 +1094,7 @@ class TestChainProduct:
     @pytest.mark.parametrize("p, q, r, t", [
         (126, 513, 218, 46),   # forward model: a long photon table, short count tables
         (46, 218, 513, 126),   # the same, transposed
-        (150, 167, 200, 180),  # convolution: windows above 0 on two different axes
+        (150, 167, 200, 180),  # four different sizes, and the same reversed
         (200, 180, 167, 150),
         (30, 30, 50, 50),      # a tie between two different orders
         (200, 400, 400, 1),    # a matrix-vector chain, right to left
