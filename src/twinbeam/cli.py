@@ -142,7 +142,7 @@ def _load_json(path: Path):
 def load_params(path: Path) -> TwinBeamParams:
     raw = _load_json(path)
     try:
-        return TwinBeamParams(**{k: float(raw[k]) for k in (
+        return TwinBeamParams(**{k: _json_number(raw, k) for k in (
             "m_pairs", "b_pairs", "m_noise_s", "b_noise_s", "m_noise_i", "b_noise_i")})
     except KeyError as exc:
         raise ValidationError(f"{path}: missing parameter field {exc}") from exc
@@ -150,11 +150,24 @@ def load_params(path: Path) -> TwinBeamParams:
         raise ValidationError(f"{path}: malformed state parameters ({exc})") from exc
 
 
-def _json_integer(raw: dict, key: str) -> int:
-    """The integer in ``raw[key]``.  A bool, or a float that is not a whole
-    number (inf and NaN included), is malformed rather than truncated."""
+def _json_number(raw: dict, key: str) -> float:
+    """The number in ``raw[key]`` as a float.  A numeric field must be a
+    JSON number: a bool or a string is malformed rather than converted, and
+    so is an integer past the double range."""
     value = raw[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} passes the double range, got {value!r}") from None
+
+
+def _json_integer(raw: dict, key: str) -> int:
+    """The integer in ``raw[key]``: a JSON number (``_json_number``) that is
+    whole; a fraction, inf or NaN is malformed rather than truncated."""
+    value = raw[key]
+    if type(value) is not int and not _json_number(raw, key).is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -162,14 +175,15 @@ def _json_integer(raw: dict, key: str) -> int:
 def load_sim_config(path: Path) -> SimConfig:
     raw = _load_json(path)
     try:
-        params = TwinBeamParams(**{k: float(v) for k, v in raw["params"].items()})
+        spec = raw["params"]
+        params = TwinBeamParams(**{k: _json_number(spec, k) for k in spec.keys()})
         det = {}
         for arm in ("detector_s", "detector_i"):
             spec = raw[arm]
             det[arm] = DetectorModel(
-                efficiency=float(spec["efficiency"]),
+                efficiency=_json_number(spec, "efficiency"),
                 pixels=_json_integer(spec, "pixels"),
-                dark_rate=float(spec.get("dark_rate", 0.0)),
+                dark_rate=_json_number(spec, "dark_rate") if "dark_rate" in spec else 0.0,
             )
         return SimConfig(params=params, detector_s=det["detector_s"],
                          detector_i=det["detector_i"],
@@ -329,20 +343,30 @@ def _auto_grid_max(params: TwinBeamParams, s: float) -> float:
                for m, b in arms)
 
 
+# most cells per axis of a qdii grid, 2^30 - 1 on a 64-bit build: the
+# largest n for which numpy can size the grid's n x n float64 values
+_MAX_GRID_CELLS = math.isqrt(np.iinfo(np.intp).max // 8)
+
+
 def cmd_qdii(args) -> int:
     [params_path] = _input_files(args.params)
     if args.grid_max is not None and not (math.isfinite(args.grid_max) and args.grid_max > 0):
         raise ValidationError(f"--grid-max must be finite and > 0, got {args.grid_max}")
-    if args.grid_cells < 2:
-        raise ValidationError(f"--grid-cells must be at least 2, got {args.grid_cells}")
+    if not 2 <= args.grid_cells <= _MAX_GRID_CELLS:
+        raise ValidationError(f"--grid-cells must lie in [2, {_MAX_GRID_CELLS}], "
+                              f"got {args.grid_cells}")
     params = load_params(params_path)
     grid_max = (_auto_grid_max(params, args.ordering) if args.grid_max is None
                 else args.grid_max)
-    axis = np.linspace(0.0, grid_max, args.grid_cells)
-    grids = {"qdii.csv": joint_qdii_grid(params, args.ordering, axis, axis)}
-    if args.paired_only:
-        grids["qdii_paired.csv"] = joint_qdii_grid(params, args.ordering, axis, axis,
-                                                   paired_only=True)
+    try:
+        axis = np.linspace(0.0, grid_max, args.grid_cells)
+        grids = {"qdii.csv": joint_qdii_grid(params, args.ordering, axis, axis)}
+        if args.paired_only:
+            grids["qdii_paired.csv"] = joint_qdii_grid(params, args.ordering, axis, axis,
+                                                       paired_only=True)
+    except MemoryError:
+        raise ValidationError(f"--grid-cells {args.grid_cells}: a grid of that many cells "
+                              "per axis does not fit in memory") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, grid in grids.items():

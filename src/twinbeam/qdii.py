@@ -601,7 +601,8 @@ def _noise_only_grid(params: TwinBeamParams, s: float,
 def _checked_grid(ws: np.ndarray, wi: np.ndarray, values: np.ndarray,
                   s: float) -> QdiiGrid:
     """The grid, once its trapezoid integral is within 5 % of 1.  ``values``
-    is handed over: it is set read-only, so the grid keeps it uncopied."""
+    is handed over, C-ordered and owning its memory: it is set read-only,
+    so the grid keeps it uncopied."""
     values.setflags(write=False)
     try:
         grid = QdiiGrid(ws, wi, values, s)
@@ -657,24 +658,12 @@ def _triangular_madds(rows: int, columns: int) -> int:
 
 def _toeplitz_chain(t_s: np.ndarray, p: np.ndarray, t_i: np.ndarray) -> np.ndarray:
     """``t_s @ p @ t_i.T`` for two triangular ``t_s``, ``t_i`` (see
-    ``_triangular_product``), the right product taken as ``(t_i @ x.T).T``,
-    in the order of ``_toeplitz_chain_madds`` that needs fewer.  On a tie,
-    as for two windows of one size from 0, the right product comes first,
-    so that the last is with ``t_s`` and the grid is C-ordered, which
-    ``QdiiGrid`` keeps uncopied."""
-    left, right = _toeplitz_chain_madds(t_s.shape, t_i.shape)
-    if left < right:
-        return _triangular_product(t_i, _triangular_product(t_s, p).T).T
+    ``_triangular_product``), the right product first, ``t_s @ (t_i @
+    p.T).T``, in ``c_i n_s + c_s rows_i`` multiply-adds, ``c`` the
+    ``_triangular_madds`` of each and ``n_s`` the columns of ``t_s``.  The
+    grid is C-ordered, so ``QdiiGrid`` keeps it uncopied.  On two windows
+    from 0 the other order costs the same (README, numerical notes)."""
     return _triangular_product(t_s, _triangular_product(t_i, p.T).T)
-
-
-def _toeplitz_chain_madds(shape_s: tuple[int, int],
-                          shape_i: tuple[int, int]) -> tuple[int, int]:
-    """Multiply-adds of ``_toeplitz_chain`` with the left product first and
-    with the right product first, for ``t_s`` and ``t_i`` of these shapes."""
-    (rows_s, n_s), (rows_i, n_i) = shape_s, shape_i
-    c_s, c_i = _triangular_madds(rows_s, n_s), _triangular_madds(rows_i, n_i)
-    return c_s * n_i + c_i * rows_s, c_i * n_s + c_s * rows_i
 
 
 def _lattice(axis: np.ndarray) -> tuple[int, float, np.ndarray]:
@@ -700,9 +689,9 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     every product with one skips its zero triangle (``_triangular_product``).
     A paired density given as factors ``L @ R.T`` is convolved as ``(T_s @
     L) @ (T_i @ R).T`` or as ``T_s @ (L @ R.T) @ T_i.T``, whichever does
-    fewer multiply-adds, the three-factor product in the order
-    ``_toeplitz_chain`` picks.  ``L @ R.T`` is flushed as every operand is
-    (``_flush_below``).
+    fewer multiply-adds, the three-factor product counted in the one order
+    ``_toeplitz_chain`` takes.  ``L @ R.T`` is flushed as every operand is
+    (``_flush_below``).  Every path returns a new C-ordered array.
     """
     sigma = (1.0 - ctx.s) / 2.0
     lo_s, h_s, lat_s = _lattice(ws)
@@ -712,10 +701,9 @@ def _convolve_uniform(params: TwinBeamParams, ctx: OrderingContext,
     t_i = _noise_toeplitz(params.m_noise_i, params.b_noise_i + sigma, h_i, lat_i.size)[lo_i:]
     if right is not None:
         (rows_s, n_s), (rows_i, n_i) = t_s.shape, t_i.shape
+        c_s, c_i = _triangular_madds(rows_s, n_s), _triangular_madds(rows_i, n_i)
         rank = left.shape[1]
-        if (rank * (_triangular_madds(rows_s, n_s) + _triangular_madds(rows_i, n_i)
-                    + rows_s * rows_i)
-                <= n_s * n_i * rank + min(_toeplitz_chain_madds(t_s.shape, t_i.shape))):
+        if rank * (c_s + c_i + rows_s * rows_i) <= n_s * n_i * rank + c_i * n_s + c_s * rows_i:
             return _triangular_product(t_s, left) @ _triangular_product(t_i, right).T
         left = _flush_below(left @ right.T)
     return _toeplitz_chain(t_s, left, t_i)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import twinbeam
+from twinbeam import qdii
 from twinbeam.cli import load_histogram, main, save_histogram
 from twinbeam.model import Histogram2D
 
@@ -107,6 +108,17 @@ class TestSimulateCommand:
         assert not np.array_equal(h.counts,
                                   load_histogram(sim_run / "histogram.txt").counts)
 
+    def test_dark_rate_defaults_to_zero(self, tmp_path):
+        config = json.loads(json.dumps(SIM_CONFIG))
+        del config["detector_s"]["dark_rate"]
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({**config, "frames": 1000}))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["detector_s"]["dark_rate"] == 0.0
+        assert manifest["detector_i"]["dark_rate"] == 0.002
+
     def test_frames_past_numpy_dimension_limit_exit_code(self, tmp_path, capsys):
         # numpy refuses an array of 10^20 elements before it allocates
         # anything; the run is rejected as outside the simulator's domain
@@ -178,6 +190,43 @@ class TestInputChecks:
         assert main(self.argv(command, None, str(bad), str(tmp_path / "x"))) == 2
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, field, value", [
+        ("diagnose", "m_pairs", True),
+        ("diagnose", "b_pairs", "1.0"),
+        ("diagnose", "b_noise_s", 10**400),
+        ("qdii", "m_noise_i", False),
+        ("qdii", "b_noise_i", "12"),
+        ("simulate", "m_pairs", "8"),
+        ("simulate", "efficiency", "0.3"),
+        ("simulate", "pixels", "100"),
+        ("simulate", "dark_rate", False),
+        ("simulate", "frames", "200"),
+        ("simulate", "seed", "3"),
+    ], ids=["diagnose-bool", "diagnose-string", "diagnose-past-double", "qdii-bool",
+            "qdii-string", "simulate-params-string", "simulate-efficiency-string",
+            "simulate-pixels-string", "simulate-dark-rate-bool", "simulate-frames-string",
+            "simulate-seed-string"])
+    def test_number_field_must_be_a_json_number(self, command, field, value, tmp_path,
+                                                capsys):
+        # a bool or a string is not read as a number, nor an integer that
+        # passes the double range: the field is named and nothing is written
+        if command == "simulate":
+            config = json.loads(json.dumps(SIM_CONFIG))
+            section = next((config[k] for k in ("params", "detector_s") if field in config[k]),
+                           config)
+            section[field] = value
+        else:
+            config = {**PAPER_PARAMS_DICT, field: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = {"diagnose": ["diagnose", str(bad), "--out", str(out)],
+                "qdii": ["qdii", str(bad), "--out-dir", str(out)],
+                "simulate": ["simulate", str(bad), "--out-dir", str(out)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "malformed" in err and field in err
+        assert not out.exists()
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         config = tmp_path / "sim.json"
@@ -271,6 +320,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("flag, value", [
         ("--grid-max", "0"), ("--grid-max", "-5"), ("--grid-max", "nan"),
         ("--grid-max", "inf"), ("--grid-cells", "0"), ("--grid-cells", "1"),
+        # past the largest n x n grid numpy can size, checked before numpy is asked
+        ("--grid-cells", str(10**20)),
     ])
     def test_bad_qdii_grid_exit_code(self, flag, value, tmp_path, capsys):
         # an axis that cannot be built fails before the output directory
@@ -280,6 +331,21 @@ class TestInputChecks:
         out = tmp_path / "grid"
         assert main(["qdii", str(params), flag, value, "--out-dir", str(out)]) == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_past_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a grid numpy sizes but memory cannot hold: the Toeplitz matrix of
+        # the lattice, as large as the grid, is refused here without being
+        # allocated
+        def refused(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(qdii, "_toeplitz", refused)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(PAPER_PARAMS_DICT))
+        out = tmp_path / "grid"
+        assert main(["qdii", str(params), "--grid-cells", "300", "--out-dir", str(out)]) == 2
+        assert "--grid-cells 300" in capsys.readouterr().err
         assert not out.exists()
 
 

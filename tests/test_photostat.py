@@ -114,6 +114,44 @@ class TestMandelRice:
         assert np.all(np.abs(got / want - 1) <= rtol)
 
 
+def tail_moments(m, b, cut, n_max=4 * twinbeam.photostat.CUTOFF_CAP):
+    """``(T_0, T_1, T_2)``, ``T_k = sum_(n > cut) n^k p(n)`` for the
+    Mandel-Rice pmf p of m modes and b photons per mode: the sum up to
+    ``n_max`` from ``mandel_rice_pmf``, plus a bound on the rest.  Past
+    ``n_max`` the ratio ``p(n+1)/p(n) = (n+m)/(n+1) b/(1+b)`` is at most
+    ``r = b/(1+b) max(1, (n_max+m)/(n_max+1))``, as ``(n+m)/(n+1)`` moves
+    toward 1, so ``p(n_max + j) <= p(n_max) r^j`` and the rest is at most
+    ``p(n_max) sum_(j>=1) (n_max + j)^k r^j``, in closed form."""
+    pmf = mandel_rice_pmf(n_max, m, b)
+    n = np.arange(cut + 1, n_max + 1, dtype=float)
+    head = np.array([np.sum(n**k * pmf[cut + 1:]) for k in range(3)])
+    r = b / (1 + b) * max(1.0, (n_max + m) / (n_max + 1))
+    g0, g1, g2 = r / (1 - r), r / (1 - r) ** 2, r * (1 + r) / (1 - r) ** 3
+    rest = np.array([g0, n_max * g0 + g1, n_max**2 * g0 + 2 * n_max * g1 + g2])
+    return head + pmf[-1] * rest
+
+
+def rounding(params, n_max, terms):
+    """Relative error bound of a moment of the table of ``params`` with
+    ``n_max`` rows at most, summed over at most ``terms`` non-negative
+    terms per product and sum.  A pmf entry is exp of a running sum of up
+    to ``n_max`` logs of ratios (``_log_mandel_rice``): each log is within
+    ``u (4 + |log|)`` of its exact value (three roundings in its argument,
+    one in the log), the running sum adds ``gamma_n_max`` times the sum of
+    their magnitudes, and exp one unit more.  A table entry is a sum of
+    products of three such entries, and a moment a sum of table entries
+    times integers, all terms non-negative, so ``gamma_terms`` more."""
+    u = EPS / 2
+    delta = 0.0
+    for m, b in ((params.m_pairs, params.b_pairs), (params.m_noise_s, params.b_noise_s),
+                 (params.m_noise_i, params.b_noise_i)):
+        logs = twinbeam.photostat._log_mandel_rice(n_max, m, b)
+        size = np.abs(logs[0]) + np.abs(np.diff(logs)).sum()
+        gamma = n_max * u / (1 - n_max * u)
+        delta = max(delta, math.expm1(u * (4 * (n_max + 1) + size) + gamma * size + u))
+    return 3 * delta + 2 * terms * u / (1 - 2 * terms * u)
+
+
 class TestJointPhotonDistribution:
     def test_noise_free_field_is_diagonal(self):
         params = TwinBeamParams(5.0, 0.2, 0.0, 0.0, 0.0, 0.0)
@@ -131,27 +169,63 @@ class TestJointPhotonDistribution:
         assert np.allclose(jd.probs, np.outer(ps, pi), rtol=1e-12, atol=1e-300)
 
     def test_marginal_moments(self, paper_params):
-        cut = default_cutoffs(paper_params)
-        jd = joint_photon_distribution(paper_params, cut)
+        # The table holds the pair count K and the noise counts S, I while
+        # K + S <= c_s and K + I <= c_i, which holds when K <= a, S <= c_s - a
+        # and I <= c_i - a, a the pair component's cutoff.  So for f >= 0 the
+        # table misses E[f 1(K > a)] + E[f 1(S > c_s - a)] + E[f 1(I > c_i -
+        # a)] at most, and for f a product of powers of K, S, I each term is
+        # a product of moments, one of them a tail sum (tail_moments).  The
+        # moments below follow from those shortfalls as argued per line,
+        # plus the rounding of the table's non-negative sums (rounding).
+        p = paper_params
+        cut = default_cutoffs(p)
+        jd = joint_photon_distribution(p, cut)
         n_s = np.arange(jd.probs.shape[0])
         n_i = np.arange(jd.probs.shape[1])
         marg_s = jd.probs.sum(axis=1)
         marg_i = jd.probs.sum(axis=0)
         mean_s = n_s @ marg_s
         mean_i = n_i @ marg_i
-        p = paper_params
+        var_i = (n_i * n_i) @ marg_i - mean_i**2
+        cov = n_s @ jd.probs @ n_i - mean_s * mean_i
+
+        a = twinbeam.photostat._component_cutoff(p.m_pairs, p.b_pairs)
+        components = ((p.m_pairs, p.b_pairs, a), (p.m_noise_s, p.b_noise_s, cut[0] - a),
+                      (p.m_noise_i, p.b_noise_i, cut[1] - a))
+        moments = [np.array([1.0, m * b, m * b * (1 + b) + (m * b) ** 2])
+                   for m, b, _ in components]
+        tails = [tail_moments(m, b, c) for m, b, c in components]
+
+        def shortfall(*monomials):
+            # bound on E[f 1(outside)] for f the sum of K^i S^j I^k over (i, j, k)
+            return sum(np.prod([(tails if c == x else moments)[c][e]
+                                for c, e in enumerate(powers)])
+                       for powers in monomials for x in range(3))
+
+        b_s, b_i = shortfall((1, 0, 0), (0, 1, 0)), shortfall((1, 0, 0), (0, 0, 1))
+        b_ii = shortfall((2, 0, 0), (1, 0, 1), (1, 0, 1), (0, 0, 2))
+        b_si = shortfall((2, 0, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1))
+        rho = rounding(p, max(cut) + 1, sum(jd.probs.shape) + min(cut) + 1)
+
         want_mean_s = p.mean_pairs + p.mean_noise_s
         want_mean_i = p.mean_pairs + p.mean_noise_i
-        assert mean_s == pytest.approx(want_mean_s, rel=2e-3)
-        assert mean_i == pytest.approx(want_mean_i, rel=2e-3)
-        # Burgess variance of each Mandel-Rice component: M B (1 + B)
-        var_i = (n_i * n_i) @ marg_i - mean_i**2
+        # a mean falls short by E[n 1(outside)] <= b
+        assert -b_s - rho * want_mean_s <= mean_s - want_mean_s <= rho * want_mean_s
+        assert -b_i - rho * want_mean_i <= mean_i - want_mean_i <= rho * want_mean_i
+        # Burgess variance of each Mandel-Rice component: M B (1 + B).  With
+        # shortfalls d2 of E[n^2] and d1 of the mean, the table's variance is
+        # var - d2 + 2 mean d1 - d1^2
         want_var_i = (p.m_pairs * p.b_pairs * (1 + p.b_pairs)
                       + p.m_noise_i * p.b_noise_i * (1 + p.b_noise_i))
-        assert var_i == pytest.approx(want_var_i, rel=2e-2)
-        # covariance carried entirely by the shared pair count
-        cov = n_s @ jd.probs @ n_i - mean_s * mean_i
-        assert cov == pytest.approx(p.m_pairs * p.b_pairs * (1 + p.b_pairs), rel=2e-2)
+        slack = 3 * rho * (want_var_i + 2 * want_mean_i**2)
+        assert (-b_ii - b_i**2 - slack <= var_i - want_var_i
+                <= 2 * want_mean_i * b_i + slack)
+        # covariance carried entirely by the shared pair count; the table's
+        # is cov - d_si + mean_s d_i + mean_i d_s - d_s d_i
+        want_cov = p.m_pairs * p.b_pairs * (1 + p.b_pairs)
+        slack = 3 * rho * (want_cov + 2 * want_mean_s * want_mean_i)
+        assert (-b_si - b_s * b_i - slack <= cov - want_cov
+                <= want_mean_s * b_i + want_mean_i * b_s + slack)
 
     def test_monte_carlo_cells(self, paper_params, rng):
         draws = 2 * 10**6

@@ -724,6 +724,34 @@ class TestJointGrid:
         assert np.array_equal(joint_qdii_grid(noise_free, 1.0, g, g).values,
                               paired.values)
 
+    @pytest.mark.parametrize("route, s, grid_max, offset", [
+        ("noise-only", 0.0, 14.0, 0.0),
+        ("noise-free", 0.0, 15.0, 0.0),
+        ("paired-only", 0.0, None, 0.0),
+        ("paired-only", 0.6, 90.0, 0.0),
+        ("convolved", 1.0, 25.0, 0.0),
+        ("convolved", 0.3, None, 0.0),
+        ("convolved", 0.6, 90.0, 0.0),
+        ("convolved", 0.6, 90.0, 20.0),
+    ], ids=["noise-only", "noise-free", "paired-series", "paired-per-cell",
+            "factored", "formed", "per-cell", "different-offsets"])
+    def test_grid_kept_uncopied(self, paper_params, route, s, grid_max, offset,
+                                monkeypatch):
+        # every route hands QdiiGrid a C-ordered array that owns its memory,
+        # which the grid keeps as its values; on the convolved per-cell routes
+        # that array is the one _toeplitz_chain returns
+        params = {"noise-only": TwinBeamParams(0.0, 0.0, 2.0, 0.6, 3.0, 0.4),
+                  "noise-free": TwinBeamParams(10.0, 0.3, 0, 0, 0, 0)}.get(route, paper_params)
+        wi = np.linspace(0.0, grid_max or _auto_grid_max(params, s), 200)
+        ws = wi if offset == 0.0 else np.linspace(offset, wi[-1], 150)
+        handed = []
+        grid_type = qdii.QdiiGrid
+        monkeypatch.setattr(qdii, "QdiiGrid",
+                            lambda *a: handed.append(a[2]) or grid_type(*a))
+        grid = joint_qdii_grid(params, s, ws, wi, paired_only=route == "paired-only")
+        assert len(handed) == 1 and handed[0].flags.c_contiguous and handed[0].flags.owndata
+        assert grid.values is handed[0]
+
 
 def sinc_envelope(ctx, m, x, y, mass):
     """``a g(x) g(y) / (pi mass)``, the value of the normalized sinc-branch
@@ -811,12 +839,14 @@ class TestNoiseConvolution:
         below = axis[0] - h * np.arange(lo, 0, -1)
         return lo, h, np.maximum(np.concatenate((below, axis)), 0.0)
 
-    def check(self, params, s, axis, factored=True):
+    def check(self, params, s, axis, factored=True, axis_i=None):
+        # axis_i, if given, is the idler axis, else the idler axis is axis
+        axis_i = axis if axis_i is None else axis_i
         ctx = OrderingContext.for_params(params.b_pairs, s)
-        got = qdii._convolve_uniform(params, ctx, axis, axis)
-        assert got.shape == (axis.size, axis.size)
-        lo, h, lat = self.lattice(axis)
-        left, right = qdii._paired_values(ctx, params.m_pairs, lat, lat)
+        got = qdii._convolve_uniform(params, ctx, axis, axis_i)
+        assert got.shape == (axis.size, axis_i.size)
+        (lo_s, h_s, lat_s), (lo_i, h_i, lat_i) = self.lattice(axis), self.lattice(axis_i)
+        left, right = qdii._paired_values(ctx, params.m_pairs, lat_s, lat_i)
         assert (right is not None) == factored
         if right is None:
             paired, magnitude, rank = left.astype(np.longdouble), np.abs(left), 0
@@ -824,21 +854,22 @@ class TestNoiseConvolution:
             paired = left.astype(np.longdouble) @ right.astype(np.longdouble).T
             magnitude, rank = np.abs(left) @ np.abs(right).T, left.shape[1]
         if right is not None and ctx.k_p_s < 0:
-            self.check_sinc_factors(ctx, params.m_pairs, lat, left @ right.T, rank // 2)
+            self.check_sinc_factors(ctx, params.m_pairs, lat_s, left @ right.T, rank // 2)
         sigma = (1.0 - s) / 2.0
         kernels = [qdii._binned_thermal_kernel(m, b + sigma, h, lat.size) if m > 0
                    else np.array([1.0])
-                   for m, b in ((params.m_noise_s, params.b_noise_s),
-                                (params.m_noise_i, params.b_noise_i))]
+                   for m, b, h, lat in ((params.m_noise_s, params.b_noise_s, h_s, lat_s),
+                                        (params.m_noise_i, params.b_noise_i, h_i, lat_i))]
         # direct sums in long double, one axis at a time
         rows = np.array([np.convolve(r, kernels[1].astype(np.longdouble)) for r in paired])
         full = np.array([np.convolve(c, kernels[0].astype(np.longdouble)) for c in rows.T]).T
-        want = full[lo:lo + axis.size, lo:lo + axis.size].astype(float)
+        want = full[lo_s:lo_s + axis.size, lo_i:lo_i + axis_i.size].astype(float)
         # |T_s| |L| |R|^T |T_i|^T with the kernels' Toeplitz matrices, built here
-        column = [np.pad(k, (0, lat.size - k.size)) for k in kernels]
-        t_s, t_i = (linalg.toeplitz(c, np.eye(1, lat.size)[0] * c[0])[lo:] for c in column)
+        t_s, t_i = (linalg.toeplitz(np.pad(k, (0, lat.size - k.size)),
+                                    np.eye(1, lat.size)[0] * k[0])[lo:]
+                    for k, lat, lo in ((kernels[0], lat_s, lo_s), (kernels[1], lat_i, lo_i)))
         scale = t_s @ magnitude @ t_i.T
-        n = 2 * lat.size + rank + 1
+        n = lat_s.size + lat_i.size + rank + 1
         u = np.finfo(float).eps / 2
         bound = n * u / (1 - n * u) * scale + TINY / EPS
         assert np.all(np.abs(got - want) <= bound)
@@ -879,6 +910,14 @@ class TestNoiseConvolution:
     def test_direct_paths(self, paper_params, s, cells, grid_max):
         # past the rank limits the paired density is a grid
         self.check(paper_params, s, np.linspace(0.0, grid_max, cells), factored=False)
+
+    def test_windows_at_different_offsets(self, paper_params):
+        # a signal window off zero beside an idler axis from 0, on the
+        # per-argument Bessel path, where the other product order would be
+        # cheaper; TestJointGrid::test_grid_kept_uncopied checks that
+        # QdiiGrid keeps this path's grid uncopied
+        ws, wi = np.linspace(20.0, 90.0, 141), np.linspace(0.0, 90.0, 181)
+        self.check(paper_params, 0.6, ws, factored=False, axis_i=wi)
 
 
 class TestFactorFloor:
@@ -1056,22 +1095,23 @@ class TestTriangularProduct:
     @pytest.mark.parametrize("rows_s, lo_s, rows_i, lo_i", [
         (150, 17, 180, 20),  # windows above 0 on two different axes
         (180, 20, 150, 17),
-        (200, 0, 200, 0),    # a tie: the right product first
+        (200, 0, 200, 0),    # two windows from 0, where both orders cost the same
     ])
-    def test_chain_takes_the_cheaper_order(self, rows_s, lo_s, rows_i, lo_i, monkeypatch):
-        # the multiply-adds the chain does are the fewer of the two orders
+    def test_chain_takes_the_right_product_first(self, rows_s, lo_s, rows_i, lo_i,
+                                                 monkeypatch):
+        # t_s @ (t_i @ p.T).T: c_i n_s + c_s rows_i multiply-adds, the first
+        # product with t_i, and a C-ordered grid
         t_s, t_i = self.toeplitz(rows_s, lo_s), self.toeplitz(rows_i, lo_i, noise=False)
         p = np.random.default_rng(1).random((lo_s + rows_s, lo_i + rows_i))
         log = []
         product = qdii._triangular_product
         monkeypatch.setattr(qdii, "_triangular_product", lambda t, m: log.append(
-            qdii._triangular_madds(*t.shape) * m.shape[1]) or product(t, m))
+            (t, qdii._triangular_madds(*t.shape) * m.shape[1])) or product(t, m))
         got = qdii._toeplitz_chain(t_s, p, t_i)
-        left, right = qdii._toeplitz_chain_madds(t_s.shape, t_i.shape)
-        assert sum(log) == min(left, right)
-        assert log[0] == (qdii._triangular_madds(*t_s.shape) * p.shape[1] if left < right
-                          else qdii._triangular_madds(*t_i.shape) * p.shape[0])
-        assert got.flags.c_contiguous == (left >= right)
+        c_s, c_i = qdii._triangular_madds(*t_s.shape), qdii._triangular_madds(*t_i.shape)
+        assert sum(madds for _, madds in log) == c_i * t_s.shape[1] + c_s * rows_i
+        assert len(log) == 2 and log[0][0] is t_i and log[1][0] is t_s
+        assert got.flags.c_contiguous
         assert np.allclose(got, t_s @ p @ t_i.T, rtol=1e-13, atol=0)
 
 
