@@ -51,6 +51,12 @@ Every density here, of shape (mode count) m, carries ``w^(m-1)``: at w = 0
 it is 0 for m > 1, finite for m = 1 and divergent for m < 1, which raises
 ``DomainError``, as m <= 0 does (``_gamma_support``).
 
+The grids load SciPy only on the per-argument Bessel path, for
+``specfun.log_bessel_i_array``'s ``ive``: the scalar log-gamma values
+are ``math.lgamma``'s, the binned noise masses differences of
+``specfun.regularized_gamma_p`` and the sinc mass
+``specfun.regularized_beta``.
+
 Work that depends only on its inputs is done once.  A Gauss-Legendre rule
 is computed once per node count.  The last paired density is kept, keyed
 by state, ordering, both axes and the rank limits, so the paired-only grid
@@ -71,7 +77,8 @@ import numpy as np
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
 from .model import FieldMoments, QdiiGrid, TwinBeamParams, _check_axis
 from .photostat import _toeplitz
-from .specfun import _ascending_log_coefficients, log_bessel_i_array, sinc
+from .specfun import (_ascending_log_coefficients, _log_factorials, log_bessel_i_array,
+                      regularized_beta, regularized_gamma_p, sinc)
 
 __all__ = [
     "OrderingContext",
@@ -243,13 +250,11 @@ def _series_half_log_coefficients(ctx: OrderingContext, m: float, log_corner: fl
     the corner ``log_corner = log(x_max y_max)``, passed as a log because a
     product of two tiny coordinates underflows.
     """
-    from scipy import special as sp
-
     log_ratio = math.log(ctx.d_p / ctx.k_p_s)
     log_c = _ascending_log_coefficients(m - 1.0, 2.0 * log_ratio + log_corner, max_terms)
     if log_c is None:
         return None
-    return 0.5 * (log_c + 2.0 * np.arange(log_c.size) * log_ratio - sp.gammaln(m)
+    return 0.5 * (log_c + 2.0 * np.arange(log_c.size) * log_ratio - math.lgamma(m)
                   - m * math.log(ctx.k_p_s))
 
 
@@ -287,15 +292,13 @@ def _bessel_distinct(ctx: OrderingContext, m: float,
                      x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bessel-branch density on the grid of axes ``x``, ``y``, with the
     Bessel function evaluated once per distinct argument."""
-    from scipy import special as sp
-
     k, b, d = ctx.k_p_s, ctx.b_p_s, ctx.d_p
     log_prod = np.log(x)[:, None] + np.log(y)[None, :]
     arg = 2.0 * d * np.exp(log_prod / 2.0) / k
     # the argument depends on x * y only, so a grid repeats most values
     distinct, where = np.unique(arg.ravel(), return_inverse=True)
     log_i = log_bessel_i_array(m - 1.0, distinct)[where].reshape(arg.shape)
-    ln = ((m - 1.0) / 2.0 * log_prod - sp.gammaln(m) - math.log(k)
+    ln = ((m - 1.0) / 2.0 * log_prod - math.lgamma(m) - math.log(k)
           - (m - 1.0) * math.log(d) - b * (x[:, None] + y[None, :]) / k + log_i)
     return np.exp(ln)
 
@@ -343,11 +346,10 @@ def _quadrature_nodes(omega: float, max_nodes: int) -> int | None:
     ratio of successive bounds falls with n, so the bound rises and then
     falls, and the first n below eps is the smallest that stays below it.
     """
-    from scipy import special as sp
-
     n = np.arange(1.0, max_nodes + 1)
-    log_bound = ((2.0 * n + 1.0) * math.log(2.0) + 4.0 * sp.gammaln(n + 1.0)
-                 - np.log(2.0 * n + 1.0) - 3.0 * sp.gammaln(2.0 * n + 1.0)
+    log_fact = _log_factorials(2 * max_nodes + 1)
+    log_bound = ((2.0 * n + 1.0) * math.log(2.0) + 4.0 * log_fact[1:max_nodes + 1]
+                 - np.log(2.0 * n + 1.0) - 3.0 * log_fact[2:2 * max_nodes + 1:2]
                  + 2.0 * n * math.log(max(omega, np.finfo(float).tiny)))
     fits = np.flatnonzero(log_bound <= math.log(np.finfo(float).eps))
     return int(n[fits[0]]) if fits.size else None
@@ -378,10 +380,8 @@ def _log_gamma_density(m: float, b: float, w: np.ndarray) -> np.ndarray:
     """``log g(w)`` for the gamma density g of shape m and scale b on points
     ``w > 0``, and at w = 0 for m = 1: a multi-thermal noise density is g,
     and the sinc-branch density is ``sqrt(g(x) g(y))`` times its kernel."""
-    from scipy import special as sp
-
     power = 0.0 if m == 1 else (m - 1.0) * np.log(w)
-    return power - (sp.gammaln(m) + m * math.log(b)) - w / b
+    return power - (math.lgamma(m) + m * math.log(b)) - w / b
 
 
 def _sinc_direct(ctx: OrderingContext, m: float,
@@ -409,6 +409,12 @@ def _sinc_factor(ctx: OrderingContext, m: float, x: np.ndarray,
     cos(t_q y) + sin(t_q x) sin(t_q y)`` makes the density a sum of 2n
     separable terms.  ``cos(t v)`` is ``cos(omega (1 + tau))`` in tau with
     ``omega = |v| / (2a)``, so n comes from the largest ``|x - y|``.
+
+    A grid's trapezoid sum of this density is its mass only while the step
+    stays below ``2 pi / (1/a + 8.5 sigma)``, the kernel's band ``1/a``
+    widened by the envelope's: ``floor(span (1/a + 8.5 sigma) / (2 pi)) +
+    2`` cells on an axis of that span (``_sinc_cells``).  That makes the
+    integral right, not the density resolved point by point.
     """
     b = ctx.b_p_s
     a = math.sqrt(-ctx.k_p_s)
@@ -441,9 +447,7 @@ def _sinc_normalization(m: float, b: float, kt: float) -> float:
     regularized incomplete beta function.  It tends to ``kt = |K|`` as m
     grows.
     """
-    from scipy import special as sp
-
-    total = kt * float(sp.betainc(0.5, m / 2.0, 4.0 * b * b / (4.0 * b * b + kt)))
+    total = kt * regularized_beta(4.0 * b * b / (4.0 * b * b + kt), 0.5, m / 2.0)
     if not total > 0:
         raise NumericsError(
             f"sinc-branch normalization is not positive for m={m}, b={b}, kt={kt}")
@@ -569,14 +573,10 @@ def _binned_thermal_kernel(m_modes: float, b_scaled: float, h: float,
     absorbs everything the grid resolution cannot distinguish from zero
     shift, which includes the near-1 atom of nearly-zero-shape components.
     """
-    from scipy import special as sp
-
-    edges = (np.arange(n_bins) + 0.5) * h
-    cdf = sp.gammainc(m_modes, edges / b_scaled)
-    kernel = np.empty(n_bins)
-    kernel[0] = cdf[0]
-    kernel[1:] = np.diff(cdf)
-    return kernel
+    # the CDF at the bin edges, differenced; its running maximum keeps a
+    # rounding of P near 1 from making a bin negative
+    cdf = regularized_gamma_p(m_modes, np.arange(0.5, n_bins) * h / b_scaled)
+    return np.diff(np.maximum.accumulate(cdf), prepend=0.0)
 
 
 def _thermal_values(m_modes: float, b_scaled: float, w: np.ndarray) -> np.ndarray:
@@ -598,11 +598,15 @@ def _noise_only_grid(params: TwinBeamParams, s: float,
     return _checked_grid(ws, wi, np.outer(f_s, f_i), s)
 
 
-def _checked_grid(ws: np.ndarray, wi: np.ndarray, values: np.ndarray,
-                  s: float) -> QdiiGrid:
+def _checked_grid(ws: np.ndarray, wi: np.ndarray, values: np.ndarray, s: float,
+                  ctx: OrderingContext | None = None, m_pairs: float = 0.0) -> QdiiGrid:
     """The grid, once its trapezoid integral is within 5 % of 1.  ``values``
     is handed over, C-ordered and owning its memory: it is set read-only,
-    so the grid keeps it uncopied."""
+    so the grid keeps it uncopied.  On the sinc branch (``ctx.k_p_s < 0``)
+    the error names the cells that branch needs, ``floor(span (1/a + 8.5
+    sigma) / (2 pi)) + 2`` (``_sinc_cells``): at that count the trapezoid
+    sum of the paired density is its mass, though the density itself is
+    not resolved point by point."""
     values.setflags(write=False)
     try:
         grid = QdiiGrid(ws, wi, values, s)
@@ -610,10 +614,39 @@ def _checked_grid(ws: np.ndarray, wi: np.ndarray, values: np.ndarray,
         raise NumericsError(f"joint_qdii_grid: {exc}: a value passes the double range") from exc
     mass = grid.normalization
     if abs(mass - 1.0) > NORMALIZATION_TOL:
+        advice = "enlarge or refine the axes"
+        if ctx is not None and ctx.k_p_s < 0:
+            span = max(ws[-1] - ws[0], wi[-1] - wi[0])
+            advice = (f"the sinc branch needs {_sinc_cells(ctx, m_pairs, span)} cells "
+                      f"on an axis spanning {span:.6g}")
         raise GridResolutionError(
             f"joint_qdii_grid: grid integral {mass:.4f} deviates "
-            "from 1 by more than 5%; enlarge or refine the axes")
+            f"from 1 by more than 5%; {advice}")
     return grid
+
+
+def _sinc_cells(ctx: OrderingContext, m: float, span: float) -> int:
+    """Fewest cells of a uniform axis spanning ``span`` on which the
+    trapezoid sum of the sinc-branch density of m modes is its integral.
+
+    By Poisson summation the sum over a grid of step h is the integral plus
+    the density's transform at the multiples of ``2 pi / h``.  Along ``x -
+    y`` the kernel is band-limited to ``1/a``, ``a = sqrt(-k_p_s)``; the
+    envelope ``sqrt(g(x) g(y))`` widens that band by the transform of
+    ``sqrt(g)``, whose squared magnitude ``(1 + 4 b^2 t^2)^(-(m+1)/2)`` is
+    close to a Gaussian of width ``sigma = 1 / (2 b sqrt(m+1))`` for many
+    modes.  The first alias, at ``2 pi / h``, holds about ``erfc(d / (sigma
+    sqrt 2))`` of the mass, d its distance past the band edge ``1/a``, so
+    ``h < 2 pi / (1/a + 8.5 sigma)`` leaves it below eps.  That is
+    ``floor(span (1/a + 8.5 sigma) / (2 pi)) + 2`` cells.  With ``h``
+    just below ``2 pi a``, the band alone, the alias is about half the mass
+    on each side: the sum is ``2 floor(h / (2 pi a)) + 1`` times the mass
+    past that step, and more than 1 just below it.  The count makes the
+    integral right; it does not resolve the density point by point, which
+    at this step has about one sample per lobe of the kernel.
+    """
+    band = 1.0 / math.sqrt(-ctx.k_p_s) + 8.5 / (2.0 * ctx.b_p_s * math.sqrt(m + 1.0))
+    return math.floor(span * band / (2.0 * math.pi)) + 2
 
 
 def _is_uniform(axis: np.ndarray) -> bool:
@@ -748,4 +781,4 @@ def joint_qdii_grid(params: TwinBeamParams, s: float,
         raise DomainError(
             "joint_qdii_grid: the noise convolution needs uniformly spaced "
             "axes; use np.linspace axes or paired_only=True")
-    return _checked_grid(ws, wi, values, s)
+    return _checked_grid(ws, wi, values, s, ctx, params.m_pairs)

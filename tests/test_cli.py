@@ -333,6 +333,27 @@ class TestInputChecks:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    # the README pipeline's fit (seed 1, 10^6 frames, 200 scan points)
+    README_FIT = {"m_pairs": 207.56596413734, "b_pairs": 0.04738575812306087,
+                  "m_noise_s": 2.9513928160933435e-07, "b_noise_s": 1506.5942530803331,
+                  "m_noise_i": 0.011273446742999087, "b_noise_i": 9.973885508953362}
+
+    def test_sinc_grid_names_the_cells_it_needs(self, tmp_path, capsys):
+        # s = 0.65 lies between the fit's paired threshold, 0.6492, and its
+        # s_th, 0.6694: a = sqrt(-k_p_s) = 0.01326, so the default 201
+        # cells on the automatic axis to 83.08 alias the kernel's band
+        # (integral 9.21); the count the error names integrates to 1
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(self.README_FIT))
+        out = tmp_path / "grid"
+        assert main(["qdii", str(params), "--ordering", "0.65", "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "grid integral 9.2058" in err
+        assert "the sinc branch needs 1016 cells on an axis spanning 83.0771" in err
+        assert not out.exists()
+        assert main(["qdii", str(params), "--ordering", "0.65", "--grid-cells", "1016",
+                     "--out-dir", str(out)]) == 0
+
     def test_grid_past_memory_exit_code(self, tmp_path, capsys, monkeypatch):
         # a grid numpy sizes but memory cannot hold: the Toeplitz matrix of
         # the lattice, as large as the grid, is refused here without being
@@ -694,10 +715,13 @@ class TestImportContract:
     """Each command loads only the third-party modules it calls.  SciPy and
     mpmath cost more to import than ``simulate``, ``moments``, ``reconstruct``
     and ``diagnose`` take to run, and none of them calls either: the photon
-    statistics need no special function.  Only ``qdii`` loads SciPy, and
-    ``scipy.signal`` alone costs more than a grid, whose noise convolution
-    needs neither it nor ``scipy.fft``; the package itself must still import
-    every layer module eagerly."""
+    statistics need no special function.  Nor do the QDII grids but one
+    path: the gamma and beta functions they take come from ``math`` and
+    ``specfun``, so a sinc grid and a Bessel-series grid load no SciPy
+    module at all.  Only a Bessel grid past the series' term limit, which
+    evaluates the Bessel function per argument, loads ``scipy.special`` for
+    ``ive``.  The package itself must still import every layer module
+    eagerly."""
 
     LAYERS = ("simgen", "moments", "photostat", "fit", "qdii", "specfun")
     HEAVY = ("scipy", "scipy.special", "scipy.signal", "scipy.fft", "mpmath")
@@ -710,6 +734,9 @@ class TestImportContract:
 
         def heavy():
             return [m for m in HEAVY if m in sys.modules]
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
         out = Path(sys.argv[1])
         report = {"import": heavy(),
@@ -732,6 +759,14 @@ class TestImportContract:
                      "--grid-max", "25", "--grid-cells", "120",
                      "--out-dir", str(out / "grids")]) == 0
         report["qdii"] = heavy()
+        report["qdii_sinc"] = scipy_modules()
+        # the default ordering, s = 0: the Bessel series, 182 terms
+        assert main(["qdii", str(out / "params.json"), "--out-dir", str(out / "series")]) == 0
+        report["qdii_series"] = scipy_modules()
+        # s = 0.6 needs 3,138 terms: the Bessel function per argument
+        assert main(["qdii", str(out / "params.json"), "--ordering", "0.6", "--paired-only",
+                     "--out-dir", str(out / "per_argument")]) == 0
+        report["qdii_per_argument"] = heavy()
         print(json.dumps(report))
     """)
 
@@ -751,13 +786,17 @@ class TestImportContract:
         assert report["moments"] == []
         assert report["reconstruct"] == []
         assert report["diagnose"] == []
-        assert "scipy.signal" not in report["qdii"]
-        assert "scipy.fft" not in report["qdii"]
+        assert report["qdii"] == []
+        assert report["qdii_sinc"] == []
+        assert report["qdii_series"] == []
+        assert "scipy.special" in report["qdii_per_argument"]
+        assert "scipy.signal" not in report["qdii_per_argument"]
+        assert "scipy.fft" not in report["qdii_per_argument"]
 
     def test_simulate_does_not_load_the_thread_pool(self, tmp_path):
         # no module of the package imports concurrent.futures (or the logging
-        # it loads), and the simulator starts no thread; of the commands only
-        # qdii loads it, through SciPy
+        # it loads), and the simulator starts no thread; only SciPy loads it,
+        # which only a per-argument Bessel grid of qdii imports
         (tmp_path / "sim.json").write_text(json.dumps(dict(SIM_CONFIG, frames=200)))
         script = textwrap.dedent("""
             import sys

@@ -515,6 +515,18 @@ class TestBesselSeries:
         kept = series > 1e-8 * series.max()
         assert np.all(np.abs(series - distinct)[kept] <= (tol * series)[kept])
 
+    @pytest.mark.parametrize("s, terms", [(-0.5, 107), (0.0, 182), (0.3, 325), (0.5, 761)])
+    def test_term_count_kept_from_scipy_gammaln(self, paper_params, s, terms):
+        # README state, 200-cell automatic axis: the term counts the series
+        # took with SciPy's gammaln, unchanged with math.lgamma (at s = 0.5
+        # past the grid's limit of 398, so that grid takes the per-argument
+        # path)
+        g = _auto_grid_max(paper_params, s)
+        ctx = OrderingContext.for_params(paper_params.b_pairs, s)
+        half_a = qdii._series_half_log_coefficients(ctx, paper_params.m_pairs,
+                                                    2.0 * math.log(g), 100_000)
+        assert half_a.size == terms
+
     @pytest.mark.parametrize("s, cap, series", [
         (0.0, None, True), (0.6, None, False), (0.0, 100, False)])
     def test_term_count_selects_the_path(self, paper_params, s, cap, series, monkeypatch):
@@ -1194,6 +1206,20 @@ class TestSincQuadrature:
             kernel = a / mp.pi if v == 0 else a * a * mp.sin(v / a) / (mp.pi * v)
             return float(kernel * mp.exp((m - 1) / 2 * mp.log(x * y) - (x + y) / (2 * b)
                                          - mp.loggamma(m) - m * mp.log(b)) / mass)
+
+    def test_node_count_kept_from_scipy_gammaln(self):
+        # the A&S 25.4.30 bound with SciPy's gammaln log-factorials picks
+        # the same n as the cached math.lgamma table, up to the grids'
+        # largest rule of 500 nodes and past it
+        max_nodes = qdii._SINC_MAX_RANK // 2
+        n = np.arange(1.0, max_nodes + 1)
+        for omega in np.geomspace(1e-3, 1e3, 200).tolist():
+            log_bound = ((2.0 * n + 1.0) * math.log(2.0) + 4.0 * special.gammaln(n + 1.0)
+                         - np.log(2.0 * n + 1.0) - 3.0 * special.gammaln(2.0 * n + 1.0)
+                         + 2.0 * n * math.log(omega))
+            fits = np.flatnonzero(log_bound <= math.log(EPS))
+            want = int(n[fits[0]]) if fits.size else None
+            assert qdii._quadrature_nodes(omega, max_nodes) == want
 
     @pytest.mark.parametrize("b_pairs, cells, quadrature", [
         (0.055, 200, True), (0.055, 400, True), (0.005, 400, True), (0.005, 200, False),

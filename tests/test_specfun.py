@@ -154,6 +154,17 @@ class TestLogBesselI:
         assert got.sign == 1
         assert abs(got.log_magnitude - want) <= self.fallback_tolerance(order, x)
 
+    @pytest.mark.parametrize("order, x", [(5000.0, 3376.17), (100_000.0, 67_523.4)])
+    def test_leading_terms_bound_against_mpmath(self, order, x):
+        # the README's bound on the underflow region: 2 units of roundoff of
+        # the two leading log terms, |order log(x/2)| + log G(order+1), with
+        # log-gamma values from math.lgamma and Stirling's series (with
+        # SciPy's gammaln the errors were 6.3e-12 and 9.1e-11 here)
+        with mp.workdps(60):
+            want = float(mp.log(mp.besseli(order, x, maxterms=10**6)))
+        lead = abs(order * math.log(x / 2.0)) + math.lgamma(order + 1.0)
+        assert abs(log_bessel_i(order, x).log_magnitude - want) <= EPS * lead
+
     @pytest.mark.parametrize("order", [1.0, 178.0])
     def test_smallest_subnormal_argument(self, order):
         # x / 2 underflows to 0 at 5e-324, so the series takes log x - log 2
@@ -201,14 +212,31 @@ class TestLogBesselI:
             log_bessel_i(order, x)
 
 
+class TestLogGammaArray:
+    def test_against_mpmath(self):
+        # Stirling's series from z = 13 on: its truncation is below 1e-18
+        # relative, and the sum (z - 1/2) log z - z + ... rounds a few times,
+        # each by a unit u of its largest term; below 13, math.lgamma
+        z = np.concatenate((np.linspace(0.5, 30.0, 60), np.geomspace(30.0, 2e5, 60), [13.0]))
+        got = specfun._log_gamma_array(z)
+        with mp.workdps(40):
+            want = np.array([float(mp.loggamma(v)) for v in z])
+        scale = np.abs(z - 0.5) * np.abs(np.log(z)) + z + 1.0
+        assert np.all(np.abs(got - want) <= 4.0 * (EPS / 2) * scale)
+        small = z < 13.0
+        assert np.array_equal(got[small], [math.lgamma(v) for v in z[small]])
+
+
 class TestAscendingLogCoefficients:
     @given(order=st.floats(-0.9, 1e4), log_q=st.floats(-60.0, 16.0))
     def test_tail_past_the_table_is_below_eps(self, order, log_q):
         # the K terms returned leave a tail below eps of the sum, counted
-        # over 3,000 further terms of the same series
+        # over 3,000 further terms of the same series, with the same
+        # log-gamma values (TestLogGammaArray checks them)
         log_c = specfun._ascending_log_coefficients(order, log_q, 100_000)
         j = np.arange(log_c.size + 3000.0)
-        log_t = -special.gammaln(j + 1.0) - special.gammaln(order + 1.0 + j) + j * log_q
+        log_t = (-np.array([math.lgamma(v + 1.0) for v in j.tolist()])
+                 - specfun._log_gamma_array(order + 1.0 + j) + j * log_q)
         assert np.array_equal(log_c + j[:log_c.size] * log_q, log_t[:log_c.size])
         tail = np.logaddexp.reduce(log_t[log_c.size:])
         assert tail < np.logaddexp.reduce(log_t) + math.log(EPS)
@@ -216,6 +244,165 @@ class TestAscendingLogCoefficients:
     def test_none_past_max_terms(self):
         assert specfun._ascending_log_coefficients(178.0, math.log(1e6), 10) is None
         assert specfun._ascending_log_coefficients(178.0, math.log(1e6), 10_000).size > 10
+
+
+class TestRegularizedGammaP:
+    """``specfun.regularized_gamma_p`` against 40-digit mpmath.
+
+    Below ``x = a + S``, S = ``specfun._GAMMA_SERIES_SPAN``, P is ``exp(E)
+    S``: E = ``a log y - x + a log top - log G(a+1)`` is a sum of rounded
+    terms, each at most ``|a log x| + a |log(a+S)|``, x or ``log G(a+1)``
+    in size, so its error is a few units u times their sum, and so is P's
+    relative error.  S sums positive terms ``t_k y^k``, each within about
+    ``2k (1 + |log y|) u`` (k products and ``exp(k log y)``); the terms'
+    mean k is at most x, and ``x |log(x / top)| <= top / e``, so their
+    weighted error is ``4 (a + S) u`` at most; the sum of at most ``2 top +
+    60`` terms adds as many units.  From there on ``P = 1 - Q``, Q =
+    ``exp(E') / f`` with E' = ``a log x - x - log G(a)`` and f a fraction
+    of ``2 sqrt(a) + 12`` levels or so, so P is off by Q times that
+    conditioning plus one rounding of ``1 - Q``.  Where P is set to 1, Q is
+    below eps/2 = u."""
+
+    U = EPS / 2
+    S = specfun._GAMMA_SERIES_SPAN
+
+    @classmethod
+    def bound(cls, a, x, p, q):
+        log_x = np.log(np.maximum(x, 5e-324))
+        series = (np.abs(a * log_x) + 2.0 * a * abs(math.log(a + cls.S)) + x
+                  + abs(math.lgamma(a + 1.0)) + 6.0 * (a + cls.S) + 60.0)
+        fraction = np.abs(a * log_x) + x + abs(math.lgamma(a)) + 4.0 * math.sqrt(a) + 30.0
+        return np.where(x < a + cls.S, p * 2.0 * cls.U * series,
+                        q * 2.0 * cls.U * fraction + cls.U)
+
+    @pytest.mark.parametrize("a", np.geomspace(1e-8, 1e4, 13).tolist())
+    def test_against_mpmath(self, a):
+        # from 0 to past where Q < eps, both sides of the switch at a + S
+        top = a + 10.0 * math.sqrt(a) + 45.0
+        x = np.unique(np.concatenate((
+            [0.0, 5e-324, 1e-300], np.geomspace(1e-6, top, 40), a + self.S + np.array([-0.1, 0.0, 0.1]),
+            np.linspace(max(a - 5.0 * math.sqrt(a), 1e-3), a + 5.0 * math.sqrt(a) + 16.0, 12))))
+        got = specfun.regularized_gamma_p(a, x)
+        with mp.workdps(40):
+            p = np.array([float(mp.gammainc(a, 0, v, regularized=True)) for v in x])
+            q = np.array([float(mp.gammainc(a, v, mp.inf, regularized=True)) for v in x])
+        assert got[0] == 0.0
+        assert np.all(np.abs(got - p) <= self.bound(a, x, p, q))
+        # 1 - Q rounds to 1 for Q < eps/4, and the routine gives exactly 1
+        assert (q < EPS / 4).any()
+        assert np.all(got[q < EPS / 4] == 1.0)
+
+    @pytest.mark.parametrize("a", [8e-6, 8e-3])
+    def test_kernel_lattices(self, a):
+        # the lattices of the qdii_grids noise kernels, series only
+        for top in (0.6, 15.0):
+            x = (np.arange(200) + 0.5) * (top / 200.0)
+            got = specfun.regularized_gamma_p(a, x)
+            with mp.workdps(40):
+                p = np.array([float(mp.gammainc(a, 0, v, regularized=True)) for v in x])
+            assert np.all(np.abs(got - p) <= self.bound(a, x, p, 1.0 - p))
+
+    def test_large_a(self):
+        # far from x = a the answer is 0 or 1 without a series term or a
+        # fraction level; within a few sqrt(a) of a = 1e12 both would take
+        # about 2e6, past the cap
+        a = 1e12
+        assert np.array_equal(specfun.regularized_gamma_p(a, np.array([0.5e12, 0.99e12])),
+                              [0.0, 0.0])
+        assert np.array_equal(specfun.regularized_gamma_p(a, np.array([2e12, 1.01e12])),
+                              [1.0, 1.0])
+        for x in (a - 1e5, a + 40.0):
+            with pytest.raises(NumericsError):
+                specfun.regularized_gamma_p(a, np.array([x]))
+
+    def test_empty_and_domain(self):
+        assert specfun.regularized_gamma_p(1.0, np.array([])).shape == (0,)
+        for a in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                specfun.regularized_gamma_p(a, np.array([1.0]))
+        for x in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                specfun.regularized_gamma_p(1.0, np.array([1.0, x]))
+
+
+class TestRegularizedBeta:
+    """``specfun.regularized_beta`` at a = 1/2, the sinc normalization's,
+    against 40-digit mpmath.  Below ``x = (a+1)/(a+b+2)`` the value is
+    ``exp(E) h / a``, E = ``a log x + b log(1-x) - log B(a, b)`` summed
+    from terms as large as ``|a log x|``, ``|b log(1-x)|`` and those of
+    ``log B`` (``log_beta_scale``), so its relative error is a few units u
+    of their sum.  The Lentz product h of 2m steps, m at most about
+    ``sqrt(a+b)`` here, adds about 4 units per step, and its stopping rule
+    one eps; its first denominator ``1 - (a+b) x/(a+1)`` falls to ``2/(a+b+2)``
+    at the switch, which multiplies the rounding of x and of that
+    denominator by ``(a+b) x / |a+1 - (a+b) x|``.  Above the switch the value
+    is ``1 - I_(1-x)(b, a)``: that bound, with b and a swapped, times
+    ``I_(1-x)(b, a)``, plus one rounding."""
+
+    U = EPS / 2
+
+    @staticmethod
+    def log_beta_scale(p, q):
+        # the magnitudes specfun._log_beta sums: the three log-gamma values
+        # below a larger argument of 13, each counted as at least 1 since
+        # math.lgamma is within a few units of 1 near its zeros at 1 and 2;
+        # from there on log G(small), (big + small) log1p(small/big), small
+        # log big, small and the series' tails, each below 1
+        small, big = min(p, q), max(p, q)
+        if big < 13.0:
+            return sum(max(abs(math.lgamma(v)), 1.0) for v in (p, q, p + q))
+        return (abs(math.lgamma(small)) + (big + small) * math.log1p(small / big)
+                + small * abs(math.log(big)) + small + 1.0)
+
+    def test_log_beta_against_mpmath(self):
+        # a few units of the terms' magnitudes, which stay of the size of
+        # small log big where the log-gamma values grow as big log big
+        for b in np.geomspace(0.25, 5e6, 16).tolist():
+            with mp.workdps(40):
+                want = float(mp.log(mp.beta(0.5, b)))
+            got = specfun._log_beta(0.5, b)
+            assert abs(got - want) <= 4.0 * self.U * self.log_beta_scale(0.5, b)
+
+    @staticmethod
+    def reference(a, b, x):
+        # x^a (1-x)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x), whose terms are
+        # positive and rise for about x (a+b) / (1-x) of them before they
+        # fall by x each, or for a < 1 its complement, whose terms fall by
+        # 1-x from the first, whichever takes fewer; at 60 digits the
+        # complement keeps 40 wherever it is taken
+        def lower(p, q, y):
+            return (y ** p * (1 - y) ** q / (p * mp.beta(p, q))
+                    * mp.hyp2f1(p + q, 1, p + 1, y, maxterms=10**7))
+        with mp.workdps(60):
+            x = mp.mpf(x)
+            direct = x * (a + b) / (1 - x) + 37 / -mp.log(x) <= 37 / -mp.log(1 - x)
+            return lower(a, b, x) if direct else 1 - lower(b, a, 1 - x)
+
+    @pytest.mark.parametrize("b", np.geomspace(0.25, 5e4, 7).tolist())
+    def test_against_mpmath(self, b):
+        a = 0.5
+        switch = (a + 1.0) / (a + b + 2.0)
+        xs = np.unique(np.concatenate((np.geomspace(1e-12, 0.5, 6), 1.0 - np.geomspace(1e-12, 0.5, 6),
+                                       switch * np.array([0.5, 0.999999, 1.0, 1.000001, 2.0]))))
+        for x in xs[(xs > 0) & (xs < 1)].tolist():
+            want = self.reference(a, b, x)
+            with mp.workdps(60):
+                low, high = float(want), float(1 - want)
+            lower = x <= switch
+            p, q, y = (a, b, x) if lower else (b, a, 1.0 - x)
+            cancel = (p + q) * y / abs(p + 1.0 - (p + q) * y)
+            cond = (abs(p * math.log(y)) + abs(q * math.log1p(-y)) + self.log_beta_scale(p, q)
+                    + 4.0 * math.sqrt(a + b) + 20 + 2.0 * cancel)
+            bound = (low if lower else high) * 2.0 * self.U * cond + (0.0 if lower else self.U)
+            assert abs(specfun.regularized_beta(x, a, b) - low) <= bound
+
+    def test_ends_and_domain(self):
+        assert specfun.regularized_beta(0.0, 0.5, 3.0) == 0.0
+        assert specfun.regularized_beta(1.0, 0.5, 3.0) == 1.0
+        for x, a, b in ((-0.1, 0.5, 1.0), (1.1, 0.5, 1.0), (0.5, 0.0, 1.0), (0.5, 0.5, math.inf),
+                        (math.nan, 0.5, 1.0)):
+            with pytest.raises(DomainError):
+                specfun.regularized_beta(x, a, b)
 
 
 class TestSinc:
