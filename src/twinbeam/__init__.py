@@ -24,7 +24,6 @@ from .model import (
     PhotocountMoments,
     QdiiGrid,
     TwinBeamParams,
-    validate,
 )
 from .moments import (
     MomentInversionFamily,

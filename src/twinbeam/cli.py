@@ -260,9 +260,7 @@ def _diagnostics(params: TwinBeamParams, fm: FieldMoments) -> tuple[dict, np.nda
 
 
 def cmd_moments(args) -> int:
-    hist_path, dark_path = _input_files(args.histogram, args.dark)
-    h = load_histogram(hist_path)
-    dark = load_histogram(dark_path)
+    h, dark = map(load_histogram, _input_files(args.histogram, args.dark))
     mom = photocount_moments(h)
     dmom = photocount_moments(dark)
     detected = dark_corrected_moments(mom, dmom)
@@ -285,9 +283,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    hist_path, dark_path = _input_files(args.histogram, args.dark)
-    h = load_histogram(hist_path)
-    dark = load_histogram(dark_path)
+    h, dark = map(load_histogram, _input_files(args.histogram, args.dark))
     d_s = _detector_from_args(args, "s")
     d_i = _detector_from_args(args, "i")
     result = reconstruct(h, dark, d_s, d_i, scan_points=args.scan_points)

@@ -141,38 +141,31 @@ def _golden_section(obj, lo: float, hi: float, tol: float) -> float:
 _ARMS = ("signal", "idler")
 
 
-def _count_extents(f: Histogram2D, dark: Histogram2D,
-                   detectors: tuple[DetectorModel, DetectorModel]) -> tuple[int, int]:
+def _checked_extents(f: Histogram2D, dark: Histogram2D, dark_means: tuple[float, float],
+                     detectors: tuple[DetectorModel, DetectorModel]) -> tuple[int, int]:
     """Last count row of each arm's response table: the histogram's extent
-    plus ``TABLE_MARGIN``, capped at the arm's pixel count.  A nonzero cell
-    above the pixel count, in the histogram or in the dark record, is a count
-    the detector cannot make, and raises :class:`ValidationError`."""
-    for axis, (arm, d) in enumerate(zip(_ARMS, detectors)):
+    plus ``TABLE_MARGIN``, capped at the arm's pixel count.  Arm by arm,
+    raises :class:`ValidationError` for a nonzero cell above the pixel
+    count, in the histogram or in the dark record (a count the detector
+    cannot make), then for a dark rate that the dark record contradicts.
+
+    Each pixel of an arm fires dark with probability p in each of the
+    record's F frames, independently, so the arm's dark total T, its entry
+    of ``dark_means`` times F, is exactly Binomial(N, p) with N = pixels F.
+    At p = 0 any count contradicts the rate.  Otherwise Bernstein's
+    inequality bounds the two-sided tail,
+    ``P(|T - Np| >= t) <= 2 exp(-t^2 / (2 (Np(1 - p) + t/3)))``, and the
+    rate is rejected when that bound at the observed ``t`` is below
+    ``DARK_ALPHA``: a true rate is rejected with probability below it.
+    """
+    for axis, (arm, d, dark_mean) in enumerate(zip(_ARMS, detectors, dark_means)):
         for name, h in (("histogram", f), ("dark record", dark)):
             top = int(np.flatnonzero(h.counts.any(axis=1 - axis))[-1])
             if top > d.pixels:
                 raise ValidationError(
                     f"reconstruct: the {name} has a frame with {top} {arm} "
                     f"counts, above the arm's {d.pixels} pixels")
-    return tuple(min(d.pixels, f.counts.shape[axis] - 1 + TABLE_MARGIN)
-                 for axis, d in enumerate(detectors))
-
-
-def _check_dark_rate(dark: Histogram2D,
-                     detectors: tuple[DetectorModel, DetectorModel]) -> None:
-    """Raise :class:`ValidationError` for an arm whose dark rate its dark
-    record contradicts.
-
-    Each pixel of an arm fires dark with probability p in each of the
-    record's F frames, independently, so the arm's dark total T is exactly
-    Binomial(N, p) with N = pixels F.  At p = 0 any count contradicts the
-    rate.  Otherwise Bernstein's inequality bounds the two-sided tail,
-    ``P(|T - Np| >= t) <= 2 exp(-t^2 / (2 (Np(1 - p) + t/3)))``, and the rate
-    is rejected when that bound at the observed ``t`` is below
-    ``DARK_ALPHA``: a true rate is rejected with probability below it.
-    """
-    for axis, (arm, d) in enumerate(zip(_ARMS, detectors)):
-        total = float(np.arange(dark.counts.shape[axis]) @ dark.counts.sum(axis=1 - axis))
+        total = dark_mean * dark.total_frames
         mean = d.pixels * dark.total_frames * d.dark_rate
         t = abs(total - mean)
         if (total > 0.0 if d.dark_rate == 0.0 else
@@ -182,6 +175,8 @@ def _check_dark_rate(dark: Histogram2D,
                 f"reconstruct: the {arm} arm's dark record holds {total:.6g} counts "
                 f"over {dark.total_frames:.6g} frames of {d.pixels} pixels, where "
                 f"its dark rate {d.dark_rate:g} expects {mean:.6g}")
+    return tuple(min(d.pixels, f.counts.shape[axis] - 1 + TABLE_MARGIN)
+                 for axis, d in enumerate(detectors))
 
 
 def _scan_lattice(lo: float, hi: float, step: float) -> np.ndarray:
@@ -213,8 +208,8 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
     every evaluation; its response tables reach ``TABLE_MARGIN`` counts
     beyond the histogram's extent.  Every ``var_p`` is evaluated once; the
     optimum is one of the evaluated points.  Raises :class:`ValidationError`
-    for a count above an arm's pixel count (``_count_extents``) or a dark
-    rate that the dark record contradicts (``_check_dark_rate``).
+    for a count above an arm's pixel count or a dark rate that the dark
+    record contradicts, both checked per arm by ``_checked_extents``.
 
     ``scan_points`` must lie in ``[2, _MAX_SCAN_POINTS]``, else
     :class:`DomainError`.  The upper bound is half the length of numpy's
@@ -229,9 +224,9 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
     if not 2 <= scan_points <= _MAX_SCAN_POINTS:
         raise DomainError(f"reconstruct: scan_points must lie in [2, {_MAX_SCAN_POINTS}], "
                           f"got {scan_points}")
-    extents = _count_extents(f, dark, (d_s, d_i))
-    _check_dark_rate(dark, (d_s, d_i))
-    detected = dark_corrected_moments(photocount_moments(f), photocount_moments(dark))
+    mom, dark_mom = photocount_moments(f), photocount_moments(dark)
+    extents = _checked_extents(f, dark, (dark_mom.mean_s, dark_mom.mean_i), (d_s, d_i))
+    detected = dark_corrected_moments(mom, dark_mom)
     family = inversion_family(detected, d_s.efficiency, d_i.efficiency)
     lo, hi = family.var_p_range
     step = family.var_p_max / scan_points

@@ -9,7 +9,7 @@ performs no physics; it only defines the records the other modules exchange.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "FieldMoments",
     "JointDistribution",
     "QdiiGrid",
-    "validate",
 ]
 
 _HIST_TOTAL_RTOL = 1e-9
@@ -236,13 +235,13 @@ class FieldMoments:
 class JointDistribution:
     """Truncated joint probability table over photon or photocount numbers.
 
-    ``probs[n_s, n_i]`` covers ``[0, n_s_max] x [0, n_i_max]``;
-    ``truncation_mass`` is the probability lying outside the table, by
-    default ``1 - total``, summed once with the checks.
+    ``probs[n_s, n_i]`` covers ``[0, n_s_max] x [0, n_i_max]`` and sums to at
+    most ``1 + _JOINT_MASS_TOL``; ``truncation_mass``, the probability lying
+    outside the table, is ``1 - total``, summed once with the checks.
     """
 
     probs: np.ndarray
-    truncation_mass: float | None = None
+    truncation_mass: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _readonly(self.probs))
@@ -251,10 +250,8 @@ class JointDistribution:
         _require(float(self.probs.min(initial=0.0)) >= -_JOINT_NEG_TOL,
                  "JointDistribution: entry below round-off tolerance")
         total = float(self.probs.sum())
-        if self.truncation_mass is None:
-            object.__setattr__(self, "truncation_mass", 1.0 - total)
-        _require(abs(total + self.truncation_mass - 1.0) <= _JOINT_MASS_TOL,
-                 f"JointDistribution: total {total} + truncation {self.truncation_mass} != 1")
+        _require(total <= 1.0 + _JOINT_MASS_TOL, f"JointDistribution: total {total} exceeds 1")
+        object.__setattr__(self, "truncation_mass", 1.0 - total)
 
     @property
     def total(self) -> float:
@@ -293,19 +290,3 @@ class QdiiGrid:
         widths of the two cells beside each point."""
         w_s, w_i = (np.convolve(np.diff(ax), [0.5, 0.5]) for ax in (self.w_s_axis, self.w_i_axis))
         return float(w_s @ (self.values @ w_i))
-
-
-_VALIDATABLE = (TwinBeamParams, DetectorModel, Histogram2D, PhotocountMoments,
-                DetectedIntensityMoments, FieldMoments, JointDistribution, QdiiGrid)
-
-
-def validate(value):
-    """Re-run the invariant checks of a domain value and return it.
-
-    Construction already validates, so this is mainly useful at external
-    input boundaries and as an idempotence guarantee.
-    """
-    if not isinstance(value, _VALIDATABLE):
-        raise ValidationError(f"validate: unsupported type {type(value).__name__}")
-    value.__post_init__()
-    return value

@@ -128,8 +128,8 @@ def joint_photon_distribution(params: TwinBeamParams,
     independently, so the table is one matrix product
     ``(T_s diag(pair)) T_i^T`` with ``T_a[n, k] = noise_a[n - k]`` the
     lower-triangular Toeplitz matrix of each arm's noise pmf.  The
-    probability outside the table is reported as ``truncation_mass`` (never
-    renormalized away).
+    probability outside the table, ``1 - total``, is the table's own
+    ``truncation_mass`` (never renormalized away).
     """
     n_s_max, n_i_max = int(cutoffs[0]), int(cutoffs[1])
     n_pair_max = min(n_s_max, n_i_max)

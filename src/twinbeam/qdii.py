@@ -197,11 +197,14 @@ def characteristic_function(params: TwinBeamParams, s_s: float, s_i: float) -> c
 
 
 def ordering_threshold(params: TwinBeamParams) -> ThresholdDiagnostics:
-    """Threshold ordering s_th below which the QDII becomes non-negative.
-
-    Solves for the ordering at which the variance of the signal-idler
-    intensity difference vanishes: sigma^2 + 2*beta*sigma + gamma = 0 with
-    sigma = (1-s)/2, hence s_th = 1 + 2*(beta - sqrt(beta^2 - gamma)).
+    """Threshold ordering s_th of the full field: where the variance of the
+    signal-idler intensity difference vanishes, sigma^2 + 2*beta*sigma +
+    gamma = 0 with sigma = (1-s)/2, so s_th = 1 + 2*(beta - sqrt(beta^2 -
+    gamma)).  gamma is minus :func:`nonclassicality`'s margin over the total
+    mode count, so s_th < 1 exactly when the margin is positive, and a NaN
+    s_th needs gamma > beta^2 >= 0, a classical state.  A grid below s_th
+    may still be negative: with few-mode noise, the README truth state's
+    (s_th 0.652) has cells at -0.14 of its peak at s = 0.64.
     """
     total = params.m_noise_s + params.m_noise_i + 2.0 * params.m_pairs
     if total <= 0:
@@ -221,7 +224,7 @@ def nonclassicality(fm: FieldMoments) -> NonclassicalityVerdict:
 
     The field is non-classical iff twice the mean pair intensity exceeds the
     summed noise variances, which is equivalent to the full-field threshold
-    ordering lying below 1.
+    ordering lying below 1 (:func:`ordering_threshold`).
 
     Along the moment inversion family (``moments.invert_at``) the margin
     does not depend on ``var_p``: ``mean_p``, ``var_s`` and ``var_i`` each

@@ -53,23 +53,23 @@ def model_histogram(params, d_s, d_i, m_max=40):
 class TestDeclination:
     def test_identical_tables_give_zero(self):
         probs = np.array([[0.5, 0.25], [0.125, 0.125]])
-        jd = JointDistribution(probs, 0.0)
+        jd = JointDistribution(probs)
         f = Histogram2D(probs, 1.0)
         assert declination(jd, f) == 0.0
 
     def test_disjoint_point_masses(self):
-        jd = JointDistribution(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.0)
+        jd = JointDistribution(np.array([[1.0, 0.0], [0.0, 0.0]]))
         f = Histogram2D(np.array([[0.0, 0.0], [0.0, 1.0]]), 1.0)
         assert declination(jd, f) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_unnormalized_histogram_rejected(self):
-        jd = JointDistribution(np.array([[1.0]]), 0.0)
+        jd = JointDistribution(np.array([[1.0]]))
         with pytest.raises(ValidationError):
             declination(jd, Histogram2D(np.array([[7.0]]), 7.0))
 
     def test_shape_union_includes_unmodelled_cells(self):
         # histogram support wider than the model: those cells contribute f^2
-        jd = JointDistribution(np.array([[1.0]]), 0.0)
+        jd = JointDistribution(np.array([[1.0]]))
         f = Histogram2D(np.array([[0.5, 0.0], [0.0, 0.5]]), 1.0)
         want = math.sqrt(0.5**2 + 0.5**2)
         assert declination(jd, f) == pytest.approx(want, rel=1e-14)
@@ -94,7 +94,7 @@ class TestDeclination:
         def rand_pair():
             p = rng.random((5, 5))
             p /= p.sum()
-            return JointDistribution(p, 0.0), Histogram2D(p, 1.0)
+            return JointDistribution(p), Histogram2D(p, 1.0)
 
         (a_jd, a_h), (b_jd, b_h), (_, c_h) = rand_pair(), rand_pair(), rand_pair()
         # symmetry
@@ -351,14 +351,17 @@ class TestImpossibleInputs:
     def test_dark_rate_rejected_outside_bernstein_bound(self, sds, rejected):
         # the dark total is Binomial(10^9, 1e-6): mean 1000, sd 31.6.  The
         # two-sided Bernstein bound falls to DARK_ALPHA = 1e-9 at a distance
-        # of 214 from the mean, 6.8 sd, where the exact tail is 3e-11
-        from twinbeam.fit import _check_dark_rate
+        # of 214 from the mean, 6.8 sd, where the exact tail is 3e-11.  The
+        # record is checked as reconstruct checks it, with its dark means
+        from twinbeam.fit import _checked_extents
 
         d = DetectorModel(0.3, 1000, 1e-6)
         total = 1000 + round(sds * math.sqrt(1000.0))
         dark = dark_record(10**6, total, total)
+        dark_mom = photocount_moments(dark)
+        check = (dark, dark, (dark_mom.mean_s, dark_mom.mean_i), (d, d))
         if rejected:
             with pytest.raises(ValidationError, match="the signal arm's dark record"):
-                _check_dark_rate(dark, (d, d))
+                _checked_extents(*check)
         else:
-            _check_dark_rate(dark, (d, d))
+            _checked_extents(*check)

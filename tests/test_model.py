@@ -12,13 +12,11 @@ from twinbeam import (
     QdiiGrid,
     TwinBeamParams,
     ValidationError,
-    validate,
 )
 
 
 def test_vacuum_paired_field_is_valid():
-    p = TwinBeamParams(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert validate(p) is p
+    assert TwinBeamParams(1.0, 0.0, 0.0, 0.0, 0.0, 0.0).mean_pairs == 0.0
 
 
 def test_pairs_with_zero_modes_rejected():
@@ -119,43 +117,45 @@ def test_field_moments_nonnegative():
 
 
 def test_joint_distribution_mass_accounting():
+    # the mass outside the table is 1 - total, and a table holds at most
+    # 1 + _JOINT_MASS_TOL (1e-6): round-off may leave it a little above 1
     probs = np.full((2, 2), 0.2)
-    jd = JointDistribution(probs, 0.2)
+    jd = JointDistribution(probs)
     assert jd.total == pytest.approx(0.8)
+    assert jd.truncation_mass == 1.0 - float(probs.sum())
+    assert JointDistribution(np.array([[1.0 + 5e-7]])).truncation_mass < 0.0
     with pytest.raises(ValidationError):
-        JointDistribution(probs, 0.3)
-    # without a truncation mass, the mass outside the table is 1 - total
-    assert JointDistribution(probs).truncation_mass == 1.0 - float(probs.sum())
+        JointDistribution(np.array([[1.0 + 2e-6]]))
 
 
 def test_joint_distribution_tolerates_tiny_negative_roundoff():
     probs = np.array([[0.5, 0.5], [-1e-13, 0.0]])
-    JointDistribution(probs, 1e-13)
+    JointDistribution(probs)
     with pytest.raises(ValidationError):
-        JointDistribution(np.array([[1.0, -1e-3]]), 1e-3)
+        JointDistribution(np.array([[1.0, -1e-3]]))
 
 
 def test_joint_distribution_copies_unless_handed_a_private_table():
     # a caller's writable array is copied, so writing to it later changes
     # nothing; so is a read-only view, whose base may still be written
     probs = np.full((2, 2), 0.25)
-    jd = JointDistribution(probs, 0.0)
+    jd = JointDistribution(probs)
     assert jd.probs is not probs
     probs[0, 0] = 0.5
     assert jd.probs[0, 0] == 0.25
     assert not jd.probs.flags.writeable
     view = np.full((2, 2), 0.25)[:, :]
     view.setflags(write=False)
-    assert JointDistribution(view, 0.0).probs is not view
+    assert JointDistribution(view).probs is not view
     # a read-only float array that owns its memory is taken as it is
     owned = np.full((2, 2), 0.25)
     owned.setflags(write=False)
-    assert JointDistribution(owned, 0.0).probs is owned
+    assert JointDistribution(owned).probs is owned
     # and is still checked
     bad = np.full((2, 2), 0.5)
     bad.setflags(write=False)
     with pytest.raises(ValidationError):
-        JointDistribution(bad, 0.0)
+        JointDistribution(bad)
 
 
 def test_qdii_grid_axes_must_increase():
@@ -194,18 +194,3 @@ def test_qdii_grid_normalization_is_trapezoid_integral():
     # x y on [0, 2] x [0, 3] is linear in each axis, so the rule is exact: 2 * 4.5
     assert QdiiGrid(ax, w_i, values, 0.0).normalization == pytest.approx(9.0, rel=1e-15)
 
-
-def test_validate_rejects_foreign_types():
-    with pytest.raises(ValidationError):
-        validate(42)
-
-
-@given(
-    m_pairs=st.floats(0.01, 1e3),
-    b_pairs=st.floats(0.0, 1e2),
-    m_s=st.floats(0.0, 1e3),
-    b_s=st.floats(0.0, 1e3),
-)
-def test_validation_is_idempotent(m_pairs, b_pairs, m_s, b_s):
-    p = TwinBeamParams(m_pairs, b_pairs, m_s, b_s, 0.0, 0.0)
-    assert validate(validate(p)) is p

@@ -317,11 +317,14 @@ class TestDetectorResponse:
     D = DetectorModel(efficiency=0.243, pixels=1000, dark_rate=0.001)
 
     def test_no_photons_is_binomial_dark_law(self):
+        # the law in 50 digits, so the bound is the table's rounding alone
         d = self.D
         for m in (0, 1, 3, 6):
-            want = (math.comb(d.pixels, m) * (1 - d.dark_rate) ** (d.pixels - m)
-                    * d.dark_rate**m)
-            assert detector_response(d, m, 0) == pytest.approx(want, rel=1e-10)
+            with mp.workdps(50):
+                dark = mp.mpf(d.dark_rate)
+                want = float(mp.binomial(d.pixels, m) * (1 - dark) ** (d.pixels - m)
+                             * dark**m)
+            assert abs(detector_response(d, m, 0) / want - 1) <= response_rtol(d, m, 0)[m, 0]
 
     def test_zero_counts_from_n_photons(self):
         clean = DetectorModel(efficiency=0.25, pixels=50, dark_rate=0.0)
@@ -341,7 +344,8 @@ class TestDetectorResponse:
         # these sit far beyond double-precision cancellation
         for m, n in ((8, 20), (15, 60), (25, 100)):
             want = mp_detector_response(self.D, m, n)
-            assert detector_response(self.D, m, n) == pytest.approx(want, rel=1e-10)
+            assert (abs(detector_response(self.D, m, n) / want - 1)
+                    <= response_rtol(self.D, m, n)[m, n])
 
     def test_escalated_cells_need_no_mpmath(self):
         # mpmath is a test dependency only: the response must be computed
@@ -362,7 +366,8 @@ class TestDetectorResponse:
         assert done.returncode == 0, done.stderr
         got = json.loads(done.stdout.splitlines()[-1])
         for (m, n), value in zip(cells, got):
-            assert value == pytest.approx(mp_detector_response(self.D, m, n), rel=1e-10)
+            assert (abs(value / mp_detector_response(self.D, m, n) - 1)
+                    <= response_rtol(self.D, m, n)[m, n])
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -391,6 +396,20 @@ def dark_rtol(d, m_max):
     return EPS * (np.cumsum(np.abs(np.cumsum(logs)) + np.abs(logs) + 4) + 1)
 
 
+def response_rtol(d, m_max, n_max):
+    """Relative round-off bound of ``response_table(d, m_max, n_max)``, cell
+    by cell.
+
+    Column 0 is the dark law, good to dark_rtol.  Each photon step forms a
+    cell as col[m] stay[m] + col[m-1] up[m-1] from non-negative terms: stay
+    = (1 - eta) + eta m/npix is good to 3 eps and up = eta (1 - m/npix) to
+    about 2 eps while m << npix; each product adds one eps and the addition
+    one more, so each step adds at most 5 eps to the relative error of the
+    rows it mixes, which are rows <= m with dark bounds <= dark_rtol[m].
+    """
+    return dark_rtol(d, m_max)[:, None] + 5 * np.arange(n_max + 1) * EPS
+
+
 class TestResponseTable:
     def test_columns_sum_to_one_when_support_covered(self):
         d = DetectorModel(efficiency=0.3, pixels=30, dark_rate=0.01)
@@ -404,20 +423,13 @@ class TestResponseTable:
 
     def test_matches_closed_form_response(self):
         # the whole table against the closed-form alternating sum in 120
-        # digits.  Column 0 is the dark law, good to dark_rtol.  Each photon
-        # step forms a cell as col[m] stay[m] + col[m-1] up[m-1] from
-        # non-negative terms: stay = (1 - eta) + eta m/npix is good to 3 eps
-        # and up = eta (1 - m/npix) to about 2 eps while m << npix; each
-        # product adds one eps and the addition one more, so each step adds
-        # at most 5 eps to the relative error of the rows it mixes, which
-        # are rows <= m with dark bounds <= dark_rtol[m]
+        # digits, within the recurrence's rounding (response_rtol)
         d = DetectorModel(efficiency=0.243, pixels=1000, dark_rate=0.001)
         m_max, n_max = 14, 40
         tab = response_table(d, m_max, n_max)
         want = np.array([[mp_detector_response(d, m, n) for n in range(n_max + 1)]
                          for m in range(m_max + 1)])
-        rtol = dark_rtol(d, m_max)[:, None] + 5 * np.arange(n_max + 1) * EPS
-        assert np.all(np.abs(tab / want - 1) <= rtol)
+        assert np.all(np.abs(tab / want - 1) <= response_rtol(d, m_max, n_max))
 
     def test_dark_column_against_extended_precision(self):
         # the README detector, no photons: the dark binomial law, whose log

@@ -2,11 +2,12 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy import integrate, linalg, special
 from scipy.stats import gamma as gamma_dist
 
@@ -33,7 +34,7 @@ from twinbeam import photostat, qdii
 from twinbeam.cli import _auto_grid_max
 from twinbeam.specfun import log_bessel_i, log_bessel_i_array
 
-from conftest import PAPER_DETECTED
+from conftest import PAPER_DETECTED, PAPER_PARAMS
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -131,6 +132,19 @@ class TestOrderingThreshold:
         with pytest.raises(DomainError):
             ordering_threshold(TwinBeamParams(0, 0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("cells", [401, 801])
+    def test_grid_below_threshold_can_be_negative(self, paper_params, cells):
+        # s_th is where the difference variance vanishes, not an ordering
+        # below which the QDII is non-negative: at the README truth state the
+        # noise arms hold 8e-6 and 8e-3 modes, so the convolution leaves the
+        # paired density's negative strips nearly intact below s_th = 0.652.
+        # The grid passes its normalization check at both cell counts
+        s = 0.64
+        assert s < ordering_threshold(paper_params).s_th
+        axis = np.linspace(0.0, _auto_grid_max(paper_params, s), cells)
+        values = joint_qdii_grid(paper_params, s, axis, axis).values
+        assert values.min() < -0.1 * values.max()
+
 
 def criterion_rounding(family, var_p):
     """The margin of ``nonclassicality`` and ``noise_reduction_factor`` at
@@ -171,6 +185,9 @@ def criterion_rounding(family, var_p):
     return (margin, e_n), (r, r_bound)
 
 
+NOISE_FIELD = st.one_of(st.just(0.0), st.floats(1e-4, 30.0))
+
+
 class TestNonclassicality:
     def test_reference_state(self, paper_detected):
         fam = inversion_family(paper_detected, 0.243, 0.235)
@@ -205,6 +222,54 @@ class TestNonclassicality:
             below_one = th.is_real and th.s_th < 1.0
             agree += (margin > 0) == below_one
         assert agree == n
+
+    @given(st.one_of(
+        st.builds(TwinBeamParams, st.floats(0.5, 300.0), st.floats(0.0, 2.0),
+                  *[NOISE_FIELD] * 4),
+        # the idler noise set so that S + I = P (1 + r): margins near 0
+        st.builds(lambda m_p, b_p, m_s, b_s, b_i, r: TwinBeamParams(
+                      m_p, b_p, m_s, b_s,
+                      max(0.0, (2 * m_p * b_p * (1 + r) - m_s * b_s**2) / b_i**2), b_i),
+                  st.floats(0.5, 300.0), st.floats(0.01, 2.0), NOISE_FIELD, NOISE_FIELD,
+                  st.floats(0.01, 30.0), st.floats(-0.1, 0.1))))
+    @example(PAPER_PARAMS)
+    @example(TwinBeamParams(0.0, 0.0, 0.01, 30.0, 5.0, 0.01))  # NaN s_th
+    def test_verdict_is_threshold_below_one_outside_rounding_band(self, p):
+        """``nonclassical == (s_th < 1)`` whenever the exact gamma is outside
+        the band ``|gamma| < u (16 K + 1)``, ``K = beta^2 + |gamma| + W`` and
+        u = eps/2 the unit roundoff.
+
+        With ``S = M_s B_s^2``, ``I = M_i B_i^2``, ``P = 2 M_p B_p`` and the
+        mode total T, the margin is ``P - S - I``, gamma is ``-margin/T`` and
+        ``W = (S + I + P)/T``; all are exact rationals of the parameters.
+        No product under- or overflows on these ranges, and ``B**2`` is
+        within 2u (one ulp), so (Higham 3.1, 3.3):
+
+        - each leaf of the computed margin, and of gamma's numerator, takes
+          at most 4 roundings, so both have the exact signs once
+          ``|gamma| > gamma_4 W``, which the band implies;
+        - margin < 0: the computed gamma is > 0, so the radicand is at most
+          ``fl(beta_c^2)``, and ``fl(sqrt(fl(x^2))) = |x|`` in binary
+          round-to-nearest: s_th is NaN or at least 1;
+        - margin > 0: with ``g = |gamma_c|`` and ``rho^2 = beta_c^2 + g``,
+          ``sqrt_c - beta_c >= g/(2 rho) - 2u rho``, and ``fl(1 + y) < 1``
+          once ``y <= -u``, so s_th < 1 once ``g >= u rho (4 rho + 1)``.
+          As ``beta_c = beta (1 + theta_6)`` and ``|gamma_c - gamma| <=
+          gamma_7 (|gamma| + W)``, ``rho^2 <= (1 + gamma_13) K``, and with
+          ``sqrt(K) <= (K + 1)/2`` that holds once ``|gamma| >= u (16 K +
+          1)``.  Near the boundary the band is needed: states whose margin
+          is a few ulps from 0 disagree inside it.
+        """
+        m_p, b_p, m_s, b_s, m_i, b_i = map(Fraction, (
+            p.m_pairs, p.b_pairs, p.m_noise_s, p.b_noise_s, p.m_noise_i, p.b_noise_i))
+        total = m_s + m_i + 2 * m_p
+        gamma = (m_s * b_s**2 + m_i * b_i**2 - 2 * m_p * b_p) / total
+        beta = (m_s * b_s + m_i * b_i + 2 * m_p * b_p) / total
+        k = beta**2 + abs(gamma) + (m_s * b_s**2 + m_i * b_i**2 + 2 * m_p * b_p) / total
+        assume(abs(gamma) >= Fraction(EPS) / 2 * (16 * k + 1))
+        verdict = nonclassicality(field_moments_from_params(p)).nonclassical
+        assert verdict == (gamma < 0)
+        assert verdict == (ordering_threshold(p).s_th < 1.0)
 
     @given(state=st.one_of(
                st.just((PAPER_DETECTED, 0.243, 0.235)),
