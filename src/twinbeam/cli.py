@@ -243,13 +243,14 @@ def _detector_from_args(args, arm: str) -> DetectorModel:
     )
 
 
-def _diagnostics(params: TwinBeamParams, fm: FieldMoments) -> tuple[dict, np.ndarray]:
-    """Noise reduction, moment criterion and threshold ordering of a state,
-    and its sum-photon-number distribution."""
+def _diagnostics(params: TwinBeamParams) -> tuple[FieldMoments, dict, np.ndarray]:
+    """Field moments of a state, its noise reduction, moment criterion and
+    threshold ordering (all read from them), and its sum distribution."""
+    fm = field_moments_from_params(params)
     psum = sum_distribution(joint_photon_distribution(params, default_cutoffs(params)))
     threshold = ordering_threshold(params)
     verdict = nonclassicality(fm)
-    return {
+    return fm, {
         "noise_reduction_factor": noise_reduction_factor(fm),
         "nonclassical": verdict.nonclassical,
         "nonclassicality_margin": verdict.margin,
@@ -288,7 +289,7 @@ def cmd_reconstruct(args) -> int:
     d_i = _detector_from_args(args, "i")
     result = reconstruct(h, dark, d_s, d_i, scan_points=args.scan_points)
 
-    diagnostics, psum = _diagnostics(result.params, result.field_moments)
+    _, diagnostics, psum = _diagnostics(result.params)
     report = {
         "var_p_opt": result.var_p_opt,
         "declination": result.declination,
@@ -373,8 +374,7 @@ def cmd_qdii(args) -> int:
 def cmd_diagnose(args) -> int:
     [params_path] = _input_files(args.params)
     params = load_params(params_path)
-    fm = field_moments_from_params(params)
-    diagnostics, psum = _diagnostics(params, fm)
+    fm, diagnostics, psum = _diagnostics(params)
     report = {
         "params": asdict(params),
         "field_moments": asdict(fm),

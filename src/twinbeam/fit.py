@@ -96,16 +96,19 @@ class ForwardModel:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Output of the declination minimization."""
+    """Output of the declination minimization; ``var_p_opt`` and ``params``
+    are derived from the optimum's ``field_moments``."""
 
-    var_p_opt: float
-    params: TwinBeamParams
     field_moments: FieldMoments
     declination: float
     scan: tuple[tuple[float, float], ...]
     at_boundary: bool
+    var_p_opt: float = field(init=False)
+    params: TwinBeamParams = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "var_p_opt", self.field_moments.var_p)
+        object.__setattr__(self, "params", mode_parameters(self.field_moments))
         if self.declination < 0:
             raise ValidationError("ReconstructionResult: declination must be >= 0")
         vps = [v for v, _ in self.scan]
@@ -240,22 +243,20 @@ def reconstruct(f: Histogram2D, dark: Histogram2D,
     forward = ForwardModel(d_s, d_i, extents, default_cutoffs(
         mode_parameters(invert_at(family, (lo + hi) / 2.0))))
 
-    # var_p -> (declination, params, field moments)
-    evaluations: dict[float, tuple[float, TwinBeamParams, FieldMoments]] = {}
+    # var_p -> (declination, field moments)
+    evaluations: dict[float, tuple[float, FieldMoments]] = {}
 
     def objective(var_p: float) -> float:
         if var_p not in evaluations:
             fm = invert_at(family, var_p)
-            params = mode_parameters(fm)
-            evaluations[var_p] = (declination(forward(params), f_norm), params, fm)
+            evaluations[var_p] = (declination(forward(mode_parameters(fm)), f_norm), fm)
         return evaluations[var_p][0]
 
     best = int(np.argmin([objective(v) for v in knots[1:-1]]))
     width = REFINE_REL_WIDTH * family.var_p_max
     var_p_opt = _golden_section(objective, knots[best], knots[best + 2], width)
-    decl_opt, params_opt, fm_opt = evaluations[var_p_opt]
+    decl_opt, fm_opt = evaluations[var_p_opt]
     at_boundary = bool(min(var_p_opt - lo, hi - var_p_opt) <= max(width, step))
 
     scan = tuple(sorted((v, e[0]) for v, e in evaluations.items()))
-    return ReconstructionResult(var_p_opt, params_opt, fm_opt, decl_opt,
-                                scan, at_boundary)
+    return ReconstructionResult(fm_opt, decl_opt, scan, at_boundary)

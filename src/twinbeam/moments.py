@@ -7,13 +7,12 @@ The inversion is exactly determined only up to the paired-field variance
 parametrized by ``var_p`` and its valid members, those whose six moments are
 all positive, fill the open interval ``MomentInversionFamily.var_p_range``,
 known in closed form; the inversion has a solution exactly when it is not
-empty.
+empty, which the family checks on construction.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +61,8 @@ def dark_corrected_moments(signal_idler: PhotocountMoments,
 
     Mean: subtract the dark mean.  Variance: subtract the shot-noise term and
     the dark excess variance.  Covariance: subtract the dark covariance.
-    A negative corrected mean is kept as-is but triggers a warning.
+    A negative corrected mean is kept as-is (``has_negative_mean``), and
+    named by the :class:`MomentInversionFamily` it leaves empty.
     """
     m, d = signal_idler, dark
     mean_s = m.mean_s - d.mean_s
@@ -70,14 +70,7 @@ def dark_corrected_moments(signal_idler: PhotocountMoments,
     var_s = m.mean_sq_s - m.mean_s**2 - m.mean_s - d.mean_sq_s + d.mean_s**2 + d.mean_s
     var_i = m.mean_sq_i - m.mean_i**2 - m.mean_i - d.mean_sq_i + d.mean_i**2 + d.mean_i
     cov = m.cross - m.mean_s * m.mean_i - d.cross + d.mean_s * d.mean_i
-    out = DetectedIntensityMoments(mean_s, mean_i, var_s, var_i, cov)
-    if out.has_negative_mean:
-        warnings.warn(
-            "dark correction produced a negative mean intensity "
-            f"(mean_s={mean_s:.3g}, mean_i={mean_i:.3g})",
-            stacklevel=2,
-        )
-    return out
+    return DetectedIntensityMoments(mean_s, mean_i, var_s, var_i, cov)
 
 
 def _check_efficiencies(eta_s: float, eta_i: float) -> None:
@@ -104,18 +97,32 @@ def feasibility(detected: DetectedIntensityMoments, eta_s: float, eta_i: float) 
 
 @dataclass(frozen=True)
 class MomentInversionFamily:
-    """One-parameter family of field-moment solutions.
+    """One-parameter family of field-moment solutions, checked on construction.
 
-    ``var_p_max`` is fixed by the requirement that both noise variances stay
-    non-negative; :func:`invert_at` accepts any ``var_p`` in
-    ``(0, var_p_max]``.  Every moment is linear in ``var_p``, so the members
-    with all six moments positive, the ones that decompose into mode
-    parameters, are exactly the open interval ``var_p_range``.
+    ``var_p_max``, derived here, keeps both noise variances non-negative;
+    :func:`invert_at` accepts any ``var_p`` in ``(0, var_p_max]``.  Every
+    moment is linear in ``var_p``, so the members with all six moments
+    positive, the ones that decompose into mode parameters, are exactly the
+    open interval ``var_p_range``.  Raises :class:`DomainError` for an
+    efficiency outside (0, 1), and :class:`InfeasibleMomentsError` when the
+    interval is empty, as a corrected mean <= 0 always leaves it (``c -
+    mean/eta >= c``); the message then names the means.
     """
 
     detected: DetectedIntensityMoments
     efficiencies: tuple[float, float]
-    var_p_max: float
+    var_p_max: float = field(init=False)
+
+    def __post_init__(self):
+        (eta_s, eta_i), det = self.efficiencies, self.detected
+        _check_efficiencies(eta_s, eta_i)
+        object.__setattr__(self, "var_p_max", min(det.var_s / eta_s**2, det.var_i / eta_i**2))
+        lo, hi = self.var_p_range
+        if not lo < hi:
+            raise InfeasibleMomentsError(
+                f"moment inversion infeasible: valid var_p interval ({lo:.4g}, {hi:.4g}) is empty"
+                + (f": corrected means ({det.mean_s:.4g}, {det.mean_i:.4g}) must be positive"
+                   if min(det.mean_s, det.mean_i) <= 0 else ""))
 
     @property
     def var_p_range(self) -> tuple[float, float]:
@@ -141,46 +148,34 @@ def inversion_family(detected: DetectedIntensityMoments,
                      eta_s: float, eta_i: float) -> MomentInversionFamily:
     """The family of the moment inversion; :class:`InfeasibleMomentsError`
     exactly when its interval ``var_p_range`` of valid members is empty."""
-    _check_efficiencies(eta_s, eta_i)
-    var_p_max = min(detected.var_s / eta_s**2, detected.var_i / eta_i**2)
-    family = MomentInversionFamily(detected, (eta_s, eta_i), var_p_max)
-    lo, hi = family.var_p_range
-    if not lo < hi:
-        raise InfeasibleMomentsError(
-            f"moment inversion infeasible: valid var_p interval ({lo:.4g}, {hi:.4g}) is empty")
-    return family
+    return MomentInversionFamily(detected, (eta_s, eta_i))
 
 
 def invert_at(family: MomentInversionFamily, var_p: float, *,
               atol: float = 0.0) -> FieldMoments:
     """Field moments of the family member with paired variance ``var_p``.
 
-    Each output moment must come out non-negative; a value in ``[-atol, 0)``
-    is snapped to zero (``atol > 0`` is meant for inputs whose published
-    precision cannot resolve the boundary), anything lower raises.
+    ``var_p`` must lie in ``(0, var_p_max]``, else :class:`DomainError`, and
+    in ``[lo - atol, hi + atol]`` of ``var_p_range``, else
+    :class:`InfeasibleMomentsError`.  Each moment is ``±(var_p - bound)``
+    with its bound rounded as ``var_p_range`` rounds it (``fl(a - b) = -fl(b
+    - a)``), and a rounded difference has the exact one's sign, so at ``atol
+    = 0`` this one test accepts exactly the members with six moments >= 0.
+    A moment in ``[-atol, 0)`` is snapped to zero (``atol > 0`` is meant for
+    inputs whose published precision cannot resolve the boundary).
     """
     if not (0.0 < var_p <= family.var_p_max):
         raise DomainError(
             f"var_p={var_p} outside the allowed interval (0, {family.var_p_max:.6g}]")
-    eta_s, eta_i = family.efficiencies
-    det = family.detected
-    c = family.cov_scaled
-    raw = {
-        "mean_p": c - var_p,
-        "mean_s": det.mean_s / eta_s - c + var_p,
-        "mean_i": det.mean_i / eta_i - c + var_p,
-        "var_p": var_p,
-        "var_s": det.var_s / eta_s**2 - var_p,
-        "var_i": det.var_i / eta_i**2 - var_p,
-    }
-    clipped = {}
-    for name, value in raw.items():
-        if value < -atol:
-            raise InfeasibleMomentsError(
-                f"invert_at: {name} = {value:.6g} < 0 at var_p = {var_p:.6g} "
-                "(inconsistent efficiencies or var_p)")
-        clipped[name] = max(value, 0.0)
-    return FieldMoments(**clipped)
+    lo, hi = family.var_p_range
+    if not lo - atol <= var_p <= hi + atol:
+        raise InfeasibleMomentsError(
+            f"invert_at: a moment is negative at var_p = {var_p:.6g}, outside "
+            f"[{lo:.6g}, {hi:.6g}] by more than {atol:.3g} (inconsistent efficiencies or var_p)")
+    (eta_s, eta_i), det, c = family.efficiencies, family.detected, family.cov_scaled
+    return FieldMoments(*(max(v, 0.0) for v in (
+        c - var_p, det.mean_s / eta_s - c + var_p, det.mean_i / eta_i - c + var_p,
+        var_p, det.var_s / eta_s**2 - var_p, det.var_i / eta_i**2 - var_p)))
 
 
 def component_mode_params(mean: float, var: float) -> tuple[float, float]:

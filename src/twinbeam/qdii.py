@@ -76,6 +76,7 @@ import numpy as np
 
 from .errors import DomainError, GridResolutionError, NumericsError, ValidationError
 from .model import FieldMoments, QdiiGrid, TwinBeamParams, _check_axis
+from .moments import field_moments_from_params
 from .photostat import _toeplitz
 from .specfun import (_ascending_log_coefficients, _log_factorials, log_bessel_i_array,
                       regularized_beta, regularized_gamma_p, sinc)
@@ -200,20 +201,20 @@ def ordering_threshold(params: TwinBeamParams) -> ThresholdDiagnostics:
     """Threshold ordering s_th of the full field: where the variance of the
     signal-idler intensity difference vanishes, sigma^2 + 2*beta*sigma +
     gamma = 0 with sigma = (1-s)/2, so s_th = 1 + 2*(beta - sqrt(beta^2 -
-    gamma)).  gamma is minus :func:`nonclassicality`'s margin over the total
-    mode count, so s_th < 1 exactly when the margin is positive, and a NaN
-    s_th needs gamma > beta^2 >= 0, a classical state.  A grid below s_th
-    may still be negative: with few-mode noise, the README truth state's
-    (s_th 0.652) has cells at -0.14 of its peak at s = 0.64.
+    gamma)).  beta and gamma are the total mean and minus the rounded margin
+    :func:`nonclassicality` judges by, over the total mode count, so a
+    non-classical state has s_th <= 1 and a classical one s_th >= 1 or NaN
+    (gamma > beta^2).  s_th can read exactly 1 for a non-classical state:
+    ``1 + y`` rounds to 1 when |y| is below half an ulp of 1.  A grid below
+    s_th may still be negative: with few-mode noise, the README truth
+    state's (s_th 0.652) has cells at -0.14 of its peak at s = 0.64.
     """
     total = params.m_noise_s + params.m_noise_i + 2.0 * params.m_pairs
     if total <= 0:
         raise DomainError("ordering_threshold: all mode counts are zero")
-    mbs = params.m_noise_s * params.b_noise_s
-    mbi = params.m_noise_i * params.b_noise_i
-    mbp = params.m_pairs * params.b_pairs
-    beta = (mbs + mbi + 2.0 * mbp) / total
-    gamma = (mbs * params.b_noise_s + mbi * params.b_noise_i - 2.0 * mbp) / total
+    fm = field_moments_from_params(params)
+    beta = (fm.mean_s + fm.mean_i + 2.0 * fm.mean_p) / total
+    gamma = -nonclassicality(fm).margin / total
     radicand = beta * beta - gamma
     s_th = 1.0 + 2.0 * (beta - math.sqrt(radicand)) if radicand >= 0 else math.nan
     return ThresholdDiagnostics(s_th, beta, gamma, radicand)
@@ -223,8 +224,9 @@ def nonclassicality(fm: FieldMoments) -> NonclassicalityVerdict:
     """Moment criterion of non-classicality.
 
     The field is non-classical iff twice the mean pair intensity exceeds the
-    summed noise variances, which is equivalent to the full-field threshold
-    ordering lying below 1 (:func:`ordering_threshold`).
+    summed noise variances.  :func:`ordering_threshold` forms its gamma from
+    this margin, so a non-classical verdict comes with s_th <= 1 and a
+    classical one with s_th >= 1 or NaN.
 
     Along the moment inversion family (``moments.invert_at``) the margin
     does not depend on ``var_p``: ``mean_p``, ``var_s`` and ``var_i`` each

@@ -698,6 +698,20 @@ class TestDiagnoseCommand:
         psum = report["p_sum_head"]
         assert psum[2] > psum[1] and psum[2] > psum[3]
 
+    def test_verdict_and_threshold_agree_at_margin_zero(self, tmp_path, capsys):
+        # margin 5.7e-14: s_th and its gamma come from the verdict's margin,
+        # so a non-classical state cannot read s_th above 1
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "m_pairs": 120.75170957730158, "b_pairs": 1.6419030758034583,
+            "m_noise_s": 5.574340407090888, "b_noise_s": 4.89658899292597,
+            "m_noise_i": 1.0829100520584993, "b_noise_i": 15.580292778506001}))
+        assert main(["diagnose", str(params)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["nonclassical"] is True
+        assert report["s_th"] <= 1.0
+        assert report["s_th_gamma"] < 0
+
     def test_csv_format(self, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(PAPER_PARAMS_DICT))

@@ -192,5 +192,5 @@ def test_qdii_grid_normalization_is_trapezoid_integral():
     w_i = np.array([0.0, 1.0, 3.0])
     values = np.outer(ax, w_i)
     # x y on [0, 2] x [0, 3] is linear in each axis, so the rule is exact: 2 * 4.5
-    assert QdiiGrid(ax, w_i, values, 0.0).normalization == pytest.approx(9.0, rel=1e-15)
+    assert QdiiGrid(ax, w_i, values, 0.0).normalization == pytest.approx(9.0, rel=1e-15, abs=0)
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -8,6 +11,7 @@ from twinbeam import (
     DomainError,
     Histogram2D,
     InfeasibleMomentsError,
+    MomentInversionFamily,
     PhotocountMoments,
     TwinBeamParams,
     component_mode_params,
@@ -20,7 +24,7 @@ from twinbeam import (
     mode_parameters,
     photocount_moments,
 )
-from conftest import PAPER_ETA_I, PAPER_ETA_S, PAPER_VAR_P
+from conftest import PAPER_DETECTED, PAPER_ETA_I, PAPER_ETA_S, PAPER_VAR_P
 
 ZERO_DARK = PhotocountMoments(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -63,13 +67,20 @@ class TestDarkCorrection:
 
     def test_dark_equal_to_signal_cancels_means(self):
         mom = PhotocountMoments(1.5, 1.2, 4.0, 3.0, 0.0)
-        with pytest.warns(UserWarning):
-            # cross terms differ, so covariance survives, but means vanish;
-            # exactly zero means are fine, the warning fires only below zero
-            det = dark_corrected_moments(
-                mom, PhotocountMoments(1.6, 1.2, 4.2, 3.0, 0.0))
+        # cross terms differ, so covariance survives, but means vanish; a
+        # negative one is kept and flagged, not clamped
+        det = dark_corrected_moments(mom, PhotocountMoments(1.6, 1.2, 4.2, 3.0, 0.0))
         assert det.mean_s == pytest.approx(-0.1)
         assert det.has_negative_mean
+
+    def test_dark_record_outweighing_the_signal_warns_nothing(self):
+        # the empty inversion family reports a non-positive mean, once
+        signal = photocount_moments(delta_histogram(1, 1))
+        dark = photocount_moments(delta_histogram(3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            det = dark_corrected_moments(signal, dark)
+        assert det.mean_s == -2.0 and det.mean_i == -1.0
 
     def test_reproduces_reference_detected_moments(self, paper_detected):
         # build photocount moments that correspond to the published detected
@@ -126,6 +137,27 @@ class TestInversionFamily:
         with pytest.raises(InfeasibleMomentsError):
             inversion_family(det, 0.3, 0.3)
 
+    def test_construction_checks_the_family(self):
+        det = DetectedIntensityMoments(1.0, 1.0, 0.2, 0.2, 0.15)
+        for effs in ((0.0, 0.3), (0.3, 1.0), (1.2, 0.3), (0.3, math.nan)):
+            with pytest.raises(DomainError):
+                MomentInversionFamily(det, effs)
+        with pytest.raises(InfeasibleMomentsError, match=r"interval .* is empty$"):
+            MomentInversionFamily(DetectedIntensityMoments(1.0, 1.0, 1e-4, 1e-4, 0.9),
+                                  (0.3, 0.3))
+        # var_p_max is derived, never taken
+        assert MomentInversionFamily(det, (0.3, 0.3)).var_p_max == 0.2 / 0.3**2
+        with pytest.raises(TypeError):
+            MomentInversionFamily(det, (0.3, 0.3), 1.0)
+
+    @pytest.mark.parametrize("means", [(-0.1, 1.0), (1.0, 0.0), (-2.0, -1.0)])
+    def test_non_positive_mean_is_named(self, means):
+        det = DetectedIntensityMoments(*means, 0.2, 0.2, 0.15)
+        with pytest.raises(InfeasibleMomentsError,
+                           match=rf"corrected means \({means[0]:.4g}, {means[1]:.4g}\) "
+                                 "must be positive"):
+            MomentInversionFamily(det, (0.3, 0.3))
+
 
 class TestInvertAt:
     def test_reference_optimum(self, paper_detected):
@@ -162,14 +194,14 @@ class TestInvertAt:
         fam = inversion_family(det, 0.31, 0.27)
         fm = invert_at(fam, fm_true.var_p)
         for name in ("mean_p", "mean_s", "mean_i", "var_p", "var_s", "var_i"):
-            assert getattr(fm, name) == pytest.approx(getattr(fm_true, name), rel=1e-12)
+            assert getattr(fm, name) == pytest.approx(getattr(fm_true, name), rel=1e-12, abs=0)
 
     def test_pair_sum_identity(self, paper_detected):
         # mean_p + var_p = cov / (eta_s eta_i) holds exactly for every member
         fam = inversion_family(paper_detected, PAPER_ETA_S, PAPER_ETA_I)
         for var_p in (0.6, 0.9, fam.var_p_max):
             fm = invert_at(fam, var_p)
-            assert fm.mean_p + fm.var_p == pytest.approx(fam.cov_scaled, rel=1e-14)
+            assert fm.mean_p + fm.var_p == pytest.approx(fam.cov_scaled, rel=1e-14, abs=0)
 
     def test_every_input_is_load_bearing(self, paper_detected):
         fam = inversion_family(paper_detected, PAPER_ETA_S, PAPER_ETA_I)
@@ -220,7 +252,7 @@ class TestModeParameters:
         fm = field_moments_from_params(TwinBeamParams(10.0, 0.5, 2.0, 0.25, 1.0, 0.125))
         p = mode_parameters(fm)
         assert p.m_pairs == pytest.approx(10.0, rel=1e-12)
-        assert p.b_noise_i == pytest.approx(0.125, rel=1e-12)
+        assert p.b_noise_i == pytest.approx(0.125, rel=1e-12, abs=0)
 
 
 EPS = np.finfo(float).eps
@@ -335,3 +367,40 @@ def test_family_exists_iff_its_interval_is_open(mean_s, mean_i, var_s, var_i,
     else:
         with pytest.raises(InfeasibleMomentsError):
             inversion_family(det, eta_s, eta_i)
+
+
+@example(det=PAPER_DETECTED, eta_s=PAPER_ETA_S, eta_i=PAPER_ETA_I, t=0.5)
+@given(
+    det=st.builds(DetectedIntensityMoments, st.floats(0.01, 5.0), st.floats(0.01, 5.0),
+                  st.floats(0.01, 2.0), st.floats(0.01, 2.0), st.floats(0.001, 3.0)),
+    eta_s=st.floats(0.1, 0.9),
+    eta_i=st.floats(0.1, 0.9),
+    t=st.floats(0.0, 1.0),
+)
+def test_invert_at_accepts_exactly_the_closed_interval(det, eta_s, eta_i, t):
+    """At ``atol = 0``, ``invert_at`` accepts ``[lo, hi]`` of ``var_p_range``
+    and nothing past it: each of the six moments is ``±(var_p - bound)``
+    with the bound rounded as ``var_p_range`` rounds it, so the one interval
+    test is the six sign tests.  Every accepted member's moments are the
+    six expressions of the inversion, bit for bit."""
+    try:
+        family = inversion_family(det, eta_s, eta_i)
+    except InfeasibleMomentsError:
+        assume(False)
+    lo, hi = family.var_p_range
+    c = det.cov / (eta_s * eta_i)
+    for v in (lo, min(max(lo + t * (hi - lo), lo), hi), hi):
+        if v == 0.0:
+            continue
+        fm = invert_at(family, v)
+        want = (c - v, det.mean_s / eta_s - c + v, det.mean_i / eta_i - c + v, v,
+                det.var_s / eta_s**2 - v, det.var_i / eta_i**2 - v)
+        assert [x.hex() for x in (fm.mean_p, fm.mean_s, fm.mean_i,
+                                  fm.var_p, fm.var_s, fm.var_i)] == [x.hex() for x in want]
+    below, above = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+    if below > 0.0:
+        with pytest.raises(InfeasibleMomentsError):
+            invert_at(family, below)
+    if above <= family.var_p_max:
+        with pytest.raises(InfeasibleMomentsError):
+            invert_at(family, above)

@@ -52,16 +52,16 @@ class TestMandelRice:
     def test_zero_count_closed_form(self):
         for m_modes, b in ((1.0, 0.5), (7.5, 0.055), (179.0, 0.055)):
             assert mandel_rice(0, m_modes, b) == pytest.approx(
-                (1 + b) ** (-m_modes), rel=1e-13)
+                (1 + b) ** (-m_modes), rel=1e-13, abs=0)
 
     def test_single_mode_is_geometric(self):
         b = 0.8
         for n in range(6):
             assert mandel_rice(n, 1.0, b) == pytest.approx(
-                b**n / (1 + b) ** (n + 1), rel=1e-13)
+                b**n / (1 + b) ** (n + 1), rel=1e-13, abs=0)
 
     def test_extreme_shape_against_extended_precision(self):
-        assert mandel_rice(3, 8e-6, 320.0) == pytest.approx(MR_3_TINY_M, rel=1e-10)
+        assert mandel_rice(3, 8e-6, 320.0) == pytest.approx(MR_3_TINY_M, rel=1e-10, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -90,7 +90,7 @@ class TestMandelRice:
         rtol = 8 * n_max * abs(math.log(b_mean)) * np.finfo(float).eps
         pmf = mandel_rice_pmf(n_max, m_modes, b_mean)
         np.testing.assert_allclose(pmf, poisson, rtol=rtol, atol=0)
-        assert mandel_rice(7, m_modes, b_mean) == pytest.approx(poisson[7], rel=rtol)
+        assert mandel_rice(7, m_modes, b_mean) == pytest.approx(poisson[7], rel=rtol, abs=0)
 
     @pytest.mark.parametrize("m_modes, b_mean", [(1e6, 1e-5), (1e4, 1e-3)])
     def test_many_mode_pmf_against_extended_precision(self, m_modes, b_mean):
@@ -159,7 +159,7 @@ class TestJointPhotonDistribution:
         off = jd.probs - np.diag(np.diag(jd.probs))
         assert np.abs(off).max() == 0.0
         for n in range(10):
-            assert jd.probs[n, n] == pytest.approx(mandel_rice(n, 5.0, 0.2), rel=1e-12)
+            assert jd.probs[n, n] == pytest.approx(mandel_rice(n, 5.0, 0.2), rel=1e-12, abs=0)
 
     def test_pairs_absent_factorizes(self):
         params = TwinBeamParams(0.0, 0.0, 2.0, 0.4, 1.5, 0.3)
@@ -330,15 +330,15 @@ class TestDetectorResponse:
         clean = DetectorModel(efficiency=0.25, pixels=50, dark_rate=0.0)
         for n in (0, 1, 5, 12):
             assert detector_response(clean, 0, n) == pytest.approx(
-                0.75**n, rel=1e-12)
+                0.75**n, rel=1e-12, abs=0)
         assert detector_response(self.D, 0, 0) == pytest.approx(
-            (1 - 0.001) ** 1000, rel=1e-12)
+            (1 - 0.001) ** 1000, rel=1e-12, abs=0)
 
     def test_single_pixel_saturation(self):
         d = DetectorModel(efficiency=0.3, pixels=1, dark_rate=0.02)
         for n in (0, 1, 4, 9):
             want = 1.0 - (1 - 0.02) * 0.7**n
-            assert detector_response(d, 1, n) == pytest.approx(want, rel=1e-12)
+            assert detector_response(d, 1, n) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_escalated_cells_match_extended_precision(self):
         # these sit far beyond double-precision cancellation
@@ -532,7 +532,7 @@ class TestSumDistribution:
 
     def test_total_preserved(self, paper_params):
         jd = joint_photon_distribution(paper_params, (50, 50))
-        assert sum_distribution(jd).sum() == pytest.approx(jd.total, rel=1e-12)
+        assert sum_distribution(jd).sum() == pytest.approx(jd.total, rel=1e-12, abs=0)
 
 
 class TestNoiseReductionFactor:

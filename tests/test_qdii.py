@@ -48,7 +48,7 @@ class TestCharacteristicFunction:
         p = TwinBeamParams(0.0, 0.0, 2.0, 0.4, 1.5, 0.3)
         got = characteristic_function(p, 0.7, -0.3)
         want = ((1 - 0.7j * 0.4) ** -2.0) * ((1 + 0.3j * 0.3) ** -1.5)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_first_derivatives_are_mean_intensities(self, paper_params):
         h = 1e-6
@@ -100,10 +100,10 @@ class TestOrderingThreshold:
         th = ordering_threshold(TwinBeamParams(1.0, 0.055, 0, 0, 0, 0))
         assert th.s_th == pytest.approx(0.63, abs=5e-3)
         assert th.s_th == pytest.approx(1 + 2 * (0.055 - math.sqrt(0.055 * 1.055)),
-                                        rel=1e-12)
+                                        rel=1e-12, abs=0)
         # mode count drops out for a pure paired field
         th179 = ordering_threshold(TwinBeamParams(179.0, 0.055, 0, 0, 0, 0))
-        assert th179.s_th == pytest.approx(th.s_th, rel=1e-12)
+        assert th179.s_th == pytest.approx(th.s_th, rel=1e-12, abs=0)
 
     def test_vacuum_limit(self):
         th = ordering_threshold(TwinBeamParams(1.0, 0.0, 0, 0, 0, 0))
@@ -186,6 +186,25 @@ def criterion_rounding(family, var_p):
 
 
 NOISE_FIELD = st.one_of(st.just(0.0), st.floats(1e-4, 30.0))
+RANDOM_STATES = st.builds(TwinBeamParams, st.floats(0.5, 300.0), st.floats(0.0, 2.0),
+                          *[NOISE_FIELD] * 4)
+
+
+def near_boundary_states(r_max):
+    """States whose idler noise is set so that S + I = P (1 + r), |r| <= r_max:
+    margins near 0."""
+    return st.builds(lambda m_p, b_p, m_s, b_s, b_i, r: TwinBeamParams(
+                         m_p, b_p, m_s, b_s,
+                         max(0.0, (2 * m_p * b_p * (1 + r) - m_s * b_s**2) / b_i**2), b_i),
+                     st.floats(0.5, 300.0), st.floats(0.01, 2.0), NOISE_FIELD, NOISE_FIELD,
+                     st.floats(0.01, 30.0), st.floats(-r_max, r_max))
+
+
+# margin 5.7e-14: s_th read 1.0000000000000004 when the threshold rounded the
+# margin its own way
+CONTRADICTING_STATE = TwinBeamParams(120.75170957730158, 1.6419030758034583,
+                                     5.574340407090888, 4.89658899292597,
+                                     1.0829100520584993, 15.580292778506001)
 
 
 class TestNonclassicality:
@@ -223,15 +242,7 @@ class TestNonclassicality:
             agree += (margin > 0) == below_one
         assert agree == n
 
-    @given(st.one_of(
-        st.builds(TwinBeamParams, st.floats(0.5, 300.0), st.floats(0.0, 2.0),
-                  *[NOISE_FIELD] * 4),
-        # the idler noise set so that S + I = P (1 + r): margins near 0
-        st.builds(lambda m_p, b_p, m_s, b_s, b_i, r: TwinBeamParams(
-                      m_p, b_p, m_s, b_s,
-                      max(0.0, (2 * m_p * b_p * (1 + r) - m_s * b_s**2) / b_i**2), b_i),
-                  st.floats(0.5, 300.0), st.floats(0.01, 2.0), NOISE_FIELD, NOISE_FIELD,
-                  st.floats(0.01, 30.0), st.floats(-0.1, 0.1))))
+    @given(st.one_of(RANDOM_STATES, near_boundary_states(0.1)))
     @example(PAPER_PARAMS)
     @example(TwinBeamParams(0.0, 0.0, 0.01, 30.0, 5.0, 0.01))  # NaN s_th
     def test_verdict_is_threshold_below_one_outside_rounding_band(self, p):
@@ -270,6 +281,36 @@ class TestNonclassicality:
         verdict = nonclassicality(field_moments_from_params(p)).nonclassical
         assert verdict == (gamma < 0)
         assert verdict == (ordering_threshold(p).s_th < 1.0)
+
+    @given(st.one_of(RANDOM_STATES, near_boundary_states(1e-15)))
+    @example(CONTRADICTING_STATE)
+    @example(PAPER_PARAMS)
+    @example(TwinBeamParams(0.0, 0.0, 0.01, 30.0, 5.0, 0.01))  # NaN s_th
+    def test_verdict_never_contradicts_threshold(self, p):
+        """Without a band, a non-classical verdict comes with ``s_th <= 1``
+        and a classical one with ``s_th >= 1`` or NaN.
+
+        gamma is ``-margin/T`` of the verdict's own rounded margin, so its
+        sign is the verdict's.  With gamma < 0 the computed radicand is at
+        least ``fl(beta^2)``, and ``fl(sqrt(fl(x^2))) = |x|`` in binary
+        round-to-nearest (no product under- or overflows on these ranges),
+        so ``beta - sqrt`` is <= 0; with gamma >= 0 it is >= 0 or the
+        radicand is negative.  The statement is weak, not ``s_th < 1``: near
+        margin 0, ``y = 2 (beta - sqrt)`` can be below half an ulp of 1, and
+        then ``1 + y`` rounds to 1, so a non-classical state can read s_th
+        exactly 1.  ``noise_reduction_factor``'s numerator is minus the same
+        margin, bit for bit.
+        """
+        fm = field_moments_from_params(p)
+        verdict = nonclassicality(fm)
+        th = ordering_threshold(p)
+        if verdict.nonclassical:
+            assert th.s_th <= 1.0 and th.gamma < 0
+        else:
+            assert th.s_th >= 1.0 or math.isnan(th.s_th)
+        denom = 2.0 * fm.mean_p + fm.mean_s + fm.mean_i
+        if denom > 0:
+            assert noise_reduction_factor(fm) == 1.0 - verdict.margin / denom
 
     @given(state=st.one_of(
                st.just((PAPER_DETECTED, 0.243, 0.235)),
@@ -361,7 +402,8 @@ class TestPairedQdii:
         # b_pairs = 0: both arms carry independent thermal light of scale
         # (1 - s)/2, so the density factorizes; the log-densities of the
         # cells that do not underflow stay below ~300 in magnitude, so both
-        # sides agree to ~1e-13.  A subnormal coordinate is taken as it is
+        # sides agree to ~1e-13.  A subnormal coordinate is taken as it is;
+        # at m > 1 its w^(m-1) underflows, and both sides are exactly 0
         ctx = OrderingContext.for_params(0.0, s)
         scale = (1.0 - s) / 2.0
         for m in (0.6, 1.0, 2.5, 40.0):
@@ -369,7 +411,7 @@ class TestPairedQdii:
                              (1e-310, 0.3)):
                 want = (gamma_dist.pdf(w_s, a=m, scale=scale)
                         * gamma_dist.pdf(w_i, a=m, scale=scale))
-                assert paired_qdii(ctx, m, w_s, w_i) == pytest.approx(want, rel=1e-12)
+                assert paired_qdii(ctx, m, w_s, w_i) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_domain_errors(self):
         ctx = OrderingContext.for_params(0.5, 0.0)
@@ -385,7 +427,7 @@ class TestPairedQdii:
         assert paired_qdii(ctx, 2.0, 0.0, 1.0) == 0.0
         want = math.exp(-ctx.b_p_s / ctx.k_p_s) / ctx.k_p_s
         assert want == pytest.approx(0.4344, abs=1e-4)
-        assert paired_qdii(ctx, 1.0, 0.0, 1.0) == pytest.approx(want, rel=1e-12)
+        assert paired_qdii(ctx, 1.0, 0.0, 1.0) == pytest.approx(want, rel=1e-12, abs=0)
         with pytest.raises(DomainError):
             paired_qdii(ctx, 0.5, 0.0, 1.0)
 
@@ -425,7 +467,7 @@ class TestSincNormalization:
         got = qdii._sinc_normalization(m, ctx.b_p_s, -ctx.k_p_s)
         # a few double operations and one incomplete beta function (accurate
         # to ~1e-15 relative): 1e-14 is ten times that
-        assert got == pytest.approx(self.t_integral(m, ctx.b_p_s, -ctx.k_p_s), rel=1e-14)
+        assert got == pytest.approx(self.t_integral(m, ctx.b_p_s, -ctx.k_p_s), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("m, b_pairs, s", STATES)
     def test_matches_brute_force_double_integral(self, m, b_pairs, s):
@@ -453,7 +495,7 @@ class TestSincNormalization:
         kt = -ctx.k_p_s
         masses = [qdii._sinc_normalization(m, ctx.b_p_s, kt) for m in (3.0, 30.0, 300.0)]
         assert masses[0] < masses[1] < masses[2] <= kt
-        assert masses[2] == pytest.approx(kt, rel=1e-12)
+        assert masses[2] == pytest.approx(kt, rel=1e-12, abs=0)
 
 
 class TestBesselBranch:
@@ -631,7 +673,7 @@ class TestThermalQdii:
     def test_single_mode_is_exponential(self):
         for w in (0.0, 0.3, 2.0):
             assert thermal_qdii(1.0, 0.5, 1.0, w) == pytest.approx(
-                math.exp(-w / 0.5) / 0.5, rel=1e-12)
+                math.exp(-w / 0.5) / 0.5, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("b", [1e-305, 1e-301, 1e-290])
     def test_single_mode_at_zero_for_tiny_scales(self, b):
@@ -647,7 +689,7 @@ class TestThermalQdii:
             scale = b + (1 - s) / 2
             for w in (1e-4, 0.05, 1.0, 40.0):
                 want = gamma_dist.pdf(w, a=m, scale=scale)
-                assert thermal_qdii(m, b, s, w) == pytest.approx(want, rel=1e-10)
+                assert thermal_qdii(m, b, s, w) == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_normalized(self):
         w = np.linspace(1e-9, 40.0, 20000)
@@ -665,7 +707,7 @@ class TestThermalQdii:
         assert below > 0.9999
         q = gamma_dist.ppf(0.999999, a=m, scale=b)
         assert thermal_qdii(m, b, 1.0, q) == pytest.approx(
-            gamma_dist.pdf(q, a=m, scale=b), rel=1e-9)
+            gamma_dist.pdf(q, a=m, scale=b), rel=1e-9, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -694,7 +736,7 @@ class TestJointGrid:
         ctx = OrderingContext.for_params(0.3, 0.0)
         for j, k in ((3, 5), (40, 40), (80, 20)):
             assert grid.values[j, k] == pytest.approx(
-                paired_qdii(ctx, 10.0, g[j], g[k]), rel=1e-12)
+                paired_qdii(ctx, 10.0, g[j], g[k]), rel=1e-12, abs=0)
 
     def test_pairs_absent_factorizes(self):
         params = TwinBeamParams(0.0, 0.0, 2.0, 0.6, 3.0, 0.4)
